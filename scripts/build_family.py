@@ -1,13 +1,15 @@
 """Construct the BH(2(2^r+1), 2^(r+1)(2^r+1)) family and time each member.
 
-Writes one matrix file per r when an output directory is given.
+halving_family verifies every member exactly before returning it, so the
+time reported includes that check.  Writes one matrix file per r when an
+output directory is given.
 """
 
 import argparse
 import time
 from pathlib import Path
 
-from bhmat import halving_family, verify, write_matrix
+from bhmat import halving_family, write_matrix
 
 
 def main():
@@ -20,10 +22,7 @@ def main():
         start = time.monotonic()
         matrix = halving_family(r)
         built = time.monotonic() - start
-        ok = verify(matrix).ok
-        print(
-            f"r={r}: BH({matrix.m},{matrix.n}) built in {built:.2f}s, verified={ok}"
-        )
+        print(f"r={r}: BH({matrix.m},{matrix.n}) built and verified in {built:.2f}s")
         if args.outdir is not None:
             args.outdir.mkdir(parents=True, exist_ok=True)
             path = args.outdir / f"bh_{matrix.m}_{matrix.n}.json"

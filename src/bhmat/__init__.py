@@ -9,7 +9,6 @@ division, never through floating point.
 
 from .butson import (
     ButsonMatrix,
-    CoreMatrix,
     TExtraction,
     VerifyReport,
     core,
@@ -27,7 +26,6 @@ from .butson import (
 from .cyclotomic import (
     ExponentCountVector,
     IntPolynomial,
-    approx_sum,
     conjugate_exponent,
     cyclotomic_poly,
     dot_counts,
@@ -56,7 +54,6 @@ from .latin import (
     classical_tensor_set,
     conjugate_lsesc_mols,
     encode,
-    exhaustive_complete_lsesc,
     inflate,
     is_latin,
     read_latin_set,

@@ -24,48 +24,35 @@ from .errors import FormatError, PlanError
 
 @dataclass(frozen=True)
 class ButsonMatrix:
-    """Order-n matrix of exponents modulo the root order m."""
+    """Order-n matrix of exponents modulo the root order m.
+
+    m, n and every exponent must be ints (bools are rejected); nothing is
+    coerced.
+    """
 
     m: int
     n: int
     exponents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.exponents)
+        rows = tuple(tuple(row) for row in self.exponents)
         object.__setattr__(self, "exponents", rows)
-        if self.m < 1:
-            raise ValueError(f"root order must be positive, got {self.m}")
-        if self.n < 1:
-            raise ValueError(f"matrix order must be positive, got {self.n}")
+        if type(self.m) is not int or self.m < 1:
+            raise ValueError(f"root order must be a positive int, got {self.m!r}")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"matrix order must be a positive int, got {self.n!r}")
         if len(rows) != self.n or any(len(row) != self.n for row in rows):
             raise ValueError(f"exponents must form an {self.n}x{self.n} array")
         for row in rows:
             for v in row:
+                if type(v) is not int:
+                    raise ValueError(f"exponent {v!r} is not an int")
                 if not (0 <= v < self.m):
                     raise ValueError(f"exponent {v} out of range [0, {self.m})")
 
     def column(self, j: int) -> tuple[int, ...]:
         """Column j (0-based) as an exponent row."""
         return tuple(row[j] for row in self.exponents)
-
-
-@dataclass(frozen=True)
-class CoreMatrix:
-    """Dephased matrix with the leading all-ones row and column removed.
-
-    Any two distinct rows (or columns) of a core have dot product exactly
-    -1, and every row sums to -1; these facts drive both constructions.
-    """
-
-    m: int
-    order: int
-    exponents: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.exponents)
-        object.__setattr__(self, "exponents", rows)
-        if len(rows) != self.order or any(len(row) != self.order for row in rows):
-            raise ValueError(f"core must be {self.order}x{self.order}")
 
 
 @dataclass(frozen=True)
@@ -161,11 +148,13 @@ def dephase(b: ButsonMatrix) -> ButsonMatrix:
     return ButsonMatrix(b.m, b.n, tuple(tuple(row) for row in rows))
 
 
-def core(b: ButsonMatrix) -> CoreMatrix:
-    """Dephase, then delete the first row and column."""
-    normalised = dephase(b)
-    rows = tuple(row[1:] for row in normalised.exponents[1:])
-    return CoreMatrix(m=b.m, order=b.n - 1, exponents=rows)
+def core(b: ButsonMatrix) -> tuple[tuple[int, ...], ...]:
+    """Dephase, then delete the first row and column: the (n-1) x (n-1) exponent rows.
+
+    Any two distinct rows (or columns) of a core have dot product exactly
+    -1, and every row sums to -1; these facts drive both constructions.
+    """
+    return tuple(row[1:] for row in dephase(b).exponents[1:])
 
 
 def find_c1_pairs(b: ButsonMatrix) -> list[tuple[int, int]]:
@@ -319,7 +308,7 @@ def parse_matrix(text: str) -> tuple[ButsonMatrix, dict[str, Any] | None]:
         except json.JSONDecodeError as exc:
             raise FormatError(f"bad JSON: {exc}") from exc
         try:
-            matrix = ButsonMatrix(int(doc["m"]), int(doc["n"]), doc["exponents"])
+            matrix = ButsonMatrix(doc["m"], doc["n"], doc["exponents"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad matrix document: {exc}") from exc
         provenance = doc.get("provenance")

@@ -16,13 +16,6 @@ from . import butson, latin, scarpis
 from .errors import FormatError, PlanError, VerificationError
 
 
-def _print_verify_failure(report: butson.VerifyReport) -> None:
-    if report.bad_row_pair:
-        print(f"FAIL: rows {report.bad_row_pair} are not orthogonal")
-    if report.bad_col_pair:
-        print(f"FAIL: columns {report.bad_col_pair} are not orthogonal")
-
-
 def cmd_fourier(args: argparse.Namespace) -> int:
     matrix = butson.fourier(args.n)
     provenance: dict[str, Any] = {"construction": "fourier", "plan": {"n": args.n}}
@@ -35,7 +28,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     matrix, _ = butson.read_matrix(args.path)
     report = butson.verify(matrix)
     if not report.ok:
-        _print_verify_failure(report)
+        if report.bad_row_pair:
+            print(f"FAIL: rows {report.bad_row_pair} are not orthogonal")
+        if report.bad_col_pair:
+            print(f"FAIL: columns {report.bad_col_pair} are not orthogonal")
         return 1
     print(f"ok: BH({matrix.m},{matrix.n})")
     if args.analyze:
@@ -59,24 +55,11 @@ def _print_analysis(matrix: butson.ButsonMatrix) -> None:
         print(f"C2 cells: {listed}")
 
 
-def _load_verified(path: str) -> butson.ButsonMatrix:
-    matrix, _ = butson.read_matrix(path)
-    report = butson.verify(matrix)
-    if not report.ok:
-        _print_verify_failure(report)
-        raise VerificationError(f"input {path} failed verification")
-    return matrix
-
-
-def _load_family(source: str, order: int, count: int) -> tuple[list[latin.LatinTensor], dict[str, Any]]:
+def _load_family(source: str, order: int) -> tuple[list[latin.LatinTensor], dict[str, Any]]:
     if source == "classical":
         tensors = latin.classical_tensor_set(order)
         return tensors, {"source": "classical", "order": order}
     squares = latin.read_latin_set(source)
-    if any(square.n != order for square in squares):
-        raise PlanError(f"LSESC file squares must have order {order}")
-    if len(squares) != count:
-        raise PlanError(f"LSESC file must hold {count} squares, found {len(squares)}")
     return [latin.encode(square) for square in squares], {"source": "file", "path": source}
 
 
@@ -94,7 +77,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     inputs = [str(p) for p in args.inputs]
     if not 1 <= len(inputs) <= 2:
         raise PlanError("construct takes one or two input matrices")
-    matrices = [_load_verified(p) for p in inputs]
+    matrices = [butson.read_matrix(p)[0] for p in inputs]
     if len(matrices) == 2:
         g, h = matrices
     else:
@@ -109,13 +92,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
             h = butson.permute_columns(h, order)
         pre_permuted = order
 
-    if args.kind == "phi":
-        family_order, family_count = h.n - 1, h.n - 2
-    else:
-        if h.n % 2:
-            raise PlanError(f"psi needs an even order, got {h.n}")
-        family_order, family_count = h.n // 2 - 1, h.n // 2 - 2
-    tensors, family_info = _load_family(args.lsesc, family_order, family_count)
+    family_order, _ = scarpis.family_shape(args.kind, h.n)
+    tensors, family_info = _load_family(args.lsesc, family_order)
 
     plan_info: dict[str, Any] = {"lsesc": family_info}
     if pre_permuted is not None:
@@ -136,8 +114,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
             c1_pair=tuple(args.c1_pair) if args.c1_pair else None,
             c2_cell=tuple(args.c2_cell) if args.c2_cell else None,
         )
+        result = scarpis.psi(psi_plan)
         resolved = scarpis.resolve_psi(psi_plan)
-        result = scarpis.psi(resolved)
         plan_info["c1_pair"] = list(resolved.c1_pair)
         plan_info["c2_cell"] = list(resolved.c2_cell)
         plan_text = f"C1 pair {resolved.c1_pair}, C2 cell {resolved.c2_cell}"

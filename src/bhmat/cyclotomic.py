@@ -12,7 +12,6 @@ unlimited headroom.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,17 +39,6 @@ class IntPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
 
     def __divmod__(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Quotient and remainder; requires a monic divisor so both stay integral."""
@@ -170,16 +158,3 @@ def sum_equals(c: ExponentCountVector, v: int) -> bool:
     coeffs[0] -= v
     _, rem = divmod(IntPolynomial(tuple(coeffs)), cyclotomic_poly(c.m))
     return rem.is_zero()
-
-
-def approx_sum(c: ExponentCountVector) -> tuple[float, float]:
-    """Floating-point value of the sum, as (real, imaginary). Cross-check only."""
-    re = 0.0
-    im = 0.0
-    for k, count in enumerate(c.counts):
-        if count == 0:
-            continue
-        angle = 2.0 * math.pi * k / c.m
-        re += count * math.cos(angle)
-        im += count * math.sin(angle)
-    return re, im

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import FormatError
 from .galois import (
@@ -32,75 +32,61 @@ CLASSICAL_ORDER_CAP = 2**12
 
 @dataclass(frozen=True)
 class LatinSquare:
-    """Order-n square over symbols {1..n}; validated on construction."""
+    """Order-n square over symbols {1..n}; validated on construction.
+
+    Entries must be ints (bools are rejected); nothing is coerced.
+    """
 
     n: int
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(tuple(int(v) for v in row) for row in self.cells)
+        cells = tuple(tuple(row) for row in self.cells)
         object.__setattr__(self, "cells", cells)
+        if type(self.n) is not int:
+            raise ValueError(f"order must be an int, got {self.n!r}")
         if len(cells) != self.n or any(len(row) != self.n for row in cells):
             raise ValueError(f"cells must form an {self.n}x{self.n} array")
+        if not all(type(v) is int for row in cells for v in row):
+            raise ValueError("cells must be ints")
         if not is_latin(cells):
             raise ValueError("not a Latin square")
 
 
 @dataclass(frozen=True)
 class LatinTensor:
-    """Stack of n disjoint permutation matrices (the frontal slices).
+    """Stack of n disjoint permutations (the frontal slices), as row images.
 
-    For an encoded square the slice for column k sends row i to column
-    l_ik; inflated tensors keep the same slice count but blow each slice up
-    block-diagonally, so slices may be larger than n x n.
+    slices[k][i] is the 0-based image of row i under slice k.  For an
+    encoded square, slice k sends row i to l_ik - 1; inflated tensors keep
+    the same slice count but blow each slice up block-diagonally, so
+    slices may permute more than n rows.
     """
 
     n: int
-    slices: tuple[tuple[tuple[int, ...], ...], ...]
+    slices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        slices = tuple(
-            tuple(tuple(int(v) for v in row) for row in sl) for sl in self.slices
-        )
+        slices = tuple(tuple(sl) for sl in self.slices)
         object.__setattr__(self, "slices", slices)
         if len(slices) != self.n:
             raise ValueError(f"expected {self.n} frontal slices, got {len(slices)}")
-        seen: set[tuple[int, int]] = set()
+        if not slices:
+            return
+        rows = list(range(self.size))
         for sl in slices:
-            if not _is_permutation_matrix(sl, self.size):
-                raise ValueError("every frontal slice must be a permutation matrix")
-            for i, row in enumerate(sl):
-                j = row.index(1)
-                if (i, j) in seen:
-                    raise ValueError("frontal slices must be pairwise disjoint")
-                seen.add((i, j))
+            if not all(type(v) is int for v in sl) or sorted(sl) != rows:
+                raise ValueError(f"every frontal slice must permute 0..{len(rows) - 1}")
+        if any(len(set(images)) != self.n for images in zip(*slices)):
+            raise ValueError("frontal slices must be pairwise disjoint")
 
     @property
     def size(self) -> int:
         return len(self.slices[0])
 
     def row_images(self, slice_index: int) -> tuple[int, ...]:
-        """0-based map i -> j of the 1-entries of slice slice_index (1-based)."""
-        return tuple(row.index(1) for row in self.slices[slice_index - 1])
-
-
-def _is_permutation_matrix(mat: Sequence[Sequence[int]], size: int) -> bool:
-    if len(mat) != size or any(len(row) != size for row in mat):
-        return False
-    col_seen = [False] * size
-    for row in mat:
-        ones = 0
-        for j, v in enumerate(row):
-            if v == 1:
-                ones += 1
-                if col_seen[j]:
-                    return False
-                col_seen[j] = True
-            elif v != 0:
-                return False
-        if ones != 1:
-            return False
-    return True
+        """0-based map i -> j of slice slice_index (1-based)."""
+        return self.slices[slice_index - 1]
 
 
 def is_latin(cells: Sequence[Sequence[int]]) -> bool:
@@ -190,70 +176,12 @@ def classical_tensor_set(q: int) -> list[LatinTensor]:
     return [encode(square) for square in classical_lsesc_set(q)]
 
 
-def all_latin_squares(n: int) -> Iterator[LatinSquare]:
-    """All order-n Latin squares in lexicographic order of the flattened cells."""
-    cells: list[list[int]] = [[0] * n for _ in range(n)]
-    col_used = [set() for _ in range(n)]
-
-    def fill(pos: int) -> Iterator[LatinSquare]:
-        if pos == n * n:
-            yield LatinSquare(n, tuple(tuple(row) for row in cells))
-            return
-        i, j = divmod(pos, n)
-        row_used = set(cells[i][:j])
-        for symbol in range(1, n + 1):
-            if symbol in row_used or symbol in col_used[j]:
-                continue
-            cells[i][j] = symbol
-            col_used[j].add(symbol)
-            yield from fill(pos + 1)
-            col_used[j].remove(symbol)
-        cells[i][j] = 0
-
-    return fill(0)
-
-
-def exhaustive_complete_lsesc(n: int) -> list[LatinSquare] | None:
-    """Brute-force search for n-1 pairwise-LSESC squares of order n (n <= 4).
-
-    Returns the first family found when squares are tried in lexicographic
-    cell order, or None if no family exists.  This is a test oracle, not a
-    construction: general complete families come from classical_lsesc_set.
-    """
-    if n > 4:
-        raise ValueError("exhaustive search is capped at order 4")
-    if n < 1:
-        raise ValueError("order must be positive")
-    squares = list(all_latin_squares(n))
-    target = n - 1
-    if target == 0:
-        return []
-
-    def extend(chosen: list[LatinSquare], start: int) -> list[LatinSquare] | None:
-        if len(chosen) == target:
-            return chosen
-        for idx in range(start, len(squares)):
-            candidate = squares[idx]
-            if all(are_lsesc(prev, candidate) for prev in chosen):
-                found = extend(chosen + [candidate], idx + 1)
-                if found is not None:
-                    return found
-        return None
-
-    return extend([], 0)
-
-
 def encode(square: LatinSquare) -> LatinTensor:
-    """Tensor of frontal slices, one per column: slice k sends row i to l_ik."""
+    """Tensor of frontal slices, one per column: slice k sends row i to l_ik - 1."""
     n = square.n
-    slices = tuple(
-        tuple(
-            tuple(1 if square.cells[i][k] == j + 1 else 0 for j in range(n))
-            for i in range(n)
-        )
-        for k in range(n)
+    return LatinTensor(
+        n, tuple(tuple(square.cells[i][k] - 1 for i in range(n)) for k in range(n))
     )
-    return LatinTensor(n, slices)
 
 
 def inflate(tensor: LatinTensor, m: int) -> LatinTensor:
@@ -261,28 +189,22 @@ def inflate(tensor: LatinTensor, m: int) -> LatinTensor:
     if m < 1:
         raise ValueError(f"inflation factor must be positive, got {m}")
     size = tensor.size
-    big = size * m
-    out_slices = []
-    for sl in tensor.slices:
-        big_slice = [[0] * big for _ in range(big)]
-        for block in range(m):
-            base = block * size
-            for i in range(size):
-                for j in range(size):
-                    big_slice[base + i][base + j] = sl[i][j]
-        out_slices.append(tuple(tuple(row) for row in big_slice))
-    return LatinTensor(tensor.n, tuple(out_slices))
+    return LatinTensor(
+        tensor.n,
+        tuple(
+            tuple(block * size + j for block in range(m) for j in sl)
+            for sl in tensor.slices
+        ),
+    )
 
 
 def reconstruct(tensor: LatinTensor) -> LatinSquare:
     """Recover the square from a cubic tensor: cell (i, k) is the symbol slice k maps row i to."""
     if tensor.size != tensor.n:
         raise ValueError("only cubic (non-inflated) tensors encode a Latin square")
-    n = tensor.n
-    cells = tuple(
-        tuple(tensor.slices[k][i].index(1) + 1 for k in range(n)) for i in range(n)
+    return LatinSquare(
+        tensor.n, tuple(tuple(j + 1 for j in row) for row in zip(*tensor.slices))
     )
-    return LatinSquare(n, cells)
 
 
 def write_latin_set(squares: Sequence[LatinSquare], path: str | Path) -> None:
@@ -304,6 +226,7 @@ def read_latin_set(path: str | Path) -> list[LatinSquare]:
 
 def parse_latin_set(text: str) -> list[LatinSquare]:
     squares = []
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     for block in text.split("\n\n"):
         lines = [line for line in block.splitlines() if line.strip()]
         if not lines:

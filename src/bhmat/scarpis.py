@@ -9,7 +9,8 @@ Both accept an optional second input matrix: the first ("x-source") feeds
 the top Kronecker band and the deleted-row scalars, the second feeds the
 core or the extracted T.  With one input the same matrix plays both roles.
 
-Every output is re-verified exactly before it is returned; a construction
+Both verify their inputs exactly as their first step, ahead of any plan
+check, and re-verify every output before it is returned; a construction
 is never trusted on faith.
 """
 
@@ -70,6 +71,16 @@ class PsiPlan:
         object.__setattr__(self, "tensors", tuple(self.tensors))
 
 
+def family_shape(kind: str, n: int) -> tuple[int, int]:
+    """Order and size of the complete LSESC family that phi or psi needs
+    for an order-n input: (n-1, n-2) for phi, (n/2-1, n/2-2) for psi."""
+    if kind == "phi":
+        return n - 1, n - 2
+    if n % 2:
+        raise PlanError(f"psi needs an even order, got {n}")
+    return n // 2 - 1, n // 2 - 2
+
+
 def _require_verified(b: ButsonMatrix, label: str) -> None:
     report = verify(b)
     if not report.ok:
@@ -79,9 +90,17 @@ def _require_verified(b: ButsonMatrix, label: str) -> None:
         )
 
 
+def _require_verified_inputs(h: ButsonMatrix, g: ButsonMatrix | None) -> None:
+    """First step of phi and psi, ahead of every plan check."""
+    _require_verified(h, "input H")
+    if g is not None and g is not h:
+        _require_verified(g, "input G")
+
+
 def _checked_family(
-    tensors: Sequence[LatinTensor], order: int, count: int
+    tensors: Sequence[LatinTensor], kind: str, n: int
 ) -> list[LatinSquare]:
+    order, count = family_shape(kind, n)
     if len(tensors) != count:
         raise PlanError(
             f"need a complete LSESC set of order {order} ({count} squares), "
@@ -111,6 +130,7 @@ def phi(plan: PhiPlan) -> ButsonMatrix:
     k-th tensor's frontal slices (block row 0 uses identity slices).
     Column block j is scaled throughout by the j-th deleted-row entry.
     """
+    _require_verified_inputs(plan.h, plan.g)
     h = plan.h
     src = plan.g if plan.g is not None else plan.h
     n, m = h.n, h.m
@@ -120,13 +140,10 @@ def phi(plan: PhiPlan) -> ButsonMatrix:
         raise PlanError("both inputs must share the same order and root order")
     if not 1 <= plan.deleted_row <= n:
         raise PlanError(f"deleted row {plan.deleted_row} out of range 1..{n}")
-    _checked_family(plan.tensors, order=n - 1, count=n - 2)
-    _require_verified(h, "input H")
-    if src is not h:
-        _require_verified(src, "input G")
+    _checked_family(plan.tensors, "phi", n)
 
     x = src.exponents[plan.deleted_row - 1]
-    c = core(h).exponents
+    c = core(h)
     width = n - 1
 
     rows_out: list[tuple[int, ...]] = []
@@ -227,16 +244,14 @@ def psi(plan: PsiPlan) -> ButsonMatrix:
     blocks run T through the doubled tensor slices.  The left/right halves
     of every block are scaled by consecutive entries of the first C1 row.
     """
+    _require_verified_inputs(plan.h, plan.g)
     resolved = resolve_psi(plan)
     h = resolved.h
     src = resolved.g if resolved.g is not None else resolved.h
     n, m = h.n, h.m
     half = n // 2 - 1
 
-    _checked_family(resolved.tensors, order=half, count=half - 1)
-    _require_verified(h, "input H")
-    if src is not h:
-        _require_verified(src, "input G")
+    _checked_family(resolved.tensors, "psi", n)
 
     ext = extract_t(h, resolved.c2_cell)
     check_t_properties(ext, m)

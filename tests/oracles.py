@@ -1,0 +1,93 @@
+"""Test-only oracles: brute-force Latin-square search, polynomial products
+and the floating-point value of a root-of-unity sum.
+
+None of these is used by the library; they give the tests independent
+expected values.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterator
+
+from bhmat.cyclotomic import ExponentCountVector, IntPolynomial
+from bhmat.latin import LatinSquare, are_lsesc
+
+
+def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Product of two integer polynomials."""
+    if a.is_zero() or b.is_zero():
+        return IntPolynomial(())
+    out = [0] * (len(a.coefficients) + len(b.coefficients) - 1)
+    for i, x in enumerate(a.coefficients):
+        if x == 0:
+            continue
+        for j, y in enumerate(b.coefficients):
+            out[i + j] += x * y
+    return IntPolynomial(tuple(out))
+
+
+def approx_sum(c: ExponentCountVector) -> tuple[float, float]:
+    """Floating-point value of the sum, as (real, imaginary). Cross-check only."""
+    re = 0.0
+    im = 0.0
+    for k, count in enumerate(c.counts):
+        if count == 0:
+            continue
+        angle = 2.0 * math.pi * k / c.m
+        re += count * math.cos(angle)
+        im += count * math.sin(angle)
+    return re, im
+
+
+def all_latin_squares(n: int) -> Iterator[LatinSquare]:
+    """All order-n Latin squares in lexicographic order of the flattened cells."""
+    cells: list[list[int]] = [[0] * n for _ in range(n)]
+    col_used = [set() for _ in range(n)]
+
+    def fill(pos: int) -> Iterator[LatinSquare]:
+        if pos == n * n:
+            yield LatinSquare(n, tuple(tuple(row) for row in cells))
+            return
+        i, j = divmod(pos, n)
+        row_used = set(cells[i][:j])
+        for symbol in range(1, n + 1):
+            if symbol in row_used or symbol in col_used[j]:
+                continue
+            cells[i][j] = symbol
+            col_used[j].add(symbol)
+            yield from fill(pos + 1)
+            col_used[j].remove(symbol)
+        cells[i][j] = 0
+
+    return fill(0)
+
+
+def exhaustive_complete_lsesc(n: int) -> list[LatinSquare] | None:
+    """Brute-force search for n-1 pairwise-LSESC squares of order n (n <= 4).
+
+    Returns the first family found when squares are tried in lexicographic
+    cell order, or None if no family exists.  General complete families
+    come from classical_lsesc_set.
+    """
+    if n > 4:
+        raise ValueError("exhaustive search is capped at order 4")
+    if n < 1:
+        raise ValueError("order must be positive")
+    squares = list(all_latin_squares(n))
+    target = n - 1
+    if target == 0:
+        return []
+
+    def extend(chosen: list[LatinSquare], start: int) -> list[LatinSquare] | None:
+        if len(chosen) == target:
+            return chosen
+        for idx in range(start, len(squares)):
+            candidate = squares[idx]
+            if all(are_lsesc(prev, candidate) for prev in chosen):
+                found = extend(chosen + [candidate], idx + 1)
+                if found is not None:
+                    return found
+        return None
+
+    return extend([], 0)

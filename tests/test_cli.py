@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
-from bhmat.butson import fourier, permute_columns, read_matrix, write_matrix
+import pytest
+
+from bhmat import butson, scarpis
+from bhmat.butson import ButsonMatrix, fourier, permute_columns, read_matrix, write_matrix
 from bhmat.cli import main
 
 from golden import EXAMPLE1_DEPHASED, EXAMPLE2_PSI_F6
@@ -61,6 +64,24 @@ class TestVerifyCommand:
     def test_parse_failure_exit_code(self, tmp_path):
         path = tmp_path / "garbage.txt"
         path.write_text("not a matrix\n")
+        assert run("verify", path) == 3
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"m": 2, "n": 2, "exponents": [[0, 0], [0, 1.0]]},
+            {"m": 2, "n": 2, "exponents": [[0, 0], [0, 1.5]]},
+            {"m": 2, "n": 2, "exponents": [[0, 0], [False, True]]},
+            {"m": 2, "n": 2, "exponents": [[0, 0], [0, "1"]]},
+            {"m": 2.0, "n": 2, "exponents": [[0, 0], [0, 1]]},
+            {"m": 2, "n": True, "exponents": [[0]]},
+            {"m": "2", "n": 2, "exponents": [[0, 0], [0, 1]]},
+        ],
+        ids=["float-int", "float", "bool", "string", "float-m", "bool-n", "string-m"],
+    )
+    def test_non_int_json_fields_exit_code(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
         assert run("verify", path) == 3
 
     def test_missing_file_exit_code(self, tmp_path):
@@ -152,6 +173,35 @@ class TestConstructCommand:
         path.write_text("BH 3 3\n0 0 0\n0 1 1\n0 2 1\n")
         assert run("construct", "phi", path, "-o", tmp_path / "x.json") == 1
 
+    def test_corrupted_input_without_c2_exits_1(self, tmp_path, capsys):
+        # entry (4,4) is F_6's only C2 witness; zeroing it also breaks
+        # orthogonality, and the verification failure must win
+        rows = [list(r) for r in fourier(6).exponents]
+        rows[3][3] = 0
+        bad = ButsonMatrix(6, 6, tuple(tuple(r) for r in rows))
+        assert not butson.find_c2_cells(bad)
+        path = tmp_path / "bad.json"
+        write_matrix(bad, path)
+        assert run("construct", "psi", path, "-o", tmp_path / "x.json") == 1
+        captured = capsys.readouterr()
+        assert "input H failed exact verification" in captured.err
+        assert "FAIL" not in captured.out
+
+    def test_each_matrix_verified_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = butson.verify
+
+        def counting(b):
+            calls.append((b.m, b.n))
+            return real(b)
+
+        monkeypatch.setattr(butson, "verify", counting)
+        monkeypatch.setattr(scarpis, "verify", counting)
+        src = tmp_path / "f5.json"
+        run("fourier", 5, src)
+        assert run("construct", "phi", src, "-o", tmp_path / "out.json") == 0
+        assert calls == [(5, 5), (5, 20)]
+
     def test_text_output_format(self, tmp_path):
         src = tmp_path / "f3.json"
         run("fourier", 3, src)
@@ -212,6 +262,11 @@ class TestLsescCommand:
 
     def test_not_prime_power(self, tmp_path):
         assert run("lsesc", "classical", 6, tmp_path / "x.txt") == 2
+
+    def test_float_cell_exit_code(self, tmp_path):
+        path = tmp_path / "float.txt"
+        path.write_text("L 2\n1 2\n2 1.0\n")
+        assert run("lsesc", "check", path) == 3
 
 
 def test_constructed_file_verifies_in_separate_process(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from bhmat.cyclotomic import (
     ExponentCountVector,
     IntPolynomial,
-    approx_sum,
     conjugate_exponent,
     cyclotomic_poly,
     dot_counts,
@@ -15,6 +14,8 @@ from bhmat.cyclotomic import (
     negate_exponent,
     sum_equals,
 )
+
+from oracles import approx_sum, poly_mul
 
 
 def naive_poly_mul(a, b):
@@ -69,7 +70,7 @@ class TestCyclotomicPoly:
             product = IntPolynomial((1,))
             for d in range(1, m + 1):
                 if m % d == 0:
-                    product = product * cyclotomic_poly(d)
+                    product = poly_mul(product, cyclotomic_poly(d))
             expected = IntPolynomial((-1,) + (0,) * (m - 1) + (1,))
             assert product == expected, f"divisor product broken at m={m}"
 

@@ -7,7 +7,6 @@ from bhmat.errors import FormatError
 from bhmat.latin import (
     LatinSquare,
     LatinTensor,
-    all_latin_squares,
     are_lsesc,
     are_mols,
     classical_lsesc_set,
@@ -15,7 +14,6 @@ from bhmat.latin import (
     conjugate_lsesc_mols,
     dump_latin_set,
     encode,
-    exhaustive_complete_lsesc,
     inflate,
     is_latin,
     parse_latin_set,
@@ -23,6 +21,8 @@ from bhmat.latin import (
     reconstruct,
     write_latin_set,
 )
+
+from oracles import all_latin_squares, exhaustive_complete_lsesc
 
 L2 = LatinSquare(2, ((1, 2), (2, 1)))
 CYCLIC3 = LatinSquare(3, ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
@@ -179,22 +179,28 @@ class TestExhaustiveSearch:
             exhaustive_complete_lsesc(5)
 
 
+def dense(perm):
+    """0/1 matrix of a permutation given by its 0-based row images."""
+    return tuple(tuple(1 if perm[i] == j else 0 for j in range(len(perm))) for i in range(len(perm)))
+
+
 def frontal_slices(tensor):
-    return tensor.slices
+    """Dense cube: [k][i][j] = 1 exactly when frontal slice k sends row i to j."""
+    return [dense(sl) for sl in tensor.slices]
 
 
 def horizontal_slices(tensor):
-    n, size = tensor.n, tensor.size
+    cube, n, size = frontal_slices(tensor), tensor.n, tensor.size
     return [
-        tuple(tuple(tensor.slices[k][i][j] for j in range(size)) for k in range(n))
+        tuple(tuple(cube[k][i][j] for j in range(size)) for k in range(n))
         for i in range(size)
     ]
 
 
 def lateral_slices(tensor):
-    n, size = tensor.n, tensor.size
+    cube, n, size = frontal_slices(tensor), tensor.n, tensor.size
     return [
-        tuple(tuple(tensor.slices[k][i][j] for k in range(n)) for i in range(size))
+        tuple(tuple(cube[k][i][j] for k in range(n)) for i in range(size))
         for j in range(size)
     ]
 
@@ -221,14 +227,17 @@ def family_is_disjoint_permutations(mats):
 class TestEncode:
     def test_order2_slices(self):
         tensor = encode(L2)
-        assert tensor.slices[0] == ((1, 0), (0, 1))
-        assert tensor.slices[1] == ((0, 1), (1, 0))
+        assert tensor.slices == ((0, 1), (1, 0))
+        assert tensor.row_images(2) == (1, 0)
+        assert type(tensor.row_images(1)) is tuple
 
     def test_slice_sums(self):
         tensor = encode(CYCLIC3)
         for sl in tensor.slices:
-            assert all(sum(row) == 1 for row in sl)
-            assert all(sum(col) == 1 for col in zip(*sl))
+            assert sorted(sl) == [0, 1, 2]
+        for mat in frontal_slices(tensor):
+            assert all(sum(row) == 1 for row in mat)
+            assert all(sum(col) == 1 for col in zip(*mat))
 
     def test_all_three_slice_families(self):
         squares = classical_lsesc_set(5) + list(all_latin_squares(4))
@@ -247,13 +256,8 @@ class TestEncode:
 class TestInflate:
     def test_doubling_order2(self):
         doubled = inflate(encode(L2), 2)
-        assert doubled.slices[0] == (
-            (1, 0, 0, 0),
-            (0, 1, 0, 0),
-            (0, 0, 1, 0),
-            (0, 0, 0, 1),
-        )
-        assert doubled.slices[1] == (
+        assert doubled.slices == ((0, 1, 2, 3), (1, 0, 3, 2))
+        assert frontal_slices(doubled)[1] == (
             (0, 1, 0, 0),
             (1, 0, 0, 0),
             (0, 0, 0, 1),
@@ -272,18 +276,19 @@ class TestInflate:
     def test_block_diagonal_structure(self):
         tensor = encode(CYCLIC3)
         big = inflate(tensor, 2)
-        for small, large in zip(tensor.slices, big.slices):
+        for small, large in zip(frontal_slices(tensor), frontal_slices(big)):
             for i in range(3):
                 for j in range(3):
                     assert large[i][j] == small[i][j]
                     assert large[3 + i][3 + j] == small[i][j]
                     assert large[i][3 + j] == 0
                     assert large[3 + i][j] == 0
+        assert family_is_disjoint_permutations(frontal_slices(big))
 
 
 class TestReconstruct:
     def test_example_tensor(self):
-        tensor = LatinTensor(2, (((1, 0), (0, 1)), ((0, 1), (1, 0))))
+        tensor = LatinTensor(2, ((0, 1), (1, 0)))
         assert reconstruct(tensor) == L2
 
     def test_frontal_permutation_permutes_columns(self):
@@ -296,7 +301,7 @@ class TestReconstruct:
         assert reconstruct(shuffled).cells == expected
 
     def test_symbol_relabel_permutes_slice_columns(self):
-        # relabelling symbols acts on the j axis, i.e. inside every slice
+        # relabelling symbols acts on the j axis, i.e. on every row image
         relabel = {1: 2, 2: 3, 3: 1}
         relabelled = LatinSquare(
             3, tuple(tuple(relabel[v] for v in row) for row in CYCLIC3.cells)
@@ -304,8 +309,7 @@ class TestReconstruct:
         tensor, target = encode(CYCLIC3), encode(relabelled)
         for k in range(3):
             for i in range(3):
-                for j in range(3):
-                    assert tensor.slices[k][i][j] == target.slices[k][i][relabel[j + 1] - 1]
+                assert target.slices[k][i] == relabel[tensor.slices[k][i] + 1] - 1
 
     def test_rejects_inflated(self):
         with pytest.raises(ValueError):
@@ -313,9 +317,17 @@ class TestReconstruct:
 
     def test_rejects_broken_tensor(self):
         with pytest.raises(ValueError):
-            LatinTensor(2, (((1, 0), (0, 1)), ((1, 0), (0, 1))))  # not disjoint
+            LatinTensor(2, ((0, 1), (0, 1)))  # not disjoint
         with pytest.raises(ValueError):
-            LatinTensor(2, (((1, 1), (0, 0)), ((0, 0), (1, 1))))  # not permutations
+            LatinTensor(2, ((0, 0), (1, 1)))  # not permutations
+        with pytest.raises(ValueError):
+            LatinTensor(2, ((0, 2), (1, 0)))  # image out of range
+        with pytest.raises(ValueError):
+            LatinTensor(2, ((0, 1, 2), (1, 0)))  # ragged slices
+        with pytest.raises(ValueError):
+            LatinTensor(3, ((0, 1), (1, 0)))  # wrong slice count
+        with pytest.raises(ValueError):
+            LatinTensor(2, ((0, True), (1, 0)))  # bool image
 
 
 class TestFiles:
@@ -340,6 +352,20 @@ class TestFiles:
             parse_latin_set("\n\n")
         with pytest.raises(FormatError):
             parse_latin_set("L 2\n1 1\n2 2\n")  # not Latin
+
+    def test_crlf_family_round_trip(self):
+        squares = classical_lsesc_set(16)
+        text = dump_latin_set(squares)
+        assert parse_latin_set(text.replace("\n", "\r\n")) == squares
+        assert parse_latin_set(text.replace("\n", "\r")) == squares
+
+    def test_square_entries_must_be_ints(self):
+        with pytest.raises(ValueError):
+            LatinSquare(2, ((1, 2.0), (2, 1)))
+        with pytest.raises(ValueError):
+            LatinSquare(2, ((True, 2), (2, True)))
+        with pytest.raises(ValueError):
+            LatinSquare(2, (("1", "2"), ("2", "1")))
 
 
 def test_all_latin_squares_counts():

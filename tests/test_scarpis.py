@@ -4,7 +4,7 @@ import pytest
 
 from bhmat.butson import ButsonMatrix, dephase, find_c1_pairs, fourier, verify
 from bhmat.errors import PlanError, VerificationError
-from bhmat.latin import classical_tensor_set, encode, exhaustive_complete_lsesc
+from bhmat.latin import classical_tensor_set, encode
 from bhmat.scarpis import (
     PhiPlan,
     PsiPlan,
@@ -17,6 +17,7 @@ from bhmat.scarpis import (
 )
 
 from golden import EXAMPLE1_DEPHASED, EXAMPLE1_RAW, EXAMPLE2_PSI_F6
+from oracles import exhaustive_complete_lsesc
 
 
 def plan_f3():
@@ -76,6 +77,13 @@ class TestPhi:
         broken = ButsonMatrix(3, 3, ((0, 0, 0), (0, 1, 1), (0, 2, 1)))
         with pytest.raises(VerificationError):
             phi(PhiPlan(h=broken, tensors=tuple(classical_tensor_set(2))))
+
+    def test_input_verified_before_family_check(self):
+        broken = ButsonMatrix(3, 3, ((0, 0, 0), (0, 1, 1), (0, 2, 1)))
+        with pytest.raises(VerificationError, match="input H"):
+            phi(PhiPlan(h=broken, tensors=()))
+        with pytest.raises(VerificationError, match="input G"):
+            phi(PhiPlan(h=fourier(3), g=broken, tensors=()))
 
     def test_deleted_row_out_of_range(self):
         with pytest.raises(PlanError):
@@ -141,6 +149,13 @@ class TestPsi:
             psi(PsiPlan(h=fourier(6), tensors=tensors, c1_pair=(1, 2)))
         with pytest.raises(PlanError):
             psi(PsiPlan(h=fourier(6), tensors=tensors, c2_cell=(1, 1)))
+
+    def test_input_verified_before_c1_c2_search(self):
+        rows = [list(r) for r in fourier(6).exponents]
+        rows[3][3] = 0  # removes the only C2 cell and breaks orthogonality
+        broken = ButsonMatrix(6, 6, tuple(tuple(r) for r in rows))
+        with pytest.raises(VerificationError, match="input H"):
+            psi(PsiPlan(h=broken, tensors=()))
 
     def test_odd_order_rejected(self):
         with pytest.raises(PlanError):
