@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -73,16 +74,15 @@ class TExtraction:
     """The sub-matrix T = [C; D] and the permutations that exposed it.
 
     row_perm / col_perm list the original 1-based indices of the parent in
-    their new order; h_permuted is the parent with those permutations
-    applied, and t is its trailing (n-2) x (n-2) block.  split is the
-    column count of the left half T1 (= (n-2)/2).
+    their new order, and t is the trailing (n-2) x (n-2) block of the parent
+    with those permutations applied.  split is the column count of the left
+    half T1 (= (n-2)/2), and also the number of C rows.
     """
 
     t: tuple[tuple[int, ...], ...]
     split: int
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
-    h_permuted: ButsonMatrix
 
     @property
     def c_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -91,16 +91,6 @@ class TExtraction:
     @property
     def d_rows(self) -> tuple[tuple[int, ...], ...]:
         return self.t[self.split :]
-
-    @property
-    def t1(self) -> tuple[tuple[int, ...], ...]:
-        """Left column half of T."""
-        return tuple(row[: self.split] for row in self.t)
-
-    @property
-    def t2(self) -> tuple[tuple[int, ...], ...]:
-        """Right column half of T."""
-        return tuple(row[self.split :] for row in self.t)
 
 
 def fourier(n: int) -> ButsonMatrix:
@@ -233,17 +223,11 @@ def extract_t(b: ButsonMatrix, cell: tuple[int, int]) -> TExtraction:
         "column",
     )
 
-    permuted = tuple(
-        tuple(b.exponents[r - 1][c - 1] for c in col_order) for r in row_order
+    t_block = tuple(
+        tuple(b.exponents[r - 1][c - 1] for c in col_order[2:]) for r in row_order[2:]
     )
-    h_permuted = ButsonMatrix(b.m, b.n, permuted)
-    t_block = tuple(row[2:] for row in permuted[2:])
     return TExtraction(
-        t=t_block,
-        split=split,
-        row_perm=tuple(row_order),
-        col_perm=tuple(col_order),
-        h_permuted=h_permuted,
+        t=t_block, split=split, row_perm=tuple(row_order), col_perm=tuple(col_order)
     )
 
 
@@ -294,7 +278,16 @@ def write_matrix(
     fmt: str = "json",
     provenance: dict[str, Any] | None = None,
 ) -> None:
-    Path(path).write_text(dump_matrix(b, fmt, provenance), encoding="utf-8")
+    """Write b atomically: the text goes to a sibling temporary file, which
+    then replaces path, so a failed write never leaves a truncated file."""
+    text = dump_matrix(b, fmt, provenance)
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def parse_matrix(text: str) -> tuple[ButsonMatrix, dict[str, Any] | None]:

@@ -34,7 +34,6 @@ from .cyclotomic import dot_counts, exponent_counts, sum_equals
 from .errors import PlanError, VerificationError
 from .latin import (
     CLASSICAL_ORDER_CAP,
-    LatinSquare,
     LatinTensor,
     are_lsesc,
     classical_tensor_set,
@@ -73,11 +72,19 @@ class PsiPlan:
 
 def family_shape(kind: str, n: int) -> tuple[int, int]:
     """Order and size of the complete LSESC family that phi or psi needs
-    for an order-n input: (n-1, n-2) for phi, (n/2-1, n/2-2) for psi."""
+    for an order-n input: (n-1, n-2) for phi, (n/2-1, n/2-2) for psi.
+
+    This is also the one home of the minimum input orders: phi needs
+    n >= 3 and psi an even n >= 6, else PlanError.
+    """
     if kind == "phi":
+        if n < 3:
+            raise PlanError(f"phi needs order >= 3, got {n}")
         return n - 1, n - 2
     if n % 2:
         raise PlanError(f"psi needs an even order, got {n}")
+    if n < 6:
+        raise PlanError(f"psi needs order >= 6, got {n}")
     return n // 2 - 1, n // 2 - 2
 
 
@@ -90,16 +97,19 @@ def _require_verified(b: ButsonMatrix, label: str) -> None:
         )
 
 
-def _require_verified_inputs(h: ButsonMatrix, g: ButsonMatrix | None) -> None:
-    """First step of phi and psi, ahead of every plan check."""
+def _x_source(h: ButsonMatrix, g: ButsonMatrix | None) -> ButsonMatrix:
+    """First step of phi and psi, ahead of every plan check: verify H (and
+    G when distinct), check they share n and m, and return the x-source."""
     _require_verified(h, "input H")
-    if g is not None and g is not h:
-        _require_verified(g, "input G")
+    if g is None or g is h:
+        return h
+    _require_verified(g, "input G")
+    if (g.n, g.m) != (h.n, h.m):
+        raise PlanError("both inputs must share the same order and root order")
+    return g
 
 
-def _checked_family(
-    tensors: Sequence[LatinTensor], kind: str, n: int
-) -> list[LatinSquare]:
+def _checked_family(tensors: Sequence[LatinTensor], kind: str, n: int) -> None:
     order, count = family_shape(kind, n)
     if len(tensors) != count:
         raise PlanError(
@@ -114,11 +124,37 @@ def _checked_family(
         for j in range(i + 1, len(squares)):
             if not are_lsesc(squares[i], squares[j]):
                 raise PlanError(f"squares {i + 1} and {j + 1} are not LSESC")
-    return squares
 
 
-def _scaled(row: Sequence[int], shift: int, m: int) -> tuple[int, ...]:
-    return tuple((v + shift) % m for v in row)
+def _assemble(
+    m: int,
+    band: Sequence[Sequence[int]],
+    rows: Sequence[Sequence[int]],
+    lead_offsets: Sequence[int],
+    slices: Sequence[Sequence[Sequence[int]]],
+    shifts: Sequence[Sequence[int]],
+) -> ButsonMatrix:
+    """The block layout [B0; B] that phi and psi share.
+
+    B0 is band with every entry repeated once per block row.  B has
+    len(slices)+1 block rows of height len(lead_offsets).  In block row k,
+    row r leads with rows[k + lead_offsets[r]]; column block j >= 1 takes
+    rows[slices[k-1][j-1][r]], or rows[r] when k = 0.  Column block j is
+    shifted position by position by shifts[j], modulo m.
+    """
+    repeat = len(slices) + 1
+    out = [tuple(v for v in row for _ in range(repeat)) for row in band]
+    shifted = [
+        [tuple((v + s) % m for v, s in zip(row, shift)) for row in rows]
+        for shift in shifts
+    ]
+    identity = [range(len(lead_offsets))] * (len(shifts) - 1)
+    for k, images in enumerate(chain([identity], slices)):
+        for r, offset in enumerate(lead_offsets):
+            parts = [shifted[0][k + offset]]
+            parts.extend(shifted[j][image[r]] for j, image in enumerate(images, 1))
+            out.append(tuple(chain.from_iterable(parts)))
+    return ButsonMatrix(m, len(out), tuple(out))
 
 
 def phi(plan: PhiPlan) -> ButsonMatrix:
@@ -130,43 +166,22 @@ def phi(plan: PhiPlan) -> ButsonMatrix:
     k-th tensor's frontal slices (block row 0 uses identity slices).
     Column block j is scaled throughout by the j-th deleted-row entry.
     """
-    _require_verified_inputs(plan.h, plan.g)
-    h = plan.h
-    src = plan.g if plan.g is not None else plan.h
-    n, m = h.n, h.m
-    if n < 3:
-        raise PlanError(f"phi needs order >= 3, got {n}")
-    if src.n != n or src.m != m:
-        raise PlanError("both inputs must share the same order and root order")
+    src = _x_source(plan.h, plan.g)
+    n = src.n
+    _checked_family(plan.tensors, "phi", n)
     if not 1 <= plan.deleted_row <= n:
         raise PlanError(f"deleted row {plan.deleted_row} out of range 1..{n}")
-    _checked_family(plan.tensors, "phi", n)
 
-    x = src.exponents[plan.deleted_row - 1]
-    c = core(h)
-    width = n - 1
-
-    rows_out: list[tuple[int, ...]] = []
-    for idx, row in enumerate(src.exponents):
-        if idx == plan.deleted_row - 1:
-            continue
-        rows_out.append(tuple(v for v in row for _ in range(width)))
-
-    for k in range(n - 1):
-        lead = _scaled(c[k], x[0], m)
-        images = (
-            None
-            if k == 0
-            else [plan.tensors[k - 1].row_images(bc) for bc in range(1, n)]
-        )
-        for r in range(width):
-            parts = [lead]
-            for bc in range(1, n):
-                source = c[r] if images is None else c[images[bc - 1][r]]
-                parts.append(_scaled(source, x[bc], m))
-            rows_out.append(tuple(chain.from_iterable(parts)))
-
-    out = ButsonMatrix(m, n * (n - 1), tuple(rows_out))
+    dropped = plan.deleted_row - 1
+    band = src.exponents[:dropped] + src.exponents[dropped + 1 :]
+    out = _assemble(
+        src.m,
+        band,
+        core(plan.h),
+        (0,) * (n - 1),
+        [t.slices for t in plan.tensors],
+        [(v,) * (n - 1) for v in src.exponents[dropped]],
+    )
     _require_verified(out, "phi output")
     return out
 
@@ -206,12 +221,8 @@ def resolve_psi(plan: PsiPlan) -> PsiPlan:
     """Fill in defaulted choices: first C1 pair of the x-source, first C2 cell of H."""
     h = plan.h
     src = plan.g if plan.g is not None else plan.h
-    if h.m % 2 or h.n % 2:
-        raise PlanError(f"psi needs even order and root order, got n={h.n}, m={h.m}")
-    if h.n < 6:
-        raise PlanError(f"psi needs order >= 6, got {h.n}")
-    if src.n != h.n or src.m != h.m:
-        raise PlanError("both inputs must share the same order and root order")
+    if h.m % 2:
+        raise PlanError(f"psi needs an even root order, got m={h.m}")
 
     cells = find_c2_cells(h)
     if plan.c2_cell is None:
@@ -244,52 +255,25 @@ def psi(plan: PsiPlan) -> ButsonMatrix:
     blocks run T through the doubled tensor slices.  The left/right halves
     of every block are scaled by consecutive entries of the first C1 row.
     """
-    _require_verified_inputs(plan.h, plan.g)
+    src = _x_source(plan.h, plan.g)
+    _checked_family(plan.tensors, "psi", src.n)
     resolved = resolve_psi(plan)
-    h = resolved.h
-    src = resolved.g if resolved.g is not None else resolved.h
-    n, m = h.n, h.m
-    half = n // 2 - 1
+    ext = extract_t(plan.h, resolved.c2_cell)
+    check_t_properties(ext, src.m)
 
-    _checked_family(resolved.tensors, "psi", n)
-
-    ext = extract_t(h, resolved.c2_cell)
-    check_t_properties(ext, m)
-
-    t_idx, s_idx = resolved.c1_pair
-    x = src.exponents[t_idx - 1]
-
-    rows_out: list[tuple[int, ...]] = []
-    for idx, row in enumerate(src.exponents):
-        if idx in (t_idx - 1, s_idx - 1):
-            continue
-        rows_out.append(tuple(v for v in row for _ in range(half)))
-
-    t_rows = ext.t
+    band = tuple(
+        row for i, row in enumerate(src.exponents, 1) if i not in resolved.c1_pair
+    )
+    x = src.exponents[resolved.c1_pair[0] - 1]
     split = ext.split
-
-    def scale_halves(row: Sequence[int], left: int, right: int) -> tuple[int, ...]:
-        return tuple(
-            (v + (left if pos < split else right)) % m for pos, v in enumerate(row)
-        )
-
-    doubled = [inflate(tensor, 2) for tensor in resolved.tensors]
-    for k in range(half):
-        lead_c = scale_halves(t_rows[k], x[0], x[1])
-        lead_d = scale_halves(t_rows[split + k], x[0], x[1])
-        images = (
-            None
-            if k == 0
-            else [doubled[k - 1].row_images(bc) for bc in range(1, half + 1)]
-        )
-        for r in range(n - 2):
-            parts = [lead_c if r < split else lead_d]
-            for bc in range(1, half + 1):
-                source = t_rows[r] if images is None else t_rows[images[bc - 1][r]]
-                parts.append(scale_halves(source, x[2 * bc], x[2 * bc + 1]))
-            rows_out.append(tuple(chain.from_iterable(parts)))
-
-    out = ButsonMatrix(m, n * half, tuple(rows_out))
+    out = _assemble(
+        src.m,
+        band,
+        ext.t,
+        (0,) * split + (split,) * split,
+        [inflate(t, 2).slices for t in plan.tensors],
+        [(x[2 * j],) * split + (x[2 * j + 1],) * split for j in range(split + 1)],
+    )
     _require_verified(out, "psi output")
     return out
 

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -161,18 +164,23 @@ class TestExtractT:
         assert ext.t == EXAMPLE2_T
 
     def test_fourier6_permutations(self):
-        ext = extract_t(fourier(6), (4, 4))
+        f6 = fourier(6)
+        ext = extract_t(f6, (4, 4))
         assert ext.row_perm == (1, 4, 3, 5, 2, 6)
         assert ext.col_perm == (1, 4, 3, 5, 2, 6)
-        assert ext.h_permuted.exponents[1][:2] == (0, 3)
+        permuted = tuple(
+            tuple(f6.exponents[r - 1][c - 1] for c in ext.col_perm) for r in ext.row_perm
+        )
+        assert permuted[1][:2] == (0, 3)
+        assert ext.t == tuple(row[2:] for row in permuted[2:])
 
     def test_split_views(self):
         ext = extract_t(fourier(6), (4, 4))
         assert ext.split == 2
         assert ext.c_rows == EXAMPLE2_T[:2]
         assert ext.d_rows == EXAMPLE2_T[2:]
-        assert ext.t1 == tuple(row[:2] for row in EXAMPLE2_T)
-        assert ext.t2 == tuple(row[2:] for row in EXAMPLE2_T)
+        assert tuple(row[: ext.split] for row in ext.t) == tuple(row[:2] for row in EXAMPLE2_T)
+        assert tuple(row[ext.split :] for row in ext.t) == tuple(row[2:] for row in EXAMPLE2_T)
 
     @pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 11])
     def test_t_properties_hold(self, d):
@@ -214,6 +222,18 @@ class TestFiles:
         again, provenance = read_matrix(path)
         assert again == b
         assert provenance == {"construction": "fourier", "plan": {"n": 4}}
+
+    def test_write_replaces_whole_file_with_umask_mode(self, tmp_path):
+        path = tmp_path / "f5.json"
+        path.write_text("a longer stale document than the matrix itself " * 20)
+        write_matrix(fourier(5), path)
+        assert path.read_text() == dump_matrix(fourier(5))
+        umask = os.umask(0)
+        os.umask(umask)
+        fresh = tmp_path / "fresh.txt"
+        write_matrix(fourier(3), fresh, fmt="text")
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f5.json", "fresh.txt"]
 
     def test_dump_is_deterministic(self):
         b = fourier(5)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -209,6 +210,34 @@ class TestConstructCommand:
         assert run("construct", "phi", src, "-o", out, "--format", "text") == 0
         matrix, provenance = read_matrix(out)
         assert provenance is None and matrix.n == 6
+
+    @pytest.mark.parametrize(
+        "kind, n, message",
+        [
+            ("phi", 2, "phi needs order >= 3"),
+            ("psi", 4, "psi needs order >= 6"),
+            ("psi", 2, "psi needs order >= 6"),
+        ],
+    )
+    def test_small_order_names_the_order(self, tmp_path, capsys, kind, n, message):
+        src = tmp_path / "small.json"
+        run("fourier", n, src)
+        assert run("construct", kind, src, "-o", tmp_path / "x.json") == 2
+        assert message in capsys.readouterr().err
+
+    def test_failed_write_keeps_old_output(self, tmp_path, monkeypatch):
+        src = tmp_path / "f3.json"
+        run("fourier", 3, src)
+        out = tmp_path / "out.json"
+        out.write_bytes(b"old bytes\n")
+
+        def refuse(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert run("construct", "phi", src, "-o", out) == 3
+        assert out.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f3.json", "out.json"]
 
 
 class TestCountCommand:

@@ -2,7 +2,15 @@ import itertools
 
 import pytest
 
-from bhmat.butson import ButsonMatrix, dephase, find_c1_pairs, fourier, verify
+from bhmat.butson import (
+    ButsonMatrix,
+    dephase,
+    find_c1_pairs,
+    fourier,
+    matrix_digest,
+    permute_columns,
+    verify,
+)
 from bhmat.errors import PlanError, VerificationError
 from bhmat.latin import classical_tensor_set, encode
 from bhmat.scarpis import (
@@ -175,6 +183,38 @@ class TestHalvingFamily:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             halving_family(0)
+
+
+class TestAssemblyDigests:
+    """Outputs pinned by digest, beyond the two worked examples: a permuted
+    two-input phi with an inner deleted row, a two-input psi on a later C1
+    pair, and the second halving_family member."""
+
+    def test_phi_two_inputs_inner_deleted_row(self):
+        f9 = fourier(9)
+        h = permute_columns(f9, [1, 3, 2, 4, 5, 6, 7, 8, 9])
+        g = ButsonMatrix(9, 9, tuple(reversed(f9.exponents)))
+        out = phi(PhiPlan(h=h, g=g, tensors=tuple(classical_tensor_set(8)), deleted_row=4))
+        assert (out.m, out.n) == (9, 72)
+        assert matrix_digest(out) == (
+            "sha256:4cbb187d8a150e6d6b470a541d2acbf300ae7dd6b0dd71a7e44747f406371a31"
+        )
+
+    def test_psi_two_inputs_second_c1_pair(self):
+        f10 = fourier(10)
+        g = ButsonMatrix(10, 10, tuple(reversed(f10.exponents)))
+        pair = find_c1_pairs(g)[1]
+        assert pair == (2, 7)
+        out = psi(PsiPlan(h=f10, g=g, c1_pair=pair, tensors=tuple(classical_tensor_set(4))))
+        assert (out.m, out.n) == (10, 40)
+        assert matrix_digest(out) == (
+            "sha256:47d93b1b73abc2e5ddcc714b36e24face6b475f67c185f6b2d775931cdf18716"
+        )
+
+    def test_halving_family_r2(self):
+        assert matrix_digest(halving_family(2)) == (
+            "sha256:cea480ccf9035776976ad24741d63a7d1ecd84134c2b09a23518fe24215eda69"
+        )
 
 
 class TestHadamardSpecialisations:
