@@ -1,10 +1,17 @@
 """Butson matrices over exponent arrays, with exact verification.
 
 A matrix with entries that are m-th roots of unity is stored as its n x n
-array of exponents: entry (i, j) stands for zeta_m^exponents[i][j].  Row
-and column orthogonality, the core property, and the C1/C2 conditions are
-all decided through the integer-only zero test in the cyclotomic module;
-no floating point is involved anywhere in verification.
+array of exponents: entry (i, j) stands for zeta_m^exponents[i][j].
+
+verify decides from the rows alone, since for a square B, B B* = nI
+implies B* B = nI; the columns are scanned only after a row pair fails,
+to name the first failing column pair.  A pair of rows a, b is tested in
+one integer: with w = 2^W >= n + 2 and c(x) = sum_k x^(a_k - b_k + m),
+the pair is orthogonal exactly when Phi_m(w) divides c(w).  All pairs of
+a row come out of one big-integer pass (see _first_non_orthogonal).  The
+polynomial zero test of the cyclotomic module, cyclotomic.sum_equals,
+stays the reference test: scarpis.check_t_properties and the test oracle
+use it.  No floating point is involved anywhere in verification.
 
 Row and column indices in the public API are 1-based, matching the usual
 matrix convention.
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .cyclotomic import dot_counts, negate_exponent, sum_equals
+from .cyclotomic import cyclotomic_poly, negate_exponent
 from .errors import FormatError, PlanError
 
 
@@ -102,24 +109,85 @@ def fourier(n: int) -> ButsonMatrix:
 
 
 def verify(b: ButsonMatrix) -> VerifyReport:
-    """Exact check that all distinct row pairs and column pairs are orthogonal."""
+    """Exact check that all distinct row pairs and column pairs are orthogonal.
+
+    The rows decide; the columns are scanned only when a row pair fails.
+    """
     bad_rows = _first_non_orthogonal(b.exponents, b.m)
-    cols = tuple(b.column(j) for j in range(b.n))
-    bad_cols = _first_non_orthogonal(cols, b.m)
-    return VerifyReport(
-        ok=bad_rows is None and bad_cols is None,
-        bad_row_pair=bad_rows,
-        bad_col_pair=bad_cols,
-    )
+    if bad_rows is None:
+        return VerifyReport(ok=True)
+    bad_cols = _first_non_orthogonal(tuple(zip(*b.exponents)), b.m)
+    return VerifyReport(ok=False, bad_row_pair=bad_rows, bad_col_pair=bad_cols)
+
+
+# Bytes of packed rows held at once by _first_non_orthogonal.
+_TILE_BYTES = 1 << 19
+
+
+def _embedding(m: int, n: int) -> tuple[int, int]:
+    """The width W and the modulus Phi_m(2^W) of the exact test for n terms.
+
+    Let c(x) be a sum of n monomials, so that c(zeta) is a sum of n m-th
+    roots of unity.  c(zeta) = 0 iff Phi_m(w) divides c(w), w = 2^W >= n + 2:
+    Z[zeta]/(zeta - w) is Z/Phi_m(w), and a nonzero c(zeta) in the ideal
+    (zeta - w) would have a norm divisible by N(zeta - w) = +-Phi_m(w),
+    whose size is at least (w - 1)^phi(m) > n^phi(m) >= |N(c(zeta))|
+    (Washington, Cyclotomic Fields, Thm 2.13).
+    """
+    width = (n + 1).bit_length()
+    assert 1 << width >= n + 2
+    modulus = 0
+    for c in reversed(cyclotomic_poly(m).coefficients):
+        modulus = (modulus << width) + c
+    return width, modulus
 
 
 def _first_non_orthogonal(
     vectors: Sequence[Sequence[int]], m: int
 ) -> tuple[int, int] | None:
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            if not sum_equals(dot_counts(vectors[i], vectors[j], m), 0):
-                return (i + 1, j + 1)
+    """The first pair (i, j), i < j, 1-based in lexicographic order, of
+    vectors that are not orthogonal, or None.
+
+    Rows j are packed a tile at a time: table[k] holds 2^(W(m - a_jk)) in
+    the slot of row j, 2mW bits wide.  Then sum_k table[k] << W a_ik holds
+    c(w) for the pair (i, j) in slot j, without carries since no count
+    exceeds n < 2^W: n additions and m shifts per row and tile.  Row 1 is
+    scanned against every tile first, so one corrupted entry outside row 1
+    is found without building other rows.  Tiles run in order of j, and a
+    failure in row i leaves only the rows before i to later tiles.
+    """
+    n = len(vectors)
+    width, modulus = _embedding(m, n)
+    slot = (2 * m * width + 7) // 8
+    unit = [(1 << width * (m - e)).to_bytes(slot, "little") for e in range(m)]
+    tile = max(1, _TILE_BYTES // (n * slot))
+    for lo, hi in ((0, 1), (1, n)):
+        best = None
+        for j0 in range(0, n, tile):
+            j1 = min(j0 + tile, n)
+            stop = min(hi, j1 - 1, n if best is None else best[0])
+            if stop <= lo:
+                continue
+            table = [
+                int.from_bytes(b"".join(map(unit.__getitem__, col)), "little")
+                for col in zip(*vectors[j0:j1])
+            ]
+            for i in range(lo, stop):
+                sums = [0] * m
+                for q, e in zip(table, vectors[i]):
+                    sums[e] += q
+                packed = sum(s << width * e for e, s in enumerate(sums))
+                data = packed.to_bytes((j1 - j0) * slot, "little")
+                for j in range(max(j0, i + 1), j1):
+                    at = (j - j0) * slot
+                    if int.from_bytes(data[at : at + slot], "little") % modulus:
+                        best = (i, j)
+                        break
+                else:
+                    continue
+                break  # later rows of this tile come after (i, j)
+        if best is not None:
+            return best[0] + 1, best[1] + 1
     return None
 
 

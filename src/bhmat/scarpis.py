@@ -99,9 +99,10 @@ def _require_verified(b: ButsonMatrix, label: str) -> None:
 
 def _x_source(h: ButsonMatrix, g: ButsonMatrix | None) -> ButsonMatrix:
     """First step of phi and psi, ahead of every plan check: verify H (and
-    G when distinct), check they share n and m, and return the x-source."""
+    G when it differs from H), check they share n and m, and return the
+    x-source."""
     _require_verified(h, "input H")
-    if g is None or g is h:
+    if g is None or g == h:
         return h
     _require_verified(g, "input G")
     if (g.n, g.m) != (h.n, h.m):

@@ -1,5 +1,6 @@
-"""Test-only oracles: brute-force Latin-square search, polynomial products
-and the floating-point value of a root-of-unity sum.
+"""Test-only oracles: the pair-by-pair verifier, brute-force Latin-square
+search, polynomial products and the floating-point value of a
+root-of-unity sum.
 
 None of these is used by the library; they give the tests independent
 expected values.
@@ -8,10 +9,33 @@ expected values.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from bhmat.cyclotomic import ExponentCountVector, IntPolynomial
+from bhmat.butson import ButsonMatrix, VerifyReport
+from bhmat.cyclotomic import ExponentCountVector, IntPolynomial, dot_counts, sum_equals
 from bhmat.latin import LatinSquare, are_lsesc
+
+
+def verify_oracle(b: ButsonMatrix) -> VerifyReport:
+    """Every row pair and every column pair through the cyclotomic zero test."""
+    bad_rows = _first_non_orthogonal(b.exponents, b.m)
+    cols = tuple(b.column(j) for j in range(b.n))
+    bad_cols = _first_non_orthogonal(cols, b.m)
+    return VerifyReport(
+        ok=bad_rows is None and bad_cols is None,
+        bad_row_pair=bad_rows,
+        bad_col_pair=bad_cols,
+    )
+
+
+def _first_non_orthogonal(
+    vectors: Sequence[Sequence[int]], m: int
+) -> tuple[int, int] | None:
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            if not sum_equals(dot_counts(vectors[i], vectors[j], m), 0):
+                return (i + 1, j + 1)
+    return None
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:

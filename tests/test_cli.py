@@ -16,6 +16,20 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def _count_verify(monkeypatch):
+    """Record (m, n) of every matrix verify is called on."""
+    calls = []
+    real = butson.verify
+
+    def counting(b):
+        calls.append((b.m, b.n))
+        return real(b)
+
+    monkeypatch.setattr(butson, "verify", counting)
+    monkeypatch.setattr(scarpis, "verify", counting)
+    return calls
+
+
 class TestFourierCommand:
     def test_writes_json(self, tmp_path, capsys):
         out = tmp_path / "f3.json"
@@ -189,19 +203,19 @@ class TestConstructCommand:
         assert "FAIL" not in captured.out
 
     def test_each_matrix_verified_once(self, tmp_path, monkeypatch):
-        calls = []
-        real = butson.verify
-
-        def counting(b):
-            calls.append((b.m, b.n))
-            return real(b)
-
-        monkeypatch.setattr(butson, "verify", counting)
-        monkeypatch.setattr(scarpis, "verify", counting)
+        calls = _count_verify(monkeypatch)
         src = tmp_path / "f5.json"
         run("fourier", 5, src)
         assert run("construct", "phi", src, "-o", tmp_path / "out.json") == 0
         assert calls == [(5, 5), (5, 20)]
+
+    def test_equal_inputs_verified_once(self, tmp_path, monkeypatch):
+        # the two inputs are loaded separately, so they are equal, not identical
+        calls = _count_verify(monkeypatch)
+        src = tmp_path / "f6.json"
+        run("fourier", 6, src)
+        assert run("construct", "psi", src, src, "-o", tmp_path / "out.json") == 0
+        assert calls == [(6, 6), (6, 12)]
 
     def test_text_output_format(self, tmp_path):
         src = tmp_path / "f3.json"

@@ -1,0 +1,223 @@
+"""The big-integer verifier against the pair-by-pair cyclotomic oracle.
+
+verify decides from rows packed into big integers and tested modulo
+Phi_m(2^W); verify_oracle tests every row and column pair with the
+polynomial zero test.  Their reports must agree field by field.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, strategies as st
+
+from bhmat import butson
+from bhmat.butson import ButsonMatrix, fourier, verify
+from bhmat.cyclotomic import ExponentCountVector, sum_equals
+from bhmat.latin import classical_tensor_set
+from bhmat.scarpis import PhiPlan, halving_family, phi
+
+from oracles import verify_oracle
+
+# 1, 2, primes, prime powers and 30, then anything up to 40
+ROOT_ORDERS = st.one_of(
+    st.sampled_from([1, 2, 3, 5, 7, 31, 37, 4, 8, 9, 16, 25, 27, 32, 30]),
+    st.integers(1, 40),
+)
+
+
+def _slot_bytes(m, n):
+    """Bytes per packed row in butson._first_non_orthogonal: 2mW bits."""
+    width, _ = butson._embedding(m, n)
+    return (2 * m * width + 7) // 8
+
+
+def _tile_rows(m, n):
+    return max(1, butson._TILE_BYTES // (n * _slot_bytes(m, n)))
+
+
+def _with_entry(b, i, j, e):
+    rows = [list(row) for row in b.exponents]
+    rows[i][j] = e
+    return ButsonMatrix(b.m, b.n, tuple(tuple(row) for row in rows))
+
+
+@st.composite
+def near_butson(draw):
+    """A BH(m, d) from a scaled F_d (d | m), moved by row and column
+    phases and permutations, then possibly broken: rows copied over other
+    rows (failures away from row 1) and entries changed."""
+    m = draw(ROOT_ORDERS)
+    d = draw(st.sampled_from([d for d in range(1, min(m, 9) + 1) if m % d == 0]))
+    rows = [[(i * j * (m // d)) % m for j in range(d)] for i in range(d)]
+    row_phase = draw(st.lists(st.integers(0, m - 1), min_size=d, max_size=d))
+    col_phase = draw(st.lists(st.integers(0, m - 1), min_size=d, max_size=d))
+    rows = [[(v + row_phase[i] + col_phase[j]) % m for j, v in enumerate(r)] for i, r in enumerate(rows)]
+    rows = draw(st.permutations(rows))
+    order = draw(st.permutations(range(d)))
+    rows = [[r[j] for j in order] for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        src, dst = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        rows[dst] = list(rows[src])
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        rows[i][j] = draw(st.integers(0, m - 1))
+    return ButsonMatrix(m, d, tuple(tuple(r) for r in rows))
+
+
+@st.composite
+def random_matrix(draw):
+    m = draw(ROOT_ORDERS)
+    n = draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, m - 1), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return ButsonMatrix(m, n, tuple(tuple(r) for r in rows))
+
+
+class TestAgainstOracle:
+    @given(st.one_of(near_butson(), random_matrix()), st.sampled_from([1, 64, 1 << 19]))
+    def test_random_small(self, b, tile_bytes):
+        # tile_bytes 1 puts every row in its own tile
+        with mock.patch.object(butson, "_TILE_BYTES", tile_bytes):
+            assert verify(b) == verify_oracle(b)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_fourier(self, n):
+        assert verify(fourier(n)) == verify_oracle(fourier(n))
+
+
+@pytest.fixture(scope="module")
+def constructions():
+    return {
+        "fourier": fourier(13),
+        "phi": phi(PhiPlan(h=fourier(5), tensors=tuple(classical_tensor_set(4)))),
+        "psi": halving_family(2),
+    }
+
+
+def _corruption_cells(n, tile):
+    """Row 1, the last row, column 1, and both sides of the first tile boundary."""
+    return [
+        (0, n // 2),
+        (n - 1, 1),
+        (n // 3, 0),
+        (tile - 1, tile),
+        (tile, tile - 1),
+        (tile - 1, n - 1),
+        (tile, 0),
+    ]
+
+
+class TestCorruptions:
+    @pytest.mark.parametrize("kind", ["fourier", "phi", "psi"])
+    @pytest.mark.parametrize("tile", [3, 7])
+    def test_small_tiles(self, constructions, kind, tile):
+        b = constructions[kind]
+        tile_bytes = tile * b.n * _slot_bytes(b.m, b.n)
+        with mock.patch.object(butson, "_TILE_BYTES", tile_bytes):
+            assert _tile_rows(b.m, b.n) == tile
+            assert verify(b).ok
+            for i, j in _corruption_cells(b.n, tile):
+                for shift in (1, b.m // 2):
+                    bad = _with_entry(b, i, j, (b.exponents[i][j] + shift) % b.m)
+                    report = verify(bad)
+                    assert not report.ok
+                    assert report == verify_oracle(bad), (kind, i, j, shift)
+
+    def test_default_tiles(self):
+        b = halving_family(3)
+        tile = _tile_rows(b.m, b.n)
+        assert 1 < tile < b.n - 1
+        for i, j in _corruption_cells(b.n, tile):
+            bad = _with_entry(b, i, j, (b.exponents[i][j] + 1) % b.m)
+            assert verify(bad) == verify_oracle(bad), (i, j)
+
+
+class TestRowsDecide:
+    def test_columns_scanned_only_after_a_row_failure(self, monkeypatch):
+        calls = []
+        real = butson._first_non_orthogonal
+
+        def counting(vectors, m):
+            calls.append(len(vectors))
+            return real(vectors, m)
+
+        monkeypatch.setattr(butson, "_first_non_orthogonal", counting)
+        assert verify(fourier(12)).ok
+        assert calls == [12]
+        report = verify(_with_entry(fourier(12), 5, 7, 0))
+        assert calls == [12, 12, 12]
+        assert (report.bad_row_pair, report.bad_col_pair) == ((1, 6), (1, 8))
+
+
+def _vanishing_exponents(draw, m, n):
+    """n exponents in [1, 2m-1] made of whole orbits {s + k m/d}, d | m, d | n."""
+    sizes = [d for d in range(2, m + 1) if m % d == 0 and n % d == 0]
+    if not sizes:
+        return None
+    exponents, left = [], n
+    while left:
+        d = draw(st.sampled_from([d for d in sizes if left % d == 0]))
+        start = draw(st.integers(0, m - 1))
+        lifts = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        for k, lift in enumerate(lifts):
+            e = (start + k * (m // d)) % m
+            exponents.append(e + m if lift or e == 0 else e)
+        left -= d
+    return exponents
+
+
+@st.composite
+def count_sums(draw, n):
+    """(m, exponents): n exponents in [1, 2m-1], the range of a_k - b_k + m.
+
+    A third of the draws are vanishing sums, a few are one exponent n times.
+    """
+    m = draw(ROOT_ORDERS)
+    kind = draw(st.sampled_from(["random", "vanishing", "vanishing", "constant"]))
+    if kind == "vanishing":
+        exponents = _vanishing_exponents(draw, m, n)
+        if exponents is not None:
+            return m, exponents
+    if kind == "constant":
+        return m, [draw(st.integers(1, 2 * m - 1))] * n
+    return m, draw(st.lists(st.integers(1, 2 * m - 1), min_size=n, max_size=n))
+
+
+def _lemma_agrees(m, n, exponents):
+    width, modulus = butson._embedding(m, n)
+    value = sum(1 << width * e for e in exponents)
+    counts = [0] * m
+    for e in exponents:
+        counts[e % m] += 1
+    expected = sum_equals(ExponentCountVector(m, tuple(counts)), 0)
+    return (value % modulus == 0) == expected
+
+
+class TestEmbeddingLemma:
+    """Phi_m(2^W) | c(2^W) iff c(zeta) = 0, at the smallest W the verifier
+    uses: n + 2 = 2^W for n = 30, 62; n + 1 is a power of two for 31, 63."""
+
+    @pytest.mark.parametrize("n", [30, 62])
+    def test_width_is_tight(self, n):
+        for m in (1, 2, 30, 37):
+            width, _ = butson._embedding(m, n)
+            assert 1 << width == n + 2
+
+    @pytest.mark.parametrize("n", [30, 62, 31, 63])
+    @given(data=st.data())
+    def test_agrees_with_sum_equals(self, n, data):
+        m, exponents = data.draw(count_sums(n))
+        assert _lemma_agrees(m, n, exponents)
+
+    def test_vanishing_orbits_are_zero(self):
+        # m = 30: orbits of 2, 3 and 5 roots, 30 terms in all
+        exponents = [1, 16] * 5 + [2, 12, 22] * 5 + [3, 9, 15, 21, 27]
+        assert len(exponents) == 30
+        width, modulus = butson._embedding(30, 30)
+        assert sum(1 << width * e for e in exponents) % modulus == 0
+        assert _lemma_agrees(30, 30, exponents)
