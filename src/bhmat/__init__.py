@@ -2,9 +2,8 @@
 
 The library grows BH(m, n) inputs into BH(m, n(n-1)) and, for even n and m,
 BH(m, n(n/2-1)) outputs, using complete families of Latin squares eligible
-for the construction.  All orthogonality checking is exact: a sum of roots
-of unity is compared with an integer through cyclotomic polynomial
-division, never through floating point.
+for the construction.  All orthogonality checking is exact: verify tests
+each row pair modulo Phi_m(2^W) in integer arithmetic, never in floats.
 """
 
 from .butson import (

@@ -8,10 +8,8 @@ implies B* B = nI; the columns are scanned only after a row pair fails,
 to name the first failing column pair.  A pair of rows a, b is tested in
 one integer: with w = 2^W >= n + 2 and c(x) = sum_k x^(a_k - b_k + m),
 the pair is orthogonal exactly when Phi_m(w) divides c(w).  All pairs of
-a row come out of one big-integer pass (see _first_non_orthogonal).  The
-polynomial zero test of the cyclotomic module, cyclotomic.sum_equals,
-stays the reference test: scarpis.check_t_properties and the test oracle
-use it.  No floating point is involved anywhere in verification.
+a row come out of one big-integer pass (see _first_non_orthogonal), which
+also decides psi's T check.  No floating point is involved in verification.
 
 Row and column indices in the public API are 1-based, matching the usual
 matrix convention.
@@ -387,4 +385,8 @@ def parse_matrix(text: str) -> tuple[ButsonMatrix, dict[str, Any] | None]:
 
 
 def read_matrix(path: str | Path) -> tuple[ButsonMatrix, dict[str, Any] | None]:
-    return parse_matrix(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"matrix file is not UTF-8: {exc}") from exc
+    return parse_matrix(text)

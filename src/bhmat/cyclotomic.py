@@ -1,12 +1,10 @@
-"""Exact decision procedure for sums of roots of unity.
+"""Exact reference test for sums of roots of unity.
 
-Everything the verifier needs reduces to one question: does a multiset of
-m-th roots of unity sum to a given integer?  The answer is decided without
-floating point: the sum equals v exactly when the m-th cyclotomic
-polynomial divides the integer polynomial (sum_k counts[k] x^k) - v.
-Cyclotomic polynomials are monic, so the polynomial remainder stays in
-integer arithmetic throughout; Python ints give the division intermediates
-unlimited headroom.
+A multiset of m-th roots of unity sums to the integer v exactly when the
+m-th cyclotomic polynomial divides (sum_k counts[k] x^k) - v; the
+polynomials are monic, so the remainder stays integral.  The library
+decides orthogonality with butson's packed big-integer test; sum_equals is
+the reference that the test oracles check it against.
 """
 
 from __future__ import annotations

@@ -221,7 +221,11 @@ def dump_latin_set(squares: Sequence[LatinSquare]) -> str:
 
 
 def read_latin_set(path: str | Path) -> list[LatinSquare]:
-    return parse_latin_set(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"Latin-square file is not UTF-8: {exc}") from exc
+    return parse_latin_set(text)
 
 
 def parse_latin_set(text: str) -> list[LatinSquare]:

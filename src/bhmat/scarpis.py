@@ -23,6 +23,7 @@ from typing import Sequence
 from .butson import (
     ButsonMatrix,
     TExtraction,
+    _first_non_orthogonal,
     core,
     extract_t,
     find_c1_pairs,
@@ -30,7 +31,6 @@ from .butson import (
     fourier,
     verify,
 )
-from .cyclotomic import dot_counts, exponent_counts, sum_equals
 from .errors import PlanError, VerificationError
 from .latin import (
     CLASSICAL_ORDER_CAP,
@@ -188,34 +188,30 @@ def phi(plan: PhiPlan) -> ButsonMatrix:
 
 
 def check_t_properties(ext: TExtraction, m: int) -> None:
-    """Exact check of the four structural properties of T = [C; D].
+    """Exact check of the four properties of T = [C; D] that psi needs:
+    rows within C (and within D) dot to -2, C rows dot to 0 with D rows, C
+    rows have half sums (-1, -1) and D rows (-1, +1).
 
-    Distinct rows within C (and within D) have dot product -2; any C row
-    against any D row gives 0; each C row sums to -1 on both halves; each
-    D row sums to -1 on the left half and +1 on the right half.
+    With h = m/2 and s = split, these hold exactly when the rows
+    (0, 0, 0^2s), (0, h, 0^s, h^s), (0, 0) + each C row and (0, h) + each
+    D row are pairwise orthogonal, so verify's kernel decides them.  A row
+    with half sums L, R dots with the two border rows to 1 +- 1 + L + R and
+    1 -+ 1 + L - R (upper signs for C); two rows of T dot to
+    1 +- 1 + <t_r, t_r'> (+ within a block); the border rows to 1 - 1 + s - s.
     """
-    split = ext.split
-
-    def half_sums_ok(row: Sequence[int], left: int, right: int) -> bool:
-        return sum_equals(exponent_counts(row[:split], m), left) and sum_equals(
-            exponent_counts(row[split:], m), right
-        )
-
-    for label, rows in (("C", ext.c_rows), ("D", ext.d_rows)):
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                if not sum_equals(dot_counts(rows[i], rows[j], m), -2):
-                    raise PlanError(f"rows {i + 1},{j + 1} of {label} do not dot to -2")
-    for i, c_row in enumerate(ext.c_rows):
-        for j, d_row in enumerate(ext.d_rows):
-            if not sum_equals(dot_counts(c_row, d_row, m), 0):
-                raise PlanError(f"row {i + 1} of C vs row {j + 1} of D is not orthogonal")
-    for i, c_row in enumerate(ext.c_rows):
-        if not half_sums_ok(c_row, -1, -1):
-            raise PlanError(f"row {i + 1} of C lacks the (-1, -1) half sums")
-    for i, d_row in enumerate(ext.d_rows):
-        if not half_sums_ok(d_row, -1, 1):
-            raise PlanError(f"row {i + 1} of D lacks the (-1, +1) half sums")
+    if m % 2:
+        raise ValueError(f"the T check needs an even root order, got m={m}")
+    h, s = m // 2, ext.split
+    rows = [(0,) * (2 + 2 * s), (0, h) + (0,) * s + (h,) * s]
+    rows += [(0, 0) + r for r in ext.c_rows] + [(0, h) + r for r in ext.d_rows]
+    pair = _first_non_orthogonal(rows, m)
+    if pair is not None:
+        (bi, ri), (bj, rj) = (divmod(k - 3, s) for k in pair)
+        if pair[0] <= 2:
+            raise PlanError(f"row {rj + 1} of {'CD'[bj]} lacks its half sums")
+        if bi == bj:
+            raise PlanError(f"rows {ri + 1},{rj + 1} of {'CD'[bi]} do not dot to -2")
+        raise PlanError(f"row {ri + 1} of C vs row {rj + 1} of D is not orthogonal")
 
 
 def resolve_psi(plan: PsiPlan) -> PsiPlan:

@@ -1,6 +1,6 @@
-"""Test-only oracles: the pair-by-pair verifier, brute-force Latin-square
-search, polynomial products and the floating-point value of a
-root-of-unity sum.
+"""Test-only oracles: the pair-by-pair verifier, the pair-by-pair T check,
+brute-force Latin-square search, polynomial products and the
+floating-point value of a root-of-unity sum.
 
 None of these is used by the library; they give the tests independent
 expected values.
@@ -11,8 +11,15 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from bhmat.butson import ButsonMatrix, VerifyReport
-from bhmat.cyclotomic import ExponentCountVector, IntPolynomial, dot_counts, sum_equals
+from bhmat.butson import ButsonMatrix, TExtraction, VerifyReport
+from bhmat.cyclotomic import (
+    ExponentCountVector,
+    IntPolynomial,
+    dot_counts,
+    exponent_counts,
+    sum_equals,
+)
+from bhmat.errors import PlanError
 from bhmat.latin import LatinSquare, are_lsesc
 
 
@@ -36,6 +43,37 @@ def _first_non_orthogonal(
             if not sum_equals(dot_counts(vectors[i], vectors[j], m), 0):
                 return (i + 1, j + 1)
     return None
+
+
+def check_t_oracle(ext: TExtraction, m: int) -> None:
+    """The four properties of T = [C; D], each identity through sum_equals.
+
+    Distinct rows within C (and within D) have dot product -2; any C row
+    against any D row gives 0; each C row sums to -1 on both halves; each
+    D row sums to -1 on the left half and +1 on the right half.
+    """
+    split = ext.split
+
+    def half_sums_ok(row: Sequence[int], left: int, right: int) -> bool:
+        return sum_equals(exponent_counts(row[:split], m), left) and sum_equals(
+            exponent_counts(row[split:], m), right
+        )
+
+    for label, rows in (("C", ext.c_rows), ("D", ext.d_rows)):
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                if not sum_equals(dot_counts(rows[i], rows[j], m), -2):
+                    raise PlanError(f"rows {i + 1},{j + 1} of {label} do not dot to -2")
+    for i, c_row in enumerate(ext.c_rows):
+        for j, d_row in enumerate(ext.d_rows):
+            if not sum_equals(dot_counts(c_row, d_row, m), 0):
+                raise PlanError(f"row {i + 1} of C vs row {j + 1} of D is not orthogonal")
+    for i, c_row in enumerate(ext.c_rows):
+        if not half_sums_ok(c_row, -1, -1):
+            raise PlanError(f"row {i + 1} of C lacks the (-1, -1) half sums")
+    for i, d_row in enumerate(ext.d_rows):
+        if not half_sums_ok(d_row, -1, 1):
+            raise PlanError(f"row {i + 1} of D lacks the (-1, +1) half sums")
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:

@@ -239,6 +239,19 @@ class TestConstructCommand:
         assert run("construct", kind, src, "-o", tmp_path / "x.json") == 2
         assert message in capsys.readouterr().err
 
+    def test_t_check_failure_is_plan_error(self, tmp_path, capsys):
+        # F_6 with rows 2 and 3 negated verifies and has the C2 cell (4, 4),
+        # but the T behind that cell fails the check
+        rows = [list(r) for r in fourier(6).exponents]
+        for i in (1, 2):
+            rows[i] = [(v + 3) % 6 for v in rows[i]]
+        src = tmp_path / "negated.json"
+        write_matrix(ButsonMatrix(6, 6, tuple(tuple(r) for r in rows)), src)
+        out = tmp_path / "x.json"
+        assert run("construct", "psi", src, "-o", out) == 2
+        assert "of C" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_write_keeps_old_output(self, tmp_path, monkeypatch):
         src = tmp_path / "f3.json"
         run("fourier", 3, src)
@@ -310,6 +323,29 @@ class TestLsescCommand:
         path = tmp_path / "float.txt"
         path.write_text("L 2\n1 2\n2 1.0\n")
         assert run("lsesc", "check", path) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "{bad}"),
+        ("construct", "psi", "{bad}", "-o", "{out}"),
+        ("construct", "phi", "{f5}", "-o", "{out}", "--lsesc", "{bad}"),
+        ("lsesc", "check", "{bad}"),
+        ("lsesc", "conjugate", "{bad}", "{out}"),
+    ],
+    ids=["verify", "construct", "construct-lsesc", "lsesc-check", "lsesc-conjugate"],
+)
+def test_undecodable_file_exit_code(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    f5 = tmp_path / "f5.json"
+    run("fourier", 5, f5)
+    out = tmp_path / "out.json"
+    paths = {"bad": bad, "f5": f5, "out": out}
+    assert run(*(arg.format(**paths) for arg in argv)) == 3
+    assert "UTF-8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_constructed_file_verifies_in_separate_process(tmp_path):

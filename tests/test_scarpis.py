@@ -6,6 +6,7 @@ from bhmat.butson import (
     ButsonMatrix,
     dephase,
     find_c1_pairs,
+    find_c2_cells,
     fourier,
     matrix_digest,
     permute_columns,
@@ -168,6 +169,18 @@ class TestPsi:
     def test_odd_order_rejected(self):
         with pytest.raises(PlanError):
             psi(PsiPlan(h=fourier(5), tensors=()))
+
+    def test_t_check_reached_from_verified_input(self):
+        # F_6 with rows 2 and 3 negated verifies, keeps its C2 cell (4, 4)
+        # with a balanced partition, and its T fails the check
+        rows = [
+            tuple((v + 3) % 6 for v in row) if i in (1, 2) else row
+            for i, row in enumerate(fourier(6).exponents)
+        ]
+        h = ButsonMatrix(6, 6, tuple(rows))
+        assert verify(h).ok and find_c2_cells(h) == [(4, 4)]
+        with pytest.raises(PlanError, match="of C"):
+            psi(PsiPlan(h=h, tensors=tuple(classical_tensor_set(2))))
 
 
 class TestHalvingFamily:
