@@ -36,10 +36,7 @@ from .errors import FormatError, PlanError, VerificationError
 from .galois import (
     FieldElement,
     GaloisField,
-    element_value,
     enumerate_elements,
-    field_add,
-    field_mul,
     is_prime,
     make_field,
     prime_power,

@@ -151,7 +151,10 @@ def _first_non_orthogonal(
     c(w) for the pair (i, j) in slot j, without carries since no count
     exceeds n < 2^W: n additions and m shifts per row and tile.  Row 1 is
     scanned against every tile first, so one corrupted entry outside row 1
-    is found without building other rows.  Tiles run in order of j, and a
+    is found without building other rows; if the rows fill more than one
+    tile, that pass packs rows 1 and 2 first, alone, so a corrupted row 1
+    costs two packed rows.  (Each tile costs a pass over the n columns, so
+    one-tile matrices are not split.)  Tiles run in order of j, and a
     failure in row i leaves only the rows before i to later tiles.
     """
     n = len(vectors)
@@ -159,10 +162,11 @@ def _first_non_orthogonal(
     slot = (2 * m * width + 7) // 8
     unit = [(1 << width * (m - e)).to_bytes(slot, "little") for e in range(m)]
     tile = max(1, _TILE_BYTES // (n * slot))
-    for lo, hi in ((0, 1), (1, n)):
-        best = None
-        for j0 in range(0, n, tile):
-            j1 = min(j0 + tile, n)
+    first = 2 if 2 < tile < n else tile
+    for lo, hi, size in ((0, 1, first), (1, n, tile)):
+        best, j1 = None, 0
+        while j1 < n:
+            j0, j1, size = j1, min(j1 + size, n), tile
             stop = min(hi, j1 - 1, n if best is None else best[0])
             if stop <= lo:
                 continue

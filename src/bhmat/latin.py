@@ -8,16 +8,19 @@ carried here side by side.
 
 Squares always use the symbol set {1..n}.  The classical complete families
 come from GF(q): the square for a nonzero field element b has cell (i, j)
-equal to the enumeration index of x_i + b*x_j.
+equal to the enumeration index of x_i + b*x_j, read off the field's addition
+and multiplication tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .errors import FormatError
+from .errors import FormatError, PlanError
 from .galois import (
     enumerate_elements,
     element_value,
@@ -27,7 +30,9 @@ from .galois import (
     prime_power,
 )
 
-CLASSICAL_ORDER_CAP = 2**12
+# Largest classical family order, checked before any field table is built:
+# q = 256 is (q-1) q^2 = 1.7e7 cells.
+CLASSICAL_ORDER_CAP = 2**8
 
 
 @dataclass(frozen=True)
@@ -114,24 +119,30 @@ def are_lsesc(first: LatinSquare, second: LatinSquare) -> bool:
     """
     if first.n != second.n:
         raise ValueError(f"order mismatch: {first.n} vs {second.n}")
-    n = first.n
-    for row_a in first.cells:
-        for row_b in second.cells:
-            agreements = sum(1 for j in range(n) if row_a[j] == row_b[j])
-            if agreements != 1:
-                return False
-    return True
+    return _rows_meet_once(tuple(zip(*first.cells)), tuple(zip(*second.cells)))
+
+
+def _rows_meet_once(
+    columns_a: Sequence[Sequence[int]], columns_b: Sequence[Sequence[int]]
+) -> bool:
+    """LSESC for squares given as columns, each a permutation of one symbol
+    set (1-based cells or 0-based slices).  Column k of B holds A's symbol
+    (i, k) in exactly one row, so row i of A meets every row of B exactly
+    once iff these n rows are distinct: O(n^2) per pair of squares."""
+    n = len(columns_a)
+    agreeing = [
+        map(dict(zip(col_b, range(n))).__getitem__, col_a)
+        for col_a, col_b in zip(columns_a, columns_b)
+    ]
+    return all(len(set(rows)) == n for rows in zip(*agreeing))
 
 
 def are_mols(first: LatinSquare, second: LatinSquare) -> bool:
     """True iff superimposing the squares yields all n^2 ordered symbol pairs."""
     if first.n != second.n:
         raise ValueError(f"order mismatch: {first.n} vs {second.n}")
-    n = first.n
-    pairs = {
-        (first.cells[i][j], second.cells[i][j]) for i in range(n) for j in range(n)
-    }
-    return len(pairs) == n * n
+    pairs = zip(chain.from_iterable(first.cells), chain.from_iterable(second.cells))
+    return len(set(pairs)) == first.n * first.n
 
 
 def conjugate_lsesc_mols(square: LatinSquare) -> LatinSquare:
@@ -154,22 +165,20 @@ def classical_lsesc_set(q: int) -> list[LatinSquare]:
     if decomposition is None:
         raise ValueError(f"{q} is not a prime power")
     if q > CLASSICAL_ORDER_CAP:
-        raise ValueError(f"order {q} exceeds cap {CLASSICAL_ORDER_CAP}")
-    p, r = decomposition
-    field = make_field(p, r)
-    elements = enumerate_elements(field)
-    squares = []
-    for b in elements[1:]:
-        cells = tuple(
-            tuple(
-                element_value(field, field_add(field, x_i, field_mul(field, b, x_j)))
-                + 1
-                for x_j in elements
-            )
-            for x_i in elements
+        raise PlanError(
+            f"LSESC family of order {q} has {(q - 1) * q * q} cells; "
+            f"the order cap is {CLASSICAL_ORDER_CAP}"
         )
-        squares.append(LatinSquare(q, cells))
-    return squares
+    field = make_field(*decomposition)
+    elements = enumerate_elements(field)
+    index = partial(element_value, field)
+    # sums[i][k] is the symbol of x_i + x_k, products[b-1][j] the index of b*x_j
+    sums = [[index(field_add(field, x, y)) + 1 for y in elements] for x in elements]
+    products = [[index(field_mul(field, b, y)) for y in elements] for b in elements[1:]]
+    return [
+        LatinSquare(q, tuple(tuple(map(row.__getitem__, scaled)) for row in sums))
+        for scaled in products
+    ]
 
 
 def classical_tensor_set(q: int) -> list[LatinTensor]:

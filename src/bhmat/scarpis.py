@@ -32,14 +32,7 @@ from .butson import (
     verify,
 )
 from .errors import PlanError, VerificationError
-from .latin import (
-    CLASSICAL_ORDER_CAP,
-    LatinTensor,
-    are_lsesc,
-    classical_tensor_set,
-    inflate,
-    reconstruct,
-)
+from .latin import LatinTensor, _rows_meet_once, classical_tensor_set, inflate
 
 
 @dataclass(frozen=True)
@@ -111,6 +104,9 @@ def _x_source(h: ButsonMatrix, g: ButsonMatrix | None) -> ButsonMatrix:
 
 
 def _checked_family(tensors: Sequence[LatinTensor], kind: str, n: int) -> None:
+    """PlanError unless the tensors are a complete LSESC family for phi or
+    psi on an order-n input.  Slice k of a cubic tensor is column k of its
+    square with 0-based symbols, so the pairs are checked on the slices."""
     order, count = family_shape(kind, n)
     if len(tensors) != count:
         raise PlanError(
@@ -120,10 +116,9 @@ def _checked_family(tensors: Sequence[LatinTensor], kind: str, n: int) -> None:
     for t in tensors:
         if t.n != order or t.size != order:
             raise PlanError(f"tensor of order {t.n} (size {t.size}); expected {order}")
-    squares = [reconstruct(t) for t in tensors]
-    for i in range(len(squares)):
-        for j in range(i + 1, len(squares)):
-            if not are_lsesc(squares[i], squares[j]):
+    for i in range(len(tensors)):
+        for j in range(i + 1, len(tensors)):
+            if not _rows_meet_once(tensors[i].slices, tensors[j].slices):
                 raise PlanError(f"squares {i + 1} and {j + 1} are not LSESC")
 
 
@@ -281,10 +276,8 @@ def halving_family(r: int) -> ButsonMatrix:
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     q = 2**r
-    if q > CLASSICAL_ORDER_CAP:
-        raise PlanError(f"2^{r} exceeds the LSESC order cap {CLASSICAL_ORDER_CAP}")
-    n = 2 * (q + 1)
-    return psi(PsiPlan(h=fourier(n), tensors=tuple(classical_tensor_set(q))))
+    tensors = tuple(classical_tensor_set(q))  # PlanError past the order cap
+    return psi(PsiPlan(h=fourier(2 * (q + 1)), tensors=tensors))
 
 
 def count_phi_outputs(mols_count: int, bh_count: int, n: int) -> int:

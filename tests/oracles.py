@@ -1,6 +1,6 @@
 """Test-only oracles: the pair-by-pair verifier, the pair-by-pair T check,
-brute-force Latin-square search, polynomial products and the
-floating-point value of a root-of-unity sum.
+the row-pair LSESC check, brute-force Latin-square search, polynomial
+products and the floating-point value of a root-of-unity sum.
 
 None of these is used by the library; they give the tests independent
 expected values.
@@ -74,6 +74,21 @@ def check_t_oracle(ext: TExtraction, m: int) -> None:
     for i, d_row in enumerate(ext.d_rows):
         if not half_sums_ok(d_row, -1, 1):
             raise PlanError(f"row {i + 1} of D lacks the (-1, +1) half sums")
+
+
+def are_lsesc_oracle(first: LatinSquare, second: LatinSquare) -> bool:
+    """Every row pair (one row from each square) agrees in exactly one column,
+    counted pair by pair: O(n^3).
+    """
+    if first.n != second.n:
+        raise ValueError(f"order mismatch: {first.n} vs {second.n}")
+    n = first.n
+    for row_a in first.cells:
+        for row_b in second.cells:
+            agreements = sum(1 for j in range(n) if row_a[j] == row_b[j])
+            if agreements != 1:
+                return False
+    return True
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:

@@ -1,0 +1,224 @@
+"""The column-inverse LSESC check against the row-pair oracle, the
+table-built classical families against their pinned texts, and the
+family order cap.
+"""
+
+import hashlib
+import itertools
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, strategies as st
+
+from bhmat import cli, latin, scarpis
+from bhmat.errors import PlanError
+from bhmat.latin import (
+    LatinSquare,
+    _rows_meet_once,
+    are_lsesc,
+    classical_lsesc_set,
+    classical_tensor_set,
+    dump_latin_set,
+    encode,
+)
+
+from oracles import are_lsesc_oracle
+
+ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
+
+# sha256 of dump_latin_set(classical_lsesc_set(q)), as the per-cell
+# field arithmetic built them before the tables did.
+FAMILY_SHA256 = {
+    2: "426253437d6d3b5204bcb0af44efee9f4cd0a944915a6047eeda6cc3da9d3843",
+    3: "098e50d236cbb6ac0868618823e0a69e935f0ac5daf114ddec65116c49f22025",
+    4: "a9417eb48702fe3b88b474dd8ccef18833fb7f2cb5913b4bf1cab61c96e00dd9",
+    5: "66ef829f848a871c02ea86d868e3b9519f0b8883af0f347fa3c029629f07442d",
+    7: "40753991a5c2c541b90929f61f08a4b56ab33d31c17978be3a78cfd55ada607f",
+    8: "0377c9f5c609e17bf2872480978ba3d983c4c465faeb6938b8c9e2c9e40a0bab",
+    9: "91b404af3fb3748dd440ef2425f97a65a68ae35c6dce8f1115765ebcee9fb90c",
+    16: "7a92b05a0e2ecda86d1a1c7043e64eb74074823267bdf3aa668e65705c336030",
+    27: "5da1a177aeb44b0c306648a58fc3ddb0aeba61d403595a142f298ece0ad2c58a",
+    32: "6ca2281e9398cc52005fe57afeb8446fb704c0b7dde97fd494f93b56612f932c",
+}
+
+
+@lru_cache(maxsize=None)
+def family(q):
+    return tuple(classical_lsesc_set(q))
+
+
+@lru_cache(maxsize=None)
+def intercalates(q, index):
+    """(i, i2, j, j2) with cells (i, j) = (i2, j2) and (i, j2) = (i2, j):
+    swapping the two symbols of such a 2x2 subsquare keeps the square Latin."""
+    c = family(q)[index].cells
+    return [
+        (i, i2, j, j2)
+        for i, i2 in itertools.combinations(range(q), 2)
+        for j, j2 in itertools.combinations(range(q), 2)
+        if c[i][j] == c[i2][j2] and c[i][j2] == c[i2][j]
+    ]
+
+
+def swapped(square, i, i2, j, j2):
+    cells = [list(row) for row in square.cells]
+    cells[i][j], cells[i][j2] = cells[i][j2], cells[i][j]
+    cells[i2][j], cells[i2][j2] = cells[i2][j2], cells[i2][j]
+    return LatinSquare(square.n, tuple(map(tuple, cells)))
+
+
+def isotope(square, rows, cols, symbols):
+    """Row i moves to rows[i], column j to cols[j], symbol s becomes symbols[s-1]+1."""
+    n = square.n
+    cells = [[0] * n for _ in range(n)]
+    for i, row in enumerate(square.cells):
+        for j, v in enumerate(row):
+            cells[rows[i]][cols[j]] = symbols[v - 1] + 1
+    return LatinSquare(n, tuple(map(tuple, cells)))
+
+
+def assert_agree(a, b):
+    expected = are_lsesc_oracle(a, b)
+    assert are_lsesc(a, b) == expected
+    assert _rows_meet_once(encode(a).slices, encode(b).slices) == expected
+    return expected
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("q", ORDERS)
+    def test_classical_families(self, q):
+        squares = family(q)
+        for a, b in itertools.product(squares, repeat=2):
+            # distinct squares are LSESC; a square with itself never is
+            assert assert_agree(a, b) == (a is not b)
+
+    @given(st.data())
+    def test_isotopes(self, data):
+        q = data.draw(st.sampled_from(ORDERS))
+        squares = family(q)
+        a, b = (data.draw(st.sampled_from(squares)) for _ in range(2))
+        perms = st.permutations(range(q))
+        cols, symbols = data.draw(perms), data.draw(perms)
+        a = isotope(a, data.draw(perms), cols, symbols)
+        if not data.draw(st.booleans()):
+            # moving B's columns or symbols apart from A's breaks most pairs
+            cols, symbols = data.draw(perms), data.draw(perms)
+        b = isotope(b, data.draw(perms), cols, symbols)
+        assert_agree(a, b)
+
+    @pytest.mark.parametrize("q", [4, 8])
+    def test_every_intercalate_swap(self, q):
+        squares = family(q)
+        for index, square in enumerate(squares):
+            for swap in intercalates(q, index):
+                bad = swapped(square, *swap)
+                for other in squares:
+                    assert_agree(bad, other)
+                    assert_agree(other, bad)
+
+    @given(st.data())
+    def test_intercalate_swaps(self, data):
+        q = data.draw(st.sampled_from([4, 8, 16]))
+        index = data.draw(st.integers(0, q - 2))
+        bad = swapped(family(q)[index], *data.draw(st.sampled_from(intercalates(q, index))))
+        other = data.draw(st.sampled_from(family(q)))
+        assert_agree(bad, other)
+        assert_agree(bad, bad)
+
+
+class TestCheckedFamily:
+    """phi's family check on slices names the first failing pair as before."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("row_copy", "squares 2 and 4 are not LSESC"),
+            ("intercalate", "squares 1 and 3 are not LSESC"),
+            ("duplicate_last", "squares 5 and 6 are not LSESC"),
+        ],
+    )
+    def test_one_bad_square(self, bad, message):
+        q = 7 if bad != "intercalate" else 8
+        squares = list(family(q))
+        if bad == "row_copy":
+            squares[3] = isotope(squares[1], [1, 0, *range(2, q)], range(q), range(q))
+        elif bad == "intercalate":
+            squares[2] = swapped(squares[2], *intercalates(q, 2)[0])
+        else:
+            squares[5] = squares[4]
+        tensors = [encode(s) for s in squares]
+        with pytest.raises(PlanError) as info:
+            scarpis._checked_family(tensors, "phi", q + 1)
+        assert str(info.value) == message
+
+    def test_no_reconstruct(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("reconstruct called")
+
+        monkeypatch.setattr(latin, "reconstruct", forbidden)
+        monkeypatch.setattr(scarpis, "reconstruct", forbidden, raising=False)
+        scarpis._checked_family(classical_tensor_set(8), "phi", 9)
+
+
+class TestClassicalTables:
+    @pytest.mark.parametrize("q", sorted(FAMILY_SHA256))
+    def test_family_text_pinned(self, q):
+        text = dump_latin_set(classical_lsesc_set(q))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FAMILY_SHA256[q]
+
+    def test_field_calls_are_quadratic(self, monkeypatch):
+        calls = []
+        for name in ("field_add", "field_mul"):
+            real = getattr(latin, name)
+
+            def counting(*args, real=real):
+                calls.append(1)
+                return real(*args)
+
+            monkeypatch.setattr(latin, name, counting)
+        classical_lsesc_set(9)
+        assert len(calls) == 9 * 9 + 8 * 9
+
+
+class TestOrderCap:
+    def test_default_cap(self):
+        assert latin.CLASSICAL_ORDER_CAP == 2**8
+
+    def test_over_cap_names_the_size_before_any_table(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("field built past the cap")
+
+        monkeypatch.setattr(latin, "CLASSICAL_ORDER_CAP", 4)
+        monkeypatch.setattr(latin, "make_field", forbidden)
+        with pytest.raises(PlanError) as info:
+            classical_lsesc_set(5)
+        message = str(info.value)
+        assert "order 5" in message
+        assert "100 cells" in message  # (q - 1) q^2
+        assert "cap is 4" in message
+
+    def test_cap_admits_its_own_order(self, monkeypatch):
+        monkeypatch.setattr(latin, "CLASSICAL_ORDER_CAP", 4)
+        assert len(classical_lsesc_set(4)) == 3
+
+    def test_not_a_prime_power_is_checked_first(self, monkeypatch):
+        monkeypatch.setattr(latin, "CLASSICAL_ORDER_CAP", 4)
+        with pytest.raises(ValueError, match="not a prime power") as info:
+            classical_lsesc_set(6)
+        assert not isinstance(info.value, PlanError)
+
+    def test_halving_family_fails_before_its_input(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("input built past the cap")
+
+        monkeypatch.setattr(latin, "CLASSICAL_ORDER_CAP", 4)
+        monkeypatch.setattr(scarpis, "fourier", forbidden)
+        with pytest.raises(PlanError, match="order 8"):
+            scarpis.halving_family(3)
+
+    def test_cli_exits_2_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(latin, "CLASSICAL_ORDER_CAP", 4)
+        out = tmp_path / "family.txt"
+        assert cli.main(["lsesc", "classical", "5", str(out)]) == 2
+        assert "100 cells" in capsys.readouterr().err
+        assert not out.exists()

@@ -137,6 +137,64 @@ class TestCorruptions:
             assert verify(bad) == verify_oracle(bad), (i, j)
 
 
+class _Tiles(tuple):
+    """Rows that record the tiles [j0, j1) the kernel packs from them."""
+
+    def __new__(cls, rows, seen):
+        self = super().__new__(cls, rows)
+        self.seen = seen
+        return self
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.seen.append((key.start, key.stop))
+        return super().__getitem__(key)
+
+
+class TestRowOnePass:
+    """When the rows fill more than one tile, the row-1 pass packs rows 1
+    and 2 as a tile of their own, then full tiles; the second pass keeps
+    full tiles from row 1."""
+
+    def _tiles(self, rows, m):
+        seen = []
+        return butson._first_non_orthogonal(_Tiles(rows, seen), m), seen
+
+    def test_broken_row_1_packs_two_rows(self):
+        b = halving_family(3)
+        assert _tile_rows(b.m, b.n) < b.n
+        bad = _with_entry(b, 0, 0, (b.exponents[0][0] + 1) % b.m)
+        assert self._tiles(bad.exponents, b.m) == ((1, 2), [(0, 2)])
+        assert self._tiles(tuple(zip(*bad.exponents)), b.m) == ((1, 2), [(0, 2)])
+
+    def test_tile_sizes(self, monkeypatch):
+        b = halving_family(3)
+        tile = 18
+        monkeypatch.setattr(butson, "_TILE_BYTES", tile * b.n * _slot_bytes(b.m, b.n))
+        first = [(0, 2)] + [(j, min(j + tile, b.n)) for j in range(2, b.n, tile)]
+        second = [(j, min(j + tile, b.n)) for j in range(0, b.n, tile)]
+        assert self._tiles(b.exponents, b.m) == (None, first + second)
+        # a broken column 20 stops the row-1 pass in the tile that holds it
+        bad = _with_entry(b, 5, 19, (b.exponents[5][19] + 1) % b.m)
+        assert self._tiles(tuple(zip(*bad.exponents)), b.m) == ((1, 20), first[:2])
+
+    def test_one_tile_is_not_split(self):
+        b = halving_family(2)
+        assert _tile_rows(b.m, b.n) >= b.n
+        bad = _with_entry(b, 0, 0, (b.exponents[0][0] + 1) % b.m)
+        assert self._tiles(bad.exponents, b.m) == ((1, 2), [(0, b.n)])
+
+    @pytest.mark.parametrize("tile", [1, 3, 7, None])
+    def test_every_cell_of_first_and_last_row(self, constructions, tile):
+        b = constructions["phi"]
+        tile_bytes = butson._TILE_BYTES if tile is None else tile * b.n * _slot_bytes(b.m, b.n)
+        with mock.patch.object(butson, "_TILE_BYTES", tile_bytes):
+            for i in (0, b.n - 1):
+                for j in range(b.n):
+                    bad = _with_entry(b, i, j, (b.exponents[i][j] + 1) % b.m)
+                    assert verify(bad) == verify_oracle(bad), (i, j)
+
+
 class TestRowsDecide:
     def test_columns_scanned_only_after_a_row_failure(self, monkeypatch):
         calls = []
