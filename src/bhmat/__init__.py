@@ -22,16 +22,6 @@ from .butson import (
     verify,
     write_matrix,
 )
-from .cyclotomic import (
-    ExponentCountVector,
-    IntPolynomial,
-    conjugate_exponent,
-    cyclotomic_poly,
-    dot_counts,
-    exponent_counts,
-    negate_exponent,
-    sum_equals,
-)
 from .errors import FormatError, PlanError, VerificationError
 from .galois import (
     FieldElement,

@@ -17,6 +17,7 @@ matrix convention.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -24,8 +25,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .cyclotomic import cyclotomic_poly, negate_exponent
-from .errors import FormatError, PlanError
+from .errors import FormatError, PlanError, parse_decimals
+
+
+# Largest Fourier order, checked before any row is built: n = 2048 is
+# n^2 = 4.2e6 cells.
+FOURIER_ORDER_CAP = 2**11
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,11 @@ def fourier(n: int) -> ButsonMatrix:
     """The order-n Fourier matrix: exponent (i-1)(j-1) mod n, root order n."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
+    if n > FOURIER_ORDER_CAP:
+        raise PlanError(
+            f"Fourier matrix of order {n} has {n * n} cells; "
+            f"the order cap is {FOURIER_ORDER_CAP}"
+        )
     rows = tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
     return ButsonMatrix(m=n, n=n, exponents=rows)
 
@@ -134,10 +144,19 @@ def _embedding(m: int, n: int) -> tuple[int, int]:
     """
     width = (n + 1).bit_length()
     assert 1 << width >= n + 2
-    modulus = 0
-    for c in reversed(cyclotomic_poly(m).coefficients):
-        modulus = (modulus << width) + c
-    return width, modulus
+    return width, _cyclotomic_value(m, 1 << width)
+
+
+@functools.lru_cache(maxsize=256)
+def _cyclotomic_value(m: int, w: int) -> int:
+    """Phi_m(w) as an integer, from w^m - 1 = prod_{d | m} Phi_d(w): divide
+    out Phi_d(w) for every proper divisor d of m.  Each division is exact,
+    and w >= 2 keeps every divisor nonzero."""
+    value = w**m - 1
+    for d in range(1, m // 2 + 1):
+        if m % d == 0:
+            value //= _cyclotomic_value(d, w)
+    return value
 
 
 def _first_non_orthogonal(
@@ -231,7 +250,7 @@ def find_c1_pairs(b: ButsonMatrix) -> list[tuple[int, int]]:
     pairs = []
     for t in range(b.n):
         expected = tuple(
-            v if j % 2 == 0 else negate_exponent(v, b.m)
+            v if j % 2 == 0 else (v + b.m // 2) % b.m
             for j, v in enumerate(b.exponents[t])
         )
         for s in range(t + 1, b.n):
@@ -381,8 +400,8 @@ def parse_matrix(text: str) -> tuple[ButsonMatrix, dict[str, Any] | None]:
     if len(header) != 3 or header[0] != "BH":
         raise FormatError(f"expected 'BH m n' header, got {lines[0]!r}")
     try:
-        m, n = int(header[1]), int(header[2])
-        rows = tuple(tuple(int(v) for v in line.split()) for line in lines[1:])
+        m, n = parse_decimals(header[1:])
+        rows = tuple(parse_decimals(line.split()) for line in lines[1:])
         return ButsonMatrix(m, n, rows), None
     except ValueError as exc:
         raise FormatError(f"bad matrix body: {exc}") from exc

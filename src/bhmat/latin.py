@@ -20,7 +20,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .errors import FormatError, PlanError
+from .errors import FormatError, PlanError, parse_decimals
 from .galois import (
     enumerate_elements,
     element_value,
@@ -48,8 +48,8 @@ class LatinSquare:
     def __post_init__(self) -> None:
         cells = tuple(tuple(row) for row in self.cells)
         object.__setattr__(self, "cells", cells)
-        if type(self.n) is not int:
-            raise ValueError(f"order must be an int, got {self.n!r}")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"order must be a positive int, got {self.n!r}")
         if len(cells) != self.n or any(len(row) != self.n for row in cells):
             raise ValueError(f"cells must form an {self.n}x{self.n} array")
         if not all(type(v) is int for row in cells for v in row):
@@ -248,15 +248,13 @@ def parse_latin_set(text: str) -> list[LatinSquare]:
         if len(header) != 2 or header[0] != "L":
             raise FormatError(f"expected 'L n' header, got {lines[0]!r}")
         try:
-            n = int(header[1])
+            (n,) = parse_decimals(header[1:])
         except ValueError as exc:
             raise FormatError(f"bad order in header {lines[0]!r}") from exc
         if len(lines) != n + 1:
             raise FormatError(f"square of order {n} needs {n} rows, got {len(lines) - 1}")
         try:
-            cells = tuple(
-                tuple(int(v) for v in line.split()) for line in lines[1 : n + 1]
-            )
+            cells = tuple(parse_decimals(line.split()) for line in lines[1 : n + 1])
             squares.append(LatinSquare(n, cells))
         except ValueError as exc:
             raise FormatError(f"bad square block: {exc}") from exc

@@ -20,14 +20,6 @@ from bhmat.butson import (
     fourier,
     verify,
 )
-from bhmat.cyclotomic import (
-    ExponentCountVector,
-    IntPolynomial,
-    cyclotomic_poly,
-    dot_counts,
-    exponent_counts,
-    sum_equals,
-)
 from bhmat.latin import (
     are_lsesc,
     are_mols,
@@ -38,7 +30,16 @@ from bhmat.latin import (
 from bhmat.scarpis import PhiPlan, PsiPlan, halving_family, phi, psi
 
 from golden import EXAMPLE1_DEPHASED, EXAMPLE2_PSI_F6, EXAMPLE2_T
-from oracles import approx_sum, poly_mul
+from oracles import (
+    ExponentCountVector,
+    IntPolynomial,
+    approx_sum,
+    cyclotomic_poly,
+    dot_counts,
+    exponent_counts,
+    poly_mul,
+    sum_equals,
+)
 
 
 @contextmanager

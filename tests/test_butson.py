@@ -4,6 +4,7 @@ import stat
 import pytest
 from hypothesis import given, strategies as st
 
+from bhmat import butson
 from bhmat.butson import (
     ButsonMatrix,
     core,
@@ -20,14 +21,21 @@ from bhmat.butson import (
     verify,
     write_matrix,
 )
-from bhmat.cyclotomic import dot_counts, exponent_counts, sum_equals
 from bhmat.errors import FormatError, PlanError
 from bhmat.scarpis import check_t_properties
 
 from golden import EXAMPLE2_PSI_F6, EXAMPLE2_T
+from oracles import dot_counts, exponent_counts, sum_equals
 
 
 class TestFourier:
+    def test_order_cap(self, monkeypatch):
+        assert butson.FOURIER_ORDER_CAP == 2**11
+        monkeypatch.setattr(butson, "FOURIER_ORDER_CAP", 4)
+        with pytest.raises(PlanError, match="order 5 has 25 cells; the order cap is 4"):
+            fourier(5)
+        assert fourier(4).n == 4
+
     def test_order3(self):
         assert fourier(3).exponents == ((0, 0, 0), (0, 1, 2), (0, 2, 1))
 

@@ -44,6 +44,14 @@ class TestFourierCommand:
         assert run("fourier", 1, out, "--format", "text") == 0
         assert out.read_text() == "BH 1 1\n0\n"
 
+    def test_order_above_cap_is_plan_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(butson, "FOURIER_ORDER_CAP", 4)
+        out = tmp_path / "f5.json"
+        assert run("fourier", 5, out) == 2
+        assert not out.exists()
+        assert "order 5 has 25 cells" in capsys.readouterr().err
+        assert run("fourier", 4, out) == 0
+
     def test_round_trip_bit_exact(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         assert run("fourier", 5, first) == 0
@@ -323,6 +331,43 @@ class TestLsescCommand:
         path = tmp_path / "float.txt"
         path.write_text("L 2\n1 2\n2 1.0\n")
         assert run("lsesc", "check", path) == 3
+
+    def test_order_zero_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "empty-square.txt"
+        path.write_text("L 0\n")
+        assert run("lsesc", "check", path) == 3
+        assert "pairwise LSESC" not in capsys.readouterr().out
+
+
+# Tokens that int() would coerce to the digit d: an underscore, a sign and
+# an Arabic-Indic digit.
+COERCIBLE_TOKENS = {
+    "underscore": lambda d: f"0_{d}",
+    "plus": lambda d: f"+{d}",
+    "arabic-indic": lambda d: chr(0x660 + d),
+}
+
+
+@pytest.mark.parametrize("form", COERCIBLE_TOKENS)
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("verify", "BH {2} 2\n0 0\n0 1\n"),
+        ("verify", "BH 2 2\n0 {0}\n0 1\n"),
+        ("lsesc check", "L {2}\n1 2\n2 1\n"),
+        ("lsesc check", "L 2\n1 2\n2 {1}\n"),
+    ],
+    ids=["bh-header", "bh-exponent", "l-header", "l-cell"],
+)
+def test_coercible_token_exit_code(tmp_path, capsys, form, command, text):
+    token = COERCIBLE_TOKENS[form]
+    assert [int(token(d)) for d in range(3)] == [0, 1, 2]
+    path = tmp_path / "coerced.txt"
+    path.write_text(text.format(*map(token, range(3))), encoding="utf-8")
+    assert run(*command.split(), path) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -1,21 +1,21 @@
+import importlib
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bhmat.cyclotomic import (
+import bhmat
+from oracles import (
     ExponentCountVector,
     IntPolynomial,
-    conjugate_exponent,
+    approx_sum,
     cyclotomic_poly,
     dot_counts,
     exponent_counts,
-    negate_exponent,
+    poly_mul,
     sum_equals,
 )
-
-from oracles import approx_sum, poly_mul
 
 
 def naive_poly_mul(a, b):
@@ -134,18 +134,20 @@ class TestApproxSum:
         assert abs(re) < 1e-12 and abs(im) < 1e-12
 
 
-class TestConventions:
-    def test_conjugate(self):
-        assert conjugate_exponent(0, 6) == 0
-        assert conjugate_exponent(2, 6) == 4
-
-    def test_negate(self):
-        assert negate_exponent(1, 6) == 4
-        assert negate_exponent(5, 6) == 2
-
-    def test_negate_odd_order(self):
-        with pytest.raises(ValueError):
-            negate_exponent(1, 5)
+def test_reference_is_not_in_the_package():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("bhmat.cyclotomic")
+    removed = (
+        "ExponentCountVector",
+        "IntPolynomial",
+        "conjugate_exponent",
+        "cyclotomic_poly",
+        "dot_counts",
+        "exponent_counts",
+        "negate_exponent",
+        "sum_equals",
+    )
+    assert [name for name in removed if hasattr(bhmat, name)] == []
 
 
 def _random_count_vector(rng, max_m=24, max_total=32):

@@ -359,6 +359,10 @@ class TestFiles:
         assert parse_latin_set(text.replace("\n", "\r\n")) == squares
         assert parse_latin_set(text.replace("\n", "\r")) == squares
 
+    def test_order_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            LatinSquare(0, ())
+
     def test_square_entries_must_be_ints(self):
         with pytest.raises(ValueError):
             LatinSquare(2, ((1, 2.0), (2, 1)))

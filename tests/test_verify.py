@@ -12,11 +12,10 @@ from hypothesis import given, strategies as st
 
 from bhmat import butson
 from bhmat.butson import ButsonMatrix, fourier, verify
-from bhmat.cyclotomic import ExponentCountVector, sum_equals
 from bhmat.latin import classical_tensor_set
 from bhmat.scarpis import PhiPlan, halving_family, phi
 
-from oracles import verify_oracle
+from oracles import ExponentCountVector, cyclotomic_poly, sum_equals, verify_oracle
 
 # 1, 2, primes, prime powers and 30, then anything up to 40
 ROOT_ORDERS = st.one_of(
@@ -265,6 +264,15 @@ class TestEmbeddingLemma:
         for m in (1, 2, 30, 37):
             width, _ = butson._embedding(m, n)
             assert 1 << width == n + 2
+
+    @pytest.mark.parametrize("n", [1, 5, 30, 62, 544, 2112])
+    def test_modulus_is_the_polynomial_reference(self, n):
+        for m in range(1, 300):
+            width, modulus = butson._embedding(m, n)
+            value = 0
+            for c in reversed(cyclotomic_poly(m).coefficients):
+                value = (value << width) + c
+            assert modulus == value, m
 
     @pytest.mark.parametrize("n", [30, 62, 31, 63])
     @given(data=st.data())
