@@ -9,7 +9,9 @@ to name the first failing column pair.  A pair of rows a, b is tested in
 one integer: with w = 2^W >= n + 2 and c(x) = sum_k x^(a_k - b_k + m),
 the pair is orthogonal exactly when Phi_m(w) divides c(w).  All pairs of
 a row come out of one big-integer pass (see _first_non_orthogonal), which
-also decides psi's T check.  No floating point is involved in verification.
+also decides psi's T check.  The pass packs each row into a slot of
+residues mod Phi_m(w), about (2 phi(m) + 1)W bits wide where c(w) itself
+would need 2mW.  No floating point is involved in verification.
 
 Row and column indices in the public API are 1-based, matching the usual
 matrix convention.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -159,27 +162,45 @@ def _cyclotomic_value(m: int, w: int) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=256)
+def _layout(m: int, n: int) -> tuple[int, int, int, int]:
+    """The packed layout of _first_non_orthogonal for n vectors of length n:
+    W and M = Phi_m(2^W) from _embedding, the slot of one row in bytes,
+    which holds n (M - 1)^2, and the number of combine steps e that are
+    shifts, those with w^e < M (all m of them when m is prime, where
+    M > w^(m-1))."""
+    width, modulus = _embedding(m, n)
+    slot = ((n * (modulus - 1) ** 2).bit_length() + 7) // 8
+    shifts = sum(1 << width * e < modulus for e in range(m))
+    return width, modulus, slot, shifts
+
+
 def _first_non_orthogonal(
     vectors: Sequence[Sequence[int]], m: int
 ) -> tuple[int, int] | None:
     """The first pair (i, j), i < j, 1-based in lexicographic order, of
     vectors that are not orthogonal, or None.
 
-    Rows j are packed a tile at a time: table[k] holds 2^(W(m - a_jk)) in
-    the slot of row j, 2mW bits wide.  Then sum_k table[k] << W a_ik holds
-    c(w) for the pair (i, j) in slot j, without carries since no count
-    exceeds n < 2^W: n additions and m shifts per row and tile.  Row 1 is
-    scanned against every tile first, so one corrupted entry outside row 1
-    is found without building other rows; if the rows fill more than one
-    tile, that pass packs rows 1 and 2 first, alone, so a corrupted row 1
-    costs two packed rows.  (Each tile costs a pass over the n columns, so
-    one-tile matrices are not split.)  Tiles run in order of j, and a
-    failure in row i leaves only the rows before i to later tiles.
+    Rows j are packed a tile at a time as residues mod M = Phi_m(w):
+    table[k] holds w^(m - a_jk) mod M in the slot of row j.  Row i adds
+    the table[k] with a_ik = e into sums[e], and sum_e sums[e] (w^e mod M)
+    then holds, in slot j, a number congruent mod M to c(w) for the pair
+    (i, j).  A step e is a shift while w^e < M, else one multiplication by
+    the residue.  Each slot holds at most n (M - 1)^2, so no slot carries
+    into the next: n additions and m shifts or multiplications per row and
+    tile, and one reduction mod M per pair.  Row 1 is scanned against every
+    tile first, so one corrupted entry outside row 1 is found without
+    building other rows; if the rows fill more than one tile, that pass
+    packs rows 1 and 2 first, alone, so a corrupted row 1 costs two packed
+    rows.  (Each tile costs a pass over the n columns, so one-tile matrices
+    are not split.)  Tiles run in order of j, and a failure in row i leaves
+    only the rows before i to later tiles.
     """
     n = len(vectors)
-    width, modulus = _embedding(m, n)
-    slot = (2 * m * width + 7) // 8
-    unit = [(1 << width * (m - e)).to_bytes(slot, "little") for e in range(m)]
+    width, modulus, slot, shifts = _layout(m, n)
+    w = 1 << width
+    unit = [pow(w, m - e, modulus).to_bytes(slot, "little") for e in range(m)]
+    residues = [pow(w, e, modulus) for e in range(shifts, m)]
     tile = max(1, _TILE_BYTES // (n * slot))
     first = 2 if 2 < tile < n else tile
     for lo, hi, size in ((0, 1, first), (1, n, tile)):
@@ -197,7 +218,8 @@ def _first_non_orthogonal(
                 sums = [0] * m
                 for q, e in zip(table, vectors[i]):
                     sums[e] += q
-                packed = sum(s << width * e for e, s in enumerate(sums))
+                packed = sum(s << width * e for e, s in enumerate(sums[:shifts]))
+                packed += sum(map(operator.mul, sums[shifts:], residues))
                 data = packed.to_bytes((j1 - j0) * slot, "little")
                 for j in range(max(j0, i + 1), j1):
                     at = (j - j0) * slot

@@ -13,7 +13,18 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import butson, latin, scarpis
-from .errors import FormatError, PlanError, VerificationError
+from .errors import FormatError, PlanError, VerificationError, parse_decimals
+
+
+def _decimal(token: str) -> int:
+    """argparse type for integer arguments: one ASCII decimal token, as
+    in the text files, so '+6', '0_6' and non-ASCII digits exit 2."""
+    try:
+        return parse_decimals([token])[0]
+    except FormatError:
+        raise argparse.ArgumentTypeError(
+            f"not an ASCII decimal integer: {token!r}"
+        ) from None
 
 
 def cmd_fourier(args: argparse.Namespace) -> int:
@@ -65,8 +76,8 @@ def _load_family(source: str, order: int) -> tuple[list[latin.LatinTensor], dict
 
 def _parse_permutation(text: str, n: int) -> list[int]:
     try:
-        order = [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
+        order = list(parse_decimals(text.replace(",", " ").split()))
+    except FormatError as exc:
         raise PlanError(f"bad permutation {text!r}") from exc
     if sorted(order) != list(range(1, n + 1)):
         raise PlanError(f"{text!r} is not a permutation of 1..{n}")
@@ -178,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fourier = sub.add_parser("fourier", help="write the order-n Fourier matrix")
-    p_fourier.add_argument("n", type=int)
+    p_fourier.add_argument("n", type=_decimal)
     p_fourier.add_argument("output", type=Path)
     p_fourier.add_argument("--format", choices=("json", "text"), default="json")
     p_fourier.set_defaults(func=cmd_fourier)
@@ -195,12 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("inputs", nargs="+", type=Path, metavar="INPUT")
     p_construct.add_argument("-o", "--output", required=True, type=Path)
     p_construct.add_argument("--format", choices=("json", "text"), default="json")
-    p_construct.add_argument("--delete-row", type=int, default=1, metavar="T")
+    p_construct.add_argument("--delete-row", type=_decimal, default=1, metavar="T")
     p_construct.add_argument(
-        "--c1-pair", type=int, nargs=2, metavar=("T", "S"), default=None
+        "--c1-pair", type=_decimal, nargs=2, metavar=("T", "S"), default=None
     )
     p_construct.add_argument(
-        "--c2-cell", type=int, nargs=2, metavar=("I", "J"), default=None
+        "--c2-cell", type=_decimal, nargs=2, metavar=("I", "J"), default=None
     )
     p_construct.add_argument(
         "--lsesc",
@@ -218,17 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="evaluate the output-count formulas")
     p_count.add_argument("kind", choices=("phi", "psi"))
-    p_count.add_argument("--mols", type=int, required=True)
-    p_count.add_argument("--card", type=int, default=None)
-    p_count.add_argument("--card2", type=int, default=None)
-    p_count.add_argument("--n", type=int, default=None)
-    p_count.add_argument("--dh", type=int, nargs="+", default=None)
+    p_count.add_argument("--mols", type=_decimal, required=True)
+    p_count.add_argument("--card", type=_decimal, default=None)
+    p_count.add_argument("--card2", type=_decimal, default=None)
+    p_count.add_argument("--n", type=_decimal, default=None)
+    p_count.add_argument("--dh", type=_decimal, nargs="+", default=None)
     p_count.set_defaults(func=cmd_count)
 
     p_lsesc = sub.add_parser("lsesc", help="emit, check or conjugate LSESC families")
     lsesc_sub = p_lsesc.add_subparsers(dest="action", required=True)
     p_classical = lsesc_sub.add_parser("classical")
-    p_classical.add_argument("q", type=int)
+    p_classical.add_argument("q", type=_decimal)
     p_classical.add_argument("output", type=Path)
     p_classical.set_defaults(func=cmd_lsesc)
     p_check = lsesc_sub.add_parser("check")

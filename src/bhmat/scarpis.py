@@ -34,6 +34,10 @@ from .butson import (
 from .errors import PlanError, VerificationError
 from .latin import LatinTensor, _rows_meet_once, classical_tensor_set, inflate
 
+# Largest phi or psi output order, checked once the inputs are verified and
+# before any block is built: psi on F_66 (r = 5) makes n = 2112.
+OUTPUT_ORDER_CAP = 2**12
+
 
 @dataclass(frozen=True)
 class PhiPlan:
@@ -79,6 +83,17 @@ def family_shape(kind: str, n: int) -> tuple[int, int]:
     if n < 6:
         raise PlanError(f"psi needs order >= 6, got {n}")
     return n // 2 - 1, n // 2 - 2
+
+
+def _check_output_order(kind: str, n: int) -> None:
+    """PlanError if phi's or psi's output on an order-n input, of order n
+    times the family order, is past OUTPUT_ORDER_CAP."""
+    order = n * family_shape(kind, n)[0]
+    if order > OUTPUT_ORDER_CAP:
+        raise PlanError(
+            f"{kind} output of order {order} has {order * order} cells; "
+            f"the output order cap is {OUTPUT_ORDER_CAP}"
+        )
 
 
 def _require_verified(b: ButsonMatrix, label: str) -> None:
@@ -164,6 +179,7 @@ def phi(plan: PhiPlan) -> ButsonMatrix:
     """
     src = _x_source(plan.h, plan.g)
     n = src.n
+    _check_output_order("phi", n)
     _checked_family(plan.tensors, "phi", n)
     if not 1 <= plan.deleted_row <= n:
         raise PlanError(f"deleted row {plan.deleted_row} out of range 1..{n}")
@@ -248,6 +264,7 @@ def psi(plan: PsiPlan) -> ButsonMatrix:
     of every block are scaled by consecutive entries of the first C1 row.
     """
     src = _x_source(plan.h, plan.g)
+    _check_output_order("psi", src.n)
     _checked_family(plan.tensors, "psi", src.n)
     resolved = resolve_psi(plan)
     ext = extract_t(plan.h, resolved.c2_cell)

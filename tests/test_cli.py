@@ -7,7 +7,8 @@ import pytest
 
 from bhmat import butson, scarpis
 from bhmat.butson import ButsonMatrix, fourier, permute_columns, read_matrix, write_matrix
-from bhmat.cli import main
+from bhmat.cli import _parse_permutation, main
+from bhmat.errors import PlanError
 
 from golden import EXAMPLE1_DEPHASED, EXAMPLE2_PSI_F6
 
@@ -424,3 +425,57 @@ def test_provenance_records_reproducible_plan(tmp_path):
         == 0
     )
     assert out.read_bytes() == again.read_bytes()
+
+
+# Each argv succeeds when every {dN} is the plain digit N.
+@pytest.mark.parametrize("form", COERCIBLE_TOKENS)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fourier", "{d6}", "{out}"),
+        ("lsesc", "classical", "{d4}", "{out}"),
+        ("construct", "phi", "{f3}", "-o", "{out}", "--delete-row", "{d2}"),
+        ("construct", "psi", "{f6}", "-o", "{out}", "--c1-pair", "1", "{d4}"),
+        ("construct", "psi", "{f6}", "-o", "{out}", "--c2-cell", "{d4}", "4"),
+        ("construct", "psi", "{f6}", "-o", "{out}", "--pre-permute-cols", "1,2,3,4,5,{d6}"),
+        ("count", "phi", "--mols", "{d1}", "--card", "1", "--n", "4"),
+        ("count", "psi", "--mols", "1", "--card2", "1", "--dh", "3", "{d2}"),
+    ],
+    ids=["fourier", "lsesc-classical", "delete-row", "c1-pair", "c2-cell",
+         "pre-permute-cols", "count-phi", "count-psi"],
+)
+def test_coercible_argument_exit_code(tmp_path, capsys, form, argv):
+    paths = {"f3": tmp_path / "f3.json", "f6": tmp_path / "f6.json"}
+    run("fourier", 3, paths["f3"])
+    run("fourier", 6, paths["f6"])
+    out = tmp_path / "out.json"
+    digits = {f"d{d}": str(d) for d in range(10)}
+    assert run(*(arg.format(out=out, **paths, **digits) for arg in argv)) == 0
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    digits = {f"d{d}": COERCIBLE_TOKENS[form](d) for d in range(10)}
+    try:
+        code = run(*(arg.format(out=out, **paths, **digits) for arg in argv))
+    except SystemExit as exc:  # argparse's exit on a bad argument
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_parse_permutation_is_strict():
+    assert _parse_permutation("1, 3 2", 3) == [1, 3, 2]
+    for text in ("+1, 0_2, \u0663", "1 2 -3", "1,,2,3x", ""):
+        with pytest.raises(PlanError, match="bad permutation"):
+            _parse_permutation(text, 3)
+
+
+def test_output_order_cap(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "f3.json"
+    out = tmp_path / "out.json"
+    run("fourier", 3, src)
+    monkeypatch.setattr(scarpis, "OUTPUT_ORDER_CAP", 5)
+    assert run("construct", "phi", src, "-o", out) == 2
+    assert "phi output of order 6 has 36 cells" in capsys.readouterr().err
+    assert not out.exists()

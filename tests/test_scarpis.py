@@ -12,6 +12,7 @@ from bhmat.butson import (
     permute_columns,
     verify,
 )
+from bhmat import scarpis
 from bhmat.errors import PlanError, VerificationError
 from bhmat.latin import classical_tensor_set, encode
 from bhmat.scarpis import (
@@ -181,6 +182,34 @@ class TestPsi:
         assert verify(h).ok and find_c2_cells(h) == [(4, 4)]
         with pytest.raises(PlanError, match="of C"):
             psi(PsiPlan(h=h, tensors=tuple(classical_tensor_set(2))))
+
+
+class TestOutputOrderCap:
+    def test_default_cap_keeps_r5_and_stops_phi_on_f65(self):
+        # psi on F_66 (r = 5) makes order 2112; phi on F_65 would make 4160
+        assert 66 * 32 <= scarpis.OUTPUT_ORDER_CAP < 65 * 64
+        with pytest.raises(PlanError, match="order 4160 has 17305600 cells"):
+            phi(PhiPlan(h=fourier(65), tensors=()))
+
+    def test_after_input_check_before_family_check_and_assembly(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("assembled past the cap")
+
+        monkeypatch.setattr(scarpis, "_assemble", refuse)
+        monkeypatch.setattr(scarpis, "OUTPUT_ORDER_CAP", 29)
+        # the empty families would fail the family check
+        with pytest.raises(PlanError, match="phi output of order 30 has 900 cells"):
+            phi(PhiPlan(h=fourier(6), tensors=()))
+        broken = ButsonMatrix(6, 6, ((0,) * 6,) * 6)
+        with pytest.raises(VerificationError, match="input H"):
+            phi(PhiPlan(h=broken, tensors=()))
+        monkeypatch.setattr(scarpis, "OUTPUT_ORDER_CAP", 11)
+        with pytest.raises(PlanError, match="psi output of order 12 has 144 cells"):
+            psi(PsiPlan(h=fourier(6), tensors=()))
+
+    def test_output_at_the_cap_is_built(self, monkeypatch):
+        monkeypatch.setattr(scarpis, "OUTPUT_ORDER_CAP", 12)
+        assert psi(PsiPlan(h=fourier(6), tensors=tuple(classical_tensor_set(2)))).n == 12
 
 
 class TestHalvingFamily:

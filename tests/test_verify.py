@@ -25,9 +25,8 @@ ROOT_ORDERS = st.one_of(
 
 
 def _slot_bytes(m, n):
-    """Bytes per packed row in butson._first_non_orthogonal: 2mW bits."""
-    width, _ = butson._embedding(m, n)
-    return (2 * m * width + 7) // 8
+    """Bytes per packed row in butson._first_non_orthogonal."""
+    return butson._layout(m, n)[2]
 
 
 def _tile_rows(m, n):
@@ -128,7 +127,7 @@ class TestCorruptions:
                     assert report == verify_oracle(bad), (kind, i, j, shift)
 
     def test_default_tiles(self):
-        b = halving_family(3)
+        b = phi(PhiPlan(h=fourier(17), tensors=tuple(classical_tensor_set(16))))
         tile = _tile_rows(b.m, b.n)
         assert 1 < tile < b.n - 1
         for i, j in _corruption_cells(b.n, tile):
@@ -159,8 +158,9 @@ class TestRowOnePass:
         seen = []
         return butson._first_non_orthogonal(_Tiles(rows, seen), m), seen
 
-    def test_broken_row_1_packs_two_rows(self):
+    def test_broken_row_1_packs_two_rows(self, monkeypatch):
         b = halving_family(3)
+        monkeypatch.setattr(butson, "_TILE_BYTES", 18 * b.n * _slot_bytes(b.m, b.n))
         assert _tile_rows(b.m, b.n) < b.n
         bad = _with_entry(b, 0, 0, (b.exponents[0][0] + 1) % b.m)
         assert self._tiles(bad.exponents, b.m) == ((1, 2), [(0, 2)])
@@ -255,6 +255,21 @@ def _lemma_agrees(m, n, exponents):
     return (value % modulus == 0) == expected
 
 
+def _kernel_agrees(m, exponents, phases):
+    """The same test through _first_non_orthogonal: rows a and b with
+    a_k - b_k + m = exponents[k] mod m, then copies of b.  b is never
+    orthogonal to itself, so the first failing pair is (1, 2) unless c
+    vanishes, and (2, 3) if it does."""
+    b = [p % m for p in phases]
+    a = [(e + v) % m for e, v in zip(exponents, b)]
+    rows = [a] + [b] * (len(exponents) - 1)
+    counts = [0] * m
+    for e in exponents:
+        counts[e % m] += 1
+    vanishes = sum_equals(ExponentCountVector(m, tuple(counts)), 0)
+    return butson._first_non_orthogonal(rows, m) == ((2, 3) if vanishes else (1, 2))
+
+
 class TestEmbeddingLemma:
     """Phi_m(2^W) | c(2^W) iff c(zeta) = 0, at the smallest W the verifier
     uses: n + 2 = 2^W for n = 30, 62; n + 1 is a power of two for 31, 63."""
@@ -278,7 +293,9 @@ class TestEmbeddingLemma:
     @given(data=st.data())
     def test_agrees_with_sum_equals(self, n, data):
         m, exponents = data.draw(count_sums(n))
+        phases = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
         assert _lemma_agrees(m, n, exponents)
+        assert _kernel_agrees(m, exponents, phases)
 
     def test_vanishing_orbits_are_zero(self):
         # m = 30: orbits of 2, 3 and 5 roots, 30 terms in all
@@ -287,3 +304,39 @@ class TestEmbeddingLemma:
         width, modulus = butson._embedding(30, 30)
         assert sum(1 << width * e for e in exponents) % modulus == 0
         assert _lemma_agrees(30, 30, exponents)
+        # 21 of the kernel's 30 combine steps are multiplications here
+        assert butson._layout(30, 30)[3] == 9
+        phases = [7 * k for k in range(30)]
+        assert _kernel_agrees(30, exponents, phases)
+        assert _kernel_agrees(30, [1] + exponents[1:], phases)
+
+
+def _is_prime(m):
+    return m > 1 and all(m % d for d in range(2, int(m**0.5) + 1))
+
+
+class TestResidueSlots:
+    """Slot j of a packed row holds at most n (M - 1)^2, M = Phi_m(2^W); the
+    combine step e is a shift while w^e < M, else a multiplication."""
+
+    @pytest.mark.parametrize("n", [30, 31, 62, 63, 544, 2112])
+    def test_bound_fits_a_slot_no_wider_than_2mw(self, n):
+        for m in range(2, 300):
+            width, modulus, slot, shifts = butson._layout(m, n)
+            bits = (n * (modulus - 1) ** 2).bit_length()
+            assert bits <= 8 * slot < bits + 8, m
+            assert bits <= 2 * m * width, m
+            # steps e < shifts are the ones with w^e < M
+            assert 1 << width * (shifts - 1) < modulus, m
+            assert shifts == m or 1 << width * shifts > modulus, m
+
+    @pytest.mark.parametrize("n", [30, 31, 62, 63, 544, 2112])
+    def test_prime_m_combines_by_shifts_only(self, n):
+        for m in filter(_is_prime, range(2, 300)):
+            assert butson._layout(m, n)[3] == m, m
+
+    @pytest.mark.parametrize("n", [30, 31, 62, 63, 544, 2112])
+    def test_composite_m_multiplies(self, n):
+        for m in range(4, 300):
+            if not _is_prime(m):
+                assert butson._layout(m, n)[3] < m, m
