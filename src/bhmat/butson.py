@@ -7,11 +7,13 @@ verify decides from the rows alone, since for a square B, B B* = nI
 implies B* B = nI; the columns are scanned only after a row pair fails,
 to name the first failing column pair.  A pair of rows a, b is tested in
 one integer: with w = 2^W >= n + 2 and c(x) = sum_k x^(a_k - b_k + m),
-the pair is orthogonal exactly when Phi_m(w) divides c(w).  All pairs of
-a row come out of one big-integer pass (see _first_non_orthogonal), which
-also decides psi's T check.  The pass packs each row into a slot of
-residues mod Phi_m(w), about (2 phi(m) + 1)W bits wide where c(w) itself
-would need 2mW.  No floating point is involved in verification.
+the pair is orthogonal exactly when Phi_m(w) divides c(w).  Row 1 is
+tested pair by pair, as a sum of residues w^e mod Phi_m(w); all pairs of
+each later row come out of one big-integer pass that packs every tile of
+rows once (see _first_non_orthogonal, which also decides psi's T check).
+The pass packs each row into a slot of residues mod Phi_m(w), about
+(2 phi(m) + 1)W bits wide where c(w) itself would need 2mW.  No floating
+point is involved in verification.
 
 Row and column indices in the public API are 1-based, matching the usual
 matrix convention.
@@ -131,7 +133,7 @@ def verify(b: ButsonMatrix) -> VerifyReport:
     return VerifyReport(ok=False, bad_row_pair=bad_rows, bad_col_pair=bad_cols)
 
 
-# Bytes of packed rows held at once by _first_non_orthogonal.
+# Bytes of packed rows held at once by _first_packed_failure.
 _TILE_BYTES = 1 << 19
 
 
@@ -181,6 +183,33 @@ def _first_non_orthogonal(
     """The first pair (i, j), i < j, 1-based in lexicographic order, of
     vectors that are not orthogonal, or None.
 
+    Row 1 is scanned pair by pair: with power[e] = w^e mod M, M = Phi_m(w),
+    sum_k power[a_1k - b_k] is congruent mod M to c(w) for the pair (1, j)
+    (a negative difference d indexes power[m + d], and w^m = 1 mod M), and
+    it stays below n M, so one reduction decides the pair.  Column k looks
+    b_k up in the list of power[a_1k - b] over b < m.  One corrupted
+    entry of a Butson matrix breaks the pair (1, j) of its row j, or (1, 2)
+    if it lies in row 1, so it is found here without packing anything.
+    Rows 2..n-1 are then decided by _first_packed_failure, which packs
+    each tile of rows once.
+    """
+    n = len(vectors)
+    width, modulus, _, _ = _layout(m, n)
+    power = [pow(1 << width, e, modulus) for e in range(m)]
+    rotation = {a: [power[a - b] for b in range(m)] for a in set(vectors[0])}
+    terms = list(map(rotation.__getitem__, vectors[0]))
+    for j in range(1, n):
+        if sum(map(operator.getitem, terms, vectors[j])) % modulus:
+            return 1, j + 1
+    return _first_packed_failure(vectors, m)
+
+
+def _first_packed_failure(
+    vectors: Sequence[Sequence[int]], m: int
+) -> tuple[int, int] | None:
+    """The first pair (i, j), 2 <= i < j, 1-based in lexicographic order, of
+    vectors that are not orthogonal, or None; row 1 is not tested.
+
     Rows j are packed a tile at a time as residues mod M = Phi_m(w):
     table[k] holds w^(m - a_jk) mod M in the slot of row j.  Row i adds
     the table[k] with a_ik = e into sums[e], and sum_e sums[e] (w^e mod M)
@@ -188,50 +217,42 @@ def _first_non_orthogonal(
     (i, j).  A step e is a shift while w^e < M, else one multiplication by
     the residue.  Each slot holds at most n (M - 1)^2, so no slot carries
     into the next: n additions and m shifts or multiplications per row and
-    tile, and one reduction mod M per pair.  Row 1 is scanned against every
-    tile first, so one corrupted entry outside row 1 is found without
-    building other rows; if the rows fill more than one tile, that pass
-    packs rows 1 and 2 first, alone, so a corrupted row 1 costs two packed
-    rows.  (Each tile costs a pass over the n columns, so one-tile matrices
-    are not split.)  Tiles run in order of j, and a failure in row i leaves
-    only the rows before i to later tiles.
+    tile, and one reduction mod M per pair.  Tiles run in order of j and
+    each is packed at most once; a failure in row i leaves only the rows
+    before i to later tiles.
     """
     n = len(vectors)
     width, modulus, slot, shifts = _layout(m, n)
-    w = 1 << width
-    unit = [pow(w, m - e, modulus).to_bytes(slot, "little") for e in range(m)]
-    residues = [pow(w, e, modulus) for e in range(shifts, m)]
+    power = [pow(1 << width, e, modulus) for e in range(m)]
+    unit = [power[-e].to_bytes(slot, "little") for e in range(m)]
+    residues = power[shifts:]
     tile = max(1, _TILE_BYTES // (n * slot))
-    first = 2 if 2 < tile < n else tile
-    for lo, hi, size in ((0, 1, first), (1, n, tile)):
-        best, j1 = None, 0
-        while j1 < n:
-            j0, j1, size = j1, min(j1 + size, n), tile
-            stop = min(hi, j1 - 1, n if best is None else best[0])
-            if stop <= lo:
+    best = None
+    for j0 in range(0, n, tile):
+        j1 = min(j0 + tile, n)
+        rows = range(1, min(j1 - 1, n if best is None else best[0]))
+        if not rows:
+            continue
+        table = [
+            int.from_bytes(b"".join(map(unit.__getitem__, col)), "little")
+            for col in zip(*vectors[j0:j1])
+        ]
+        for i in rows:
+            sums = [0] * m
+            for q, e in zip(table, vectors[i]):
+                sums[e] += q
+            packed = sum(s << width * e for e, s in enumerate(sums[:shifts]))
+            packed += sum(map(operator.mul, sums[shifts:], residues))
+            data = packed.to_bytes((j1 - j0) * slot, "little")
+            for j in range(max(j0, i + 1), j1):
+                at = (j - j0) * slot
+                if int.from_bytes(data[at : at + slot], "little") % modulus:
+                    best = (i, j)
+                    break
+            else:
                 continue
-            table = [
-                int.from_bytes(b"".join(map(unit.__getitem__, col)), "little")
-                for col in zip(*vectors[j0:j1])
-            ]
-            for i in range(lo, stop):
-                sums = [0] * m
-                for q, e in zip(table, vectors[i]):
-                    sums[e] += q
-                packed = sum(s << width * e for e, s in enumerate(sums[:shifts]))
-                packed += sum(map(operator.mul, sums[shifts:], residues))
-                data = packed.to_bytes((j1 - j0) * slot, "little")
-                for j in range(max(j0, i + 1), j1):
-                    at = (j - j0) * slot
-                    if int.from_bytes(data[at : at + slot], "little") % modulus:
-                        best = (i, j)
-                        break
-                else:
-                    continue
-                break  # later rows of this tile come after (i, j)
-        if best is not None:
-            return best[0] + 1, best[1] + 1
-    return None
+            break  # later rows of this tile come after (i, j)
+    return None if best is None else (best[0] + 1, best[1] + 1)
 
 
 def dephase(b: ButsonMatrix) -> ButsonMatrix:

@@ -52,7 +52,7 @@ class LatinSquare:
             raise ValueError(f"order must be a positive int, got {self.n!r}")
         if len(cells) != self.n or any(len(row) != self.n for row in cells):
             raise ValueError(f"cells must form an {self.n}x{self.n} array")
-        if not all(type(v) is int for row in cells for v in row):
+        if not set(map(type, chain.from_iterable(cells))) <= {int}:
             raise ValueError("cells must be ints")
         if not is_latin(cells):
             raise ValueError("not a Latin square")
@@ -79,9 +79,10 @@ class LatinTensor:
         if not slices:
             return
         rows = list(range(self.size))
-        for sl in slices:
-            if not all(type(v) is int for v in sl) or sorted(sl) != rows:
-                raise ValueError(f"every frontal slice must permute 0..{len(rows) - 1}")
+        if not set(map(type, chain.from_iterable(slices))) <= {int} or any(
+            sorted(sl) != rows for sl in slices
+        ):
+            raise ValueError(f"every frontal slice must permute 0..{len(rows) - 1}")
         if any(len(set(images)) != self.n for images in zip(*slices)):
             raise ValueError("frontal slices must be pairwise disjoint")
 
@@ -95,20 +96,20 @@ class LatinTensor:
 
 
 def is_latin(cells: Sequence[Sequence[int]]) -> bool:
-    """True iff every symbol 1..n occurs exactly once per row and per column."""
+    """True iff every symbol 1..n occurs exactly once per row and per column.
+
+    Rows are taken in order; a ragged row, or a failing row with an entry
+    outside 1..n, raises ValueError."""
     n = len(cells)
     symbols = set(range(1, n + 1))
     for row in cells:
         if len(row) != n:
             raise ValueError("ragged array")
-        if any(not (1 <= v <= n) for v in row):
-            raise ValueError(f"entries must lie in 1..{n}")
         if set(row) != symbols:
+            if any(not (1 <= v <= n) for v in row):
+                raise ValueError(f"entries must lie in 1..{n}")
             return False
-    for j in range(n):
-        if {cells[i][j] for i in range(n)} != symbols:
-            return False
-    return True
+    return all(set(col) == symbols for col in zip(*cells))
 
 
 def are_lsesc(first: LatinSquare, second: LatinSquare) -> bool:

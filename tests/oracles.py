@@ -1,7 +1,7 @@
 """Test-only oracles: the polynomial root-of-unity sum test, the
-pair-by-pair verifier, the pair-by-pair T check, the row-pair LSESC check,
-brute-force Latin-square search, polynomial products and the
-floating-point value of a root-of-unity sum.
+pair-by-pair verifier, the pair-by-pair T check, the cell-by-cell Latin
+test, the row-pair LSESC check, brute-force Latin-square search,
+polynomial products and the floating-point value of a root-of-unity sum.
 
 None of these is used by the library; they give the tests independent
 expected values.
@@ -212,6 +212,26 @@ def check_t_oracle(ext: TExtraction, m: int) -> None:
     for i, d_row in enumerate(ext.d_rows):
         if not half_sums_ok(d_row, -1, 1):
             raise PlanError(f"row {i + 1} of D lacks the (-1, +1) half sums")
+
+
+def is_latin_oracle(cells: Sequence[Sequence[int]]) -> bool:
+    """is_latin cell by cell, rows in order: the first ragged row, or row
+    with an entry outside 1..n, raises ValueError unless an earlier row
+    already failed; then the columns are compared with the symbols.
+    """
+    n = len(cells)
+    symbols = set(range(1, n + 1))
+    for row in cells:
+        if len(row) != n:
+            raise ValueError("ragged array")
+        if any(not (1 <= v <= n) for v in row):
+            raise ValueError(f"entries must lie in 1..{n}")
+        if set(row) != symbols:
+            return False
+    for j in range(n):
+        if {cells[i][j] for i in range(n)} != symbols:
+            return False
+    return True
 
 
 def are_lsesc_oracle(first: LatinSquare, second: LatinSquare) -> bool:

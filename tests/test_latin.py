@@ -22,7 +22,7 @@ from bhmat.latin import (
     write_latin_set,
 )
 
-from oracles import all_latin_squares, exhaustive_complete_lsesc
+from oracles import all_latin_squares, exhaustive_complete_lsesc, is_latin_oracle
 
 L2 = LatinSquare(2, ((1, 2), (2, 1)))
 CYCLIC3 = LatinSquare(3, ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
@@ -68,6 +68,53 @@ class TestIsLatin:
     def test_malformed_entries(self):
         with pytest.raises(ValueError):
             is_latin(((0, 1), (1, 0)))
+
+    @given(st.data())
+    def test_agrees_with_cell_by_cell_oracle(self, data):
+        cells = data.draw(latin_like())
+        assert _outcome(is_latin, cells) == _outcome(is_latin_oracle, cells)
+
+    def test_row_order_decides(self):
+        # a failing row ends the scan before a later malformed row
+        assert not is_latin(((1, 1, 2), (0, 1, 2), (1, 2)))
+        with pytest.raises(ValueError, match="ragged"):
+            is_latin(((1, 2, 3), (1, 2), (0, 0, 0)))
+        with pytest.raises(ValueError, match="1..3"):
+            is_latin(((1, 2, 3), (1, 2, 4), (1, 2)))
+        assert is_latin(((1.0, 2), (2, True)))
+
+
+# a few values that equal a symbol without being an int, and values out of range
+ODD_CELLS = st.sampled_from([True, False, 1.0, 2.0, 2.5, -1, 0, float("nan")])
+
+
+@st.composite
+def latin_like(draw):
+    """Isotopes of the cyclic square of order 0..5, then possibly broken:
+    cells replaced (by ints in and out of range, bools or floats), rows
+    copied over other rows, a row made ragged."""
+    n = draw(st.integers(0, 5))
+    cells = [list(row) for row in draw(square_strategy(n)).cells] if n else []
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["cell", "odd", "copy"]))
+        if kind == "cell":
+            cells[i][j] = draw(st.integers(-1, n + 1))
+        elif kind == "odd":
+            cells[i][j] = draw(ODD_CELLS)
+        else:
+            cells[i] = list(cells[j])
+    if n and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        cells[i] = cells[i][:j] if draw(st.booleans()) else cells[i] + [j + 1]
+    return tuple(tuple(row) for row in cells)
+
+
+def _outcome(test, cells):
+    try:
+        return test(cells)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
 
 
 class TestLsesc:
@@ -328,6 +375,10 @@ class TestReconstruct:
             LatinTensor(3, ((0, 1), (1, 0)))  # wrong slice count
         with pytest.raises(ValueError):
             LatinTensor(2, ((0, True), (1, 0)))  # bool image
+        with pytest.raises(ValueError, match="permute 0..1"):
+            LatinTensor(2, ((0, 1), (1.0, 0)))  # float image in a later slice
+        with pytest.raises(ValueError, match="permute 0..1"):
+            LatinTensor(2, ((1, 0), ("0", 1)))  # not comparable with an int
 
 
 class TestFiles:
@@ -370,6 +421,10 @@ class TestFiles:
             LatinSquare(2, ((True, 2), (2, True)))
         with pytest.raises(ValueError):
             LatinSquare(2, (("1", "2"), ("2", "1")))
+        with pytest.raises(ValueError, match="ints"):
+            LatinSquare(3, ((1, 2, 3), (2, 3, 1), (3, 1, False)))
+        with pytest.raises(ValueError, match="ints"):
+            LatinSquare(2, ((1, 2), (2, 1.0)))
 
 
 def test_all_latin_squares_counts():

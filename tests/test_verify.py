@@ -150,48 +150,61 @@ class _Tiles(tuple):
 
 
 class TestRowOnePass:
-    """When the rows fill more than one tile, the row-1 pass packs rows 1
-    and 2 as a tile of their own, then full tiles; the second pass keeps
-    full tiles from row 1."""
+    """Row 1 is scanned pair by pair and packs no tile; rows 2..n-1 then
+    go through the packed pass, which packs each tile at most once, in
+    order of j."""
 
     def _tiles(self, rows, m):
         seen = []
         return butson._first_non_orthogonal(_Tiles(rows, seen), m), seen
 
-    def test_broken_row_1_packs_two_rows(self, monkeypatch):
-        b = halving_family(3)
-        monkeypatch.setattr(butson, "_TILE_BYTES", 18 * b.n * _slot_bytes(b.m, b.n))
-        assert _tile_rows(b.m, b.n) < b.n
-        bad = _with_entry(b, 0, 0, (b.exponents[0][0] + 1) % b.m)
-        assert self._tiles(bad.exponents, b.m) == ((1, 2), [(0, 2)])
-        assert self._tiles(tuple(zip(*bad.exponents)), b.m) == ((1, 2), [(0, 2)])
+    def test_broken_row_1_packs_no_tile(self, monkeypatch):
+        monkeypatch.setattr(butson, "_TILE_BYTES", 18 * 144 * _slot_bytes(18, 144))
+        for b in (halving_family(2), halving_family(3)):  # one tile, then 8
+            bad = _with_entry(b, 0, 0, (b.exponents[0][0] + 1) % b.m)
+            assert self._tiles(bad.exponents, b.m) == ((1, 2), [])
+            assert self._tiles(tuple(zip(*bad.exponents)), b.m) == ((1, 2), [])
 
     def test_tile_sizes(self, monkeypatch):
         b = halving_family(3)
         tile = 18
         monkeypatch.setattr(butson, "_TILE_BYTES", tile * b.n * _slot_bytes(b.m, b.n))
-        first = [(0, 2)] + [(j, min(j + tile, b.n)) for j in range(2, b.n, tile)]
-        second = [(j, min(j + tile, b.n)) for j in range(0, b.n, tile)]
-        assert self._tiles(b.exponents, b.m) == (None, first + second)
-        # a broken column 20 stops the row-1 pass in the tile that holds it
+        tiles = [(j, min(j + tile, b.n)) for j in range(0, b.n, tile)]
+        assert self._tiles(b.exponents, b.m) == (None, tiles)
+        # a broken column 20 is found by the scan of column 1
         bad = _with_entry(b, 5, 19, (b.exponents[5][19] + 1) % b.m)
-        assert self._tiles(tuple(zip(*bad.exponents)), b.m) == ((1, 20), first[:2])
+        assert self._tiles(tuple(zip(*bad.exponents)), b.m) == ((1, 20), [])
 
     def test_one_tile_is_not_split(self):
         b = halving_family(2)
         assert _tile_rows(b.m, b.n) >= b.n
-        bad = _with_entry(b, 0, 0, (b.exponents[0][0] + 1) % b.m)
-        assert self._tiles(bad.exponents, b.m) == ((1, 2), [(0, b.n)])
+        assert self._tiles(b.exponents, b.m) == (None, [(0, b.n)])
+
+    def test_failure_after_row_1_stops_in_its_tile(self, monkeypatch):
+        b = halving_family(3)
+        tile = 18
+        monkeypatch.setattr(butson, "_TILE_BYTES", tile * b.n * _slot_bytes(b.m, b.n))
+        tiles = [(j, min(j + tile, b.n)) for j in range(0, b.n, tile)]
+        # row 40 copied from row 2 stays orthogonal to row 1
+        rows = list(b.exponents)
+        rows[39] = rows[1]
+        assert self._tiles(rows, b.m) == ((2, 40), tiles[:3])
+        # from row 5, the later tiles still test rows 2..4
+        rows = list(b.exponents)
+        rows[39] = rows[4]
+        assert self._tiles(rows, b.m) == ((5, 40), tiles)
 
     @pytest.mark.parametrize("tile", [1, 3, 7, None])
     def test_every_cell_of_first_and_last_row(self, constructions, tile):
+        # and of column 1, so each input of the column-1 scan is corrupted once
         b = constructions["phi"]
+        cells = [(i, j) for i in (0, b.n - 1) for j in range(b.n)]
+        cells += [(i, 0) for i in range(1, b.n - 1)]
         tile_bytes = butson._TILE_BYTES if tile is None else tile * b.n * _slot_bytes(b.m, b.n)
         with mock.patch.object(butson, "_TILE_BYTES", tile_bytes):
-            for i in (0, b.n - 1):
-                for j in range(b.n):
-                    bad = _with_entry(b, i, j, (b.exponents[i][j] + 1) % b.m)
-                    assert verify(bad) == verify_oracle(bad), (i, j)
+            for i, j in cells:
+                bad = _with_entry(b, i, j, (b.exponents[i][j] + 1) % b.m)
+                assert verify(bad) == verify_oracle(bad), (i, j)
 
 
 class TestRowsDecide:
@@ -270,6 +283,20 @@ def _kernel_agrees(m, exponents, phases):
     return butson._first_non_orthogonal(rows, m) == ((2, 3) if vanishes else (1, 2))
 
 
+def _packed_agrees(m, exponents, phases):
+    """The same test through the packed pass alone: rows b, a, then copies
+    of b, so pair (2, 3) is a, b.  The packed pass skips row 1, so the
+    first failing pair is (2, 3) unless c vanishes, and (3, 4) if it does."""
+    b = [p % m for p in phases]
+    a = [(e + v) % m for e, v in zip(exponents, b)]
+    rows = [b, a] + [b] * (len(exponents) - 2)
+    counts = [0] * m
+    for e in exponents:
+        counts[e % m] += 1
+    vanishes = sum_equals(ExponentCountVector(m, tuple(counts)), 0)
+    return butson._first_packed_failure(rows, m) == ((3, 4) if vanishes else (2, 3))
+
+
 class TestEmbeddingLemma:
     """Phi_m(2^W) | c(2^W) iff c(zeta) = 0, at the smallest W the verifier
     uses: n + 2 = 2^W for n = 30, 62; n + 1 is a power of two for 31, 63."""
@@ -296,6 +323,7 @@ class TestEmbeddingLemma:
         phases = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
         assert _lemma_agrees(m, n, exponents)
         assert _kernel_agrees(m, exponents, phases)
+        assert _packed_agrees(m, exponents, phases)
 
     def test_vanishing_orbits_are_zero(self):
         # m = 30: orbits of 2, 3 and 5 roots, 30 terms in all
@@ -309,6 +337,8 @@ class TestEmbeddingLemma:
         phases = [7 * k for k in range(30)]
         assert _kernel_agrees(30, exponents, phases)
         assert _kernel_agrees(30, [1] + exponents[1:], phases)
+        assert _packed_agrees(30, exponents, phases)
+        assert _packed_agrees(30, [1] + exponents[1:], phases)
 
 
 def _is_prime(m):
