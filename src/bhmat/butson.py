@@ -430,7 +430,9 @@ def parse_matrix(text: str) -> tuple[ButsonMatrix, dict[str, Any] | None]:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # besides JSONDecodeError: an int past Python's digit limit
+            # (ValueError) or arrays nested past the recursion limit
             raise FormatError(f"bad JSON: {exc}") from exc
         try:
             matrix = ButsonMatrix(doc["m"], doc["n"], doc["exponents"])

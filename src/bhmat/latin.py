@@ -4,24 +4,29 @@ Two squares are eligible for the row-indexed construction ("LSESC") when
 every pair of rows, one from each square, agrees in exactly one column.
 Conjugating every square (swap symbol and row index) turns such a family
 into mutually orthogonal Latin squares and back, so both notions are
-carried here side by side.
+decided by one test: two squares are MOLS when the n^2 cell pairs are
+distinct, and LSESC when their conjugates are MOLS.
 
 Squares always use the symbol set {1..n}.  The classical complete families
 come from GF(q): the square for a nonzero field element b has cell (i, j)
 equal to the enumeration index of x_i + b*x_j, read off the field's addition
-and multiplication tables.
+table and a log/antilog table of a primitive element.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
+from operator import add
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import FormatError, PlanError, parse_decimals
 from .galois import (
+    FieldElement,
+    GaloisField,
     enumerate_elements,
     element_value,
     field_add,
@@ -56,6 +61,23 @@ class LatinSquare:
             raise ValueError("cells must be ints")
         if not is_latin(cells):
             raise ValueError("not a Latin square")
+
+    @cached_property
+    def _symbol_rows(self) -> tuple[int, ...]:
+        """The 0-based row holding symbol s in column k, at (s-1)*n + k:
+        the cells of the conjugate square, less one, row by row.  Built on
+        first use and kept; it is not a field, so == and hash ignore it."""
+        return _symbol_row_index(zip(*self.cells), self.n, 1)
+
+    @cached_property
+    def _symbol_rows_times_n(self) -> array:
+        """_symbol_rows, each multiplied by n."""
+        return _times(self.n, self._symbol_rows)
+
+    @cached_property
+    def _cells_times_n(self) -> array:
+        """The cells row by row, each multiplied by n."""
+        return _times(self.n, chain.from_iterable(self.cells))
 
 
 @dataclass(frozen=True)
@@ -115,49 +137,68 @@ def is_latin(cells: Sequence[Sequence[int]]) -> bool:
 def are_lsesc(first: LatinSquare, second: LatinSquare) -> bool:
     """Every row pair (one row from each square) agrees in exactly one column.
 
-    A square paired with itself always fails: identical rows agree in every
+    Row i of A and row i' of B agree in column k exactly when both hold
+    some symbol s there, i.e. when the conjugates hold (i, i') in cell
+    (s, k); so the squares are LSESC iff their conjugates are MOLS.  A
+    square paired with itself always fails: identical rows agree in every
     column.
     """
     if first.n != second.n:
         raise ValueError(f"order mismatch: {first.n} vs {second.n}")
-    return _rows_meet_once(tuple(zip(*first.cells)), tuple(zip(*second.cells)))
-
-
-def _rows_meet_once(
-    columns_a: Sequence[Sequence[int]], columns_b: Sequence[Sequence[int]]
-) -> bool:
-    """LSESC for squares given as columns, each a permutation of one symbol
-    set (1-based cells or 0-based slices).  Column k of B holds A's symbol
-    (i, k) in exactly one row, so row i of A meets every row of B exactly
-    once iff these n rows are distinct: O(n^2) per pair of squares."""
-    n = len(columns_a)
-    agreeing = [
-        map(dict(zip(col_b, range(n))).__getitem__, col_a)
-        for col_a, col_b in zip(columns_a, columns_b)
-    ]
-    return all(len(set(rows)) == n for rows in zip(*agreeing))
+    return _pairs_distinct(first.n, first._symbol_rows_times_n, second._symbol_rows)
 
 
 def are_mols(first: LatinSquare, second: LatinSquare) -> bool:
     """True iff superimposing the squares yields all n^2 ordered symbol pairs."""
     if first.n != second.n:
         raise ValueError(f"order mismatch: {first.n} vs {second.n}")
-    pairs = zip(chain.from_iterable(first.cells), chain.from_iterable(second.cells))
-    return len(set(pairs)) == first.n * first.n
+    return _pairs_distinct(
+        first.n, first._cells_times_n, chain.from_iterable(second.cells)
+    )
+
+
+def _pairs_distinct(n: int, scaled: Iterable[int], plain: Iterable[int]) -> bool:
+    """True iff the n^2 codes x*n + y are distinct, with x*n read from
+    scaled and y from plain, position by position.  Both x and y run over
+    n consecutive ints, so the codes are distinct exactly when the pairs
+    (x, y) are."""
+    return len(set(map(add, scaled, plain))) == n * n
+
+
+def _times(n: int, values: Iterable[int]) -> array:
+    """values multiplied by n, 4 bytes each: the scaled side of
+    _pairs_distinct, kept compact since most of its ints are past the
+    small-int cache."""
+    return array("I", map(n.__mul__, values))
+
+
+def _symbol_row_index(
+    columns: Iterable[Sequence[int]], n: int, first_symbol: int
+) -> tuple[int, ...]:
+    """The row i holding symbol s in column k, at (s - first_symbol)*n + k,
+    for n columns that each permute the n symbols from first_symbol on:
+    column k's inverse permutation fills positions k, k + n, k + 2n, ..."""
+    index = [0] * (n * n)
+    inverse = [0] * (first_symbol + n)
+    for k, column in enumerate(columns):
+        for i, s in enumerate(column):
+            inverse[s] = i
+        index[k::n] = inverse[first_symbol:]
+    return tuple(index)
 
 
 def conjugate_lsesc_mols(square: LatinSquare) -> LatinSquare:
     """Swap the roles of symbol and row index; an involution.
 
     The image square has cell (a, j) = i exactly when the input has cell
-    (i, j) = a, i.e. each column is replaced by its inverse permutation.
+    (i, j) = a, i.e. each column is replaced by its inverse permutation:
+    row a of the image is the input's symbol-row index for symbol a, plus one.
     """
     n = square.n
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[square.cells[i][j] - 1][j] = i + 1
-    return LatinSquare(n, tuple(tuple(row) for row in out))
+    rows = square._symbol_rows
+    return LatinSquare(
+        n, tuple(tuple([i + 1 for i in rows[a : a + n]]) for a in range(0, n * n, n))
+    )
 
 
 def classical_lsesc_set(q: int) -> list[LatinSquare]:
@@ -173,13 +214,39 @@ def classical_lsesc_set(q: int) -> list[LatinSquare]:
     field = make_field(*decomposition)
     elements = enumerate_elements(field)
     index = partial(element_value, field)
-    # sums[i][k] is the symbol of x_i + x_k, products[b-1][j] the index of b*x_j
+    # sums[i][k] is the symbol of x_i + x_k
     sums = [[index(field_add(field, x, y)) + 1 for y in elements] for x in elements]
-    products = [[index(field_mul(field, b, y)) for y in elements] for b in elements[1:]]
+    # antilog[e] is the index of g^e for a primitive g, taken twice over so
+    # that log b + log x_j needs no reduction mod q - 1; products[b-1][j]
+    # is the index of b*x_j, which is 0 for x_j = 0
+    antilog = [index(x) for x in _primitive_powers(field, elements)] * 2
+    log = [0] * q
+    for e, v in enumerate(antilog[: q - 1]):
+        log[v] = e
+    products = [
+        [0] + [antilog[log[b] + log[j]] for j in range(1, q)] for b in range(1, q)
+    ]
     return [
         LatinSquare(q, tuple(tuple(map(row.__getitem__, scaled)) for row in sums))
         for scaled in products
     ]
+
+
+def _primitive_powers(
+    field: GaloisField, elements: Sequence[FieldElement]
+) -> list[FieldElement]:
+    """g^0, g^1, ..., g^(q-2) for the first element g, in enumeration order,
+    whose powers reach every nonzero element; elements[1] is the one."""
+    one = elements[1]
+    for g in elements[1:]:
+        powers = [one]
+        power = g
+        while power != one:
+            powers.append(power)
+            power = field_mul(field, power, g)
+        if len(powers) == len(elements) - 1:
+            return powers
+    raise AssertionError("the multiplicative group of a finite field is cyclic")
 
 
 def classical_tensor_set(q: int) -> list[LatinTensor]:

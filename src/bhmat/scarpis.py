@@ -32,7 +32,14 @@ from .butson import (
     verify,
 )
 from .errors import PlanError, VerificationError
-from .latin import LatinTensor, _rows_meet_once, classical_tensor_set, inflate
+from .latin import (
+    LatinTensor,
+    _pairs_distinct,
+    _symbol_row_index,
+    _times,
+    classical_tensor_set,
+    inflate,
+)
 
 # Largest phi or psi output order, checked once the inputs are verified and
 # before any block is built: psi on F_66 (r = 5) makes n = 2112.
@@ -121,7 +128,8 @@ def _x_source(h: ButsonMatrix, g: ButsonMatrix | None) -> ButsonMatrix:
 def _checked_family(tensors: Sequence[LatinTensor], kind: str, n: int) -> None:
     """PlanError unless the tensors are a complete LSESC family for phi or
     psi on an order-n input.  Slice k of a cubic tensor is column k of its
-    square with 0-based symbols, so the pairs are checked on the slices."""
+    square with 0-based symbols, so each square's symbol-row index is built
+    once from the slices and every pair runs are_lsesc's test on them."""
     order, count = family_shape(kind, n)
     if len(tensors) != count:
         raise PlanError(
@@ -131,9 +139,10 @@ def _checked_family(tensors: Sequence[LatinTensor], kind: str, n: int) -> None:
     for t in tensors:
         if t.n != order or t.size != order:
             raise PlanError(f"tensor of order {t.n} (size {t.size}); expected {order}")
-    for i in range(len(tensors)):
-        for j in range(i + 1, len(tensors)):
-            if not _rows_meet_once(tensors[i].slices, tensors[j].slices):
+    rows = [_symbol_row_index(t.slices, order, 0) for t in tensors]
+    for i, scaled in enumerate(_times(order, r) for r in rows):
+        for j in range(i + 1, len(rows)):
+            if not _pairs_distinct(order, scaled, rows[j]):
                 raise PlanError(f"squares {i + 1} and {j + 1} are not LSESC")
 
 

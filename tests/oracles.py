@@ -1,7 +1,8 @@
 """Test-only oracles: the polynomial root-of-unity sum test, the
 pair-by-pair verifier, the pair-by-pair T check, the cell-by-cell Latin
-test, the row-pair LSESC check, brute-force Latin-square search,
-polynomial products and the floating-point value of a root-of-unity sum.
+test, the row-pair LSESC check, the symbol-pair MOLS check, brute-force
+Latin-square search, polynomial products and the floating-point value of
+a root-of-unity sum.
 
 None of these is used by the library; they give the tests independent
 expected values.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 from bhmat.butson import ButsonMatrix, TExtraction, VerifyReport
@@ -247,6 +249,14 @@ def are_lsesc_oracle(first: LatinSquare, second: LatinSquare) -> bool:
             if agreements != 1:
                 return False
     return True
+
+
+def are_mols_oracle(first: LatinSquare, second: LatinSquare) -> bool:
+    """True iff superimposing the squares yields all n^2 ordered symbol pairs."""
+    if first.n != second.n:
+        raise ValueError(f"order mismatch: {first.n} vs {second.n}")
+    pairs = zip(chain.from_iterable(first.cells), chain.from_iterable(second.cells))
+    return len(set(pairs)) == first.n * first.n
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:

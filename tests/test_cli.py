@@ -1,16 +1,24 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bhmat import butson, scarpis
 from bhmat.butson import ButsonMatrix, fourier, permute_columns, read_matrix, write_matrix
 from bhmat.cli import _parse_permutation, main
-from bhmat.errors import PlanError
+from bhmat.errors import FormatError, PlanError
+from bhmat.latin import LatinSquare, classical_lsesc_set, dump_latin_set, read_latin_set
 
 from golden import EXAMPLE1_DEPHASED, EXAMPLE2_PSI_F6
+from oracles import are_lsesc_oracle, are_mols_oracle, verify_oracle
 
 
 def run(*argv):
@@ -479,3 +487,218 @@ def test_output_order_cap(tmp_path, capsys, monkeypatch):
     assert run("construct", "phi", src, "-o", out) == 2
     assert "phi output of order 6 has 36 cells" in capsys.readouterr().err
     assert not out.exists()
+
+
+def run_captured(*argv):
+    """main() with stdout and stderr captured; an exception escaping main
+    fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_on_text(command, text, expect):
+    """Write text to a file, run the command on it, and return
+    (exit code, stdout, stderr) with expect(path), the test's own reading
+    of the same file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_captured(*command.split(), path)
+        assert "Traceback" not in err
+        return code, out, err, expect(path)
+
+
+def expected_verify(path):
+    try:
+        matrix, _ = read_matrix(path)
+    except FormatError:
+        return 3
+    return 0 if verify_oracle(matrix).ok else 1
+
+
+def expected_lsesc_check(path):
+    """The exit code of `lsesc check`, which tests the pairs in order and
+    stops at the first failing pair: a pair of two orders reached before
+    that raises are_lsesc's or are_mols's order-mismatch ValueError, which
+    exits 2 (see TestParserFuzz)."""
+    try:
+        squares = read_latin_set(path)
+    except FormatError:
+        return 3
+
+    def verdict(oracle):
+        for a, b in itertools.combinations(squares, 2):
+            if a.n != b.n:
+                return None
+            if not oracle(a, b):
+                return False
+        return True
+
+    lsesc, mols = verdict(are_lsesc_oracle), verdict(are_mols_oracle)
+    if lsesc is None or mols is None:
+        return 2
+    return 0 if lsesc else 1
+
+
+@st.composite
+def butson_matrices(draw):
+    """Fourier matrices with rows and columns permuted and every row and
+    column multiplied by a root of unity."""
+    n = draw(st.integers(1, 12))
+    f = fourier(n).exponents
+    rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    shifts = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    row_shift, col_shift = draw(shifts), draw(shifts)
+    return ButsonMatrix(n, n, tuple(
+        tuple((f[rows[i]][cols[j]] + row_shift[i] + col_shift[j]) % n for j in range(n))
+        for i in range(n)
+    ))
+
+
+def isotope(square, rows, cols, symbols):
+    """Cell (i, j) is symbols[cell (rows[i], cols[j]) - 1] + 1."""
+    n = square.n
+    return LatinSquare(n, tuple(
+        tuple(symbols[square.cells[rows[i]][cols[j]] - 1] + 1 for j in range(n))
+        for i in range(n)
+    ))
+
+
+@st.composite
+def lsesc_families(draw):
+    """Some squares of a classical family, with one column and one symbol
+    permutation for all of them and the rows of each permuted on its own;
+    every pair stays LSESC."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    perm = st.permutations(range(q))
+    cols, symbols = draw(perm), draw(perm)
+    chosen = draw(st.lists(st.sampled_from(classical_lsesc_set(q)), min_size=1, unique_by=id))
+    return [isotope(square, draw(perm), cols, symbols) for square in chosen]
+
+
+@st.composite
+def latin_square_lists(draw):
+    """Isotopes of classical squares, each with its own permutations, of
+    one order or of mixed orders: pairs of one order are mostly not LSESC."""
+    orders = st.sampled_from([1, 2, 3, 4, 5])
+    squares = []
+    for q in draw(
+        st.lists(orders, min_size=1, max_size=4)
+        | orders.flatmap(lambda q: st.lists(st.just(q), min_size=2, max_size=4))
+    ):
+        perm = st.permutations(range(q))
+        square = LatinSquare(1, ((1,),)) if q == 1 else draw(
+            st.sampled_from(classical_lsesc_set(q))
+        )
+        squares.append(isotope(square, draw(perm), draw(perm), draw(perm)))
+    return squares
+
+
+# Garbage keeps every number below 100: a well-formed matrix file with a
+# root order in the millions makes verify run for minutes (no cap on m).
+SMALL_INTS = st.integers(-2, 99)
+TOKENS = st.sampled_from(
+    ["BH", "L", "x", "-1", "+1", "1.0", "0_1", "٣", "{", "}", "[", "]", ",", '"m":']
+) | SMALL_INTS.map(str)
+JUNK = st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isdigit())
+
+
+@st.composite
+def token_soup(draw):
+    lines = draw(st.lists(st.lists(TOKENS, max_size=6), max_size=8))
+    return "".join(" ".join(line) + draw(st.sampled_from(["\n", "\n\n", "\r\n", " "]))
+                   for line in lines)
+
+
+@st.composite
+def one_edit(draw, texts):
+    """A valid text with one character deleted, replaced or inserted
+    (no digit is inserted, so numbers stay small), or cut short."""
+    text = draw(texts)
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["delete", "replace", "insert", "cut"]))
+    if edit == "cut":
+        return text[:at]
+    chars = " \n" if edit == "insert" else " \n0123456789"
+    char = draw(JUNK | st.sampled_from(chars))
+    return text[:at] + (char if edit != "delete" else "") + text[at + (edit != "insert"):]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | SMALL_INTS | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5),
+    max_leaves=30,
+)
+JSON_DOCS = st.dictionaries(
+    st.sampled_from(["m", "n", "exponents", "provenance", "x"]), JSON_VALUES
+).map(json.dumps)
+
+MATRIX_TEXTS = st.builds(
+    butson.dump_matrix, butson_matrices(), st.sampled_from(["json", "text"])
+)
+FAMILY_TEXTS = lsesc_families().map(dump_latin_set)
+
+
+class TestParserFuzz:
+    """Both parsers through the CLI: valid texts exit 0, garbage exits 0, 1
+    or 3 as the oracles decide, and nothing escapes main.  The one exit 2:
+    a family whose squares differ in order, once lsesc check reaches a pair
+    of two orders, whose order-mismatch ValueError main reports as a plan
+    error."""
+
+    @settings(deadline=None)
+    @given(butson_matrices(), st.sampled_from(["json", "text"]))
+    def test_valid_matrix_round_trip(self, matrix, fmt):
+        text = butson.dump_matrix(matrix, fmt)
+        code, out, err, parsed = run_on_text("verify", text, read_matrix)
+        assert (code, out, err) == (0, f"ok: BH({matrix.m},{matrix.n})\n", "")
+        assert parsed[0] == matrix
+
+    @settings(deadline=None)
+    @given(lsesc_families())
+    def test_valid_family_round_trip(self, squares):
+        text = dump_latin_set(squares)
+        code, out, err, parsed = run_on_text("lsesc check", text, read_latin_set)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == [
+            f"squares: {len(squares)}, order {squares[0].n}",
+            "pairwise LSESC: yes",
+        ]
+        assert parsed == squares
+
+    @settings(deadline=None)
+    @given(st.one_of(token_soup(), one_edit(MATRIX_TEXTS), JSON_DOCS, one_edit(JSON_DOCS)))
+    def test_verify_garbage(self, text):
+        code, out, err, expected = run_on_text("verify", text, expected_verify)
+        assert code == expected
+        assert (err == "") == (code != 3)
+
+    @settings(deadline=None)
+    @given(st.one_of(
+        token_soup(), one_edit(FAMILY_TEXTS), latin_square_lists().map(dump_latin_set)
+    ))
+    def test_lsesc_check_garbage(self, text):
+        code, out, err, expected = run_on_text("lsesc check", text, expected_lsesc_check)
+        assert code == expected
+        assert (err == "") == (code in (0, 1))
+
+    def test_mixed_orders_exit_2(self):
+        text = "L 1\n1\n\nL 2\n1 2\n2 1\n"
+        code, out, err, expected = run_on_text("lsesc check", text, expected_lsesc_check)
+        assert (code, out, err) == (2, "", "error: order mismatch: 1 vs 2\n")
+        assert expected == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"m": ' + "1" * 5000 + ', "n": 1, "exponents": [[0]]}',
+            '{"m": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        ],
+        ids=["int-past-digit-limit", "nested-past-recursion-limit"],
+    )
+    def test_json_past_python_limits_exit_3(self, text):
+        code, out, err, _ = run_on_text("verify", text, lambda path: None)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: bad JSON: ")

@@ -1,4 +1,5 @@
-"""The column-inverse LSESC check against the row-pair oracle, the
+"""The LSESC and MOLS checks (one distinct-pairs test on cached symbol-row
+indexes or on cells) against the row-pair and symbol-pair oracles, the
 table-built classical families against their pinned texts, and the
 family order cap.
 """
@@ -6,6 +7,7 @@ family order cap.
 import hashlib
 import itertools
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,15 +16,19 @@ from bhmat import cli, latin, scarpis
 from bhmat.errors import PlanError
 from bhmat.latin import (
     LatinSquare,
-    _rows_meet_once,
     are_lsesc,
+    are_mols,
     classical_lsesc_set,
     classical_tensor_set,
+    conjugate_lsesc_mols,
     dump_latin_set,
     encode,
 )
 
-from oracles import are_lsesc_oracle
+from oracles import are_lsesc_oracle, are_mols_oracle
+
+# The lazily built indexes a LatinSquare keeps beside its fields.
+CACHES = ("_symbol_rows", "_symbol_rows_times_n", "_cells_times_n")
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
 
@@ -77,11 +83,45 @@ def isotope(square, rows, cols, symbols):
     return LatinSquare(n, tuple(map(tuple, cells)))
 
 
+def cached(square):
+    return [name for name in CACHES if name in vars(square)]
+
+
+def fresh(square):
+    """An equal square whose indexes are not built yet."""
+    copy = LatinSquare(square.n, square.cells)
+    assert cached(copy) == []
+    return copy
+
+
+def family_check_passes(tensors):
+    """phi/psi's family check on the slices, for a family of any order and size."""
+    shape = (tensors[0].n, len(tensors))
+    with mock.patch.object(scarpis, "family_shape", lambda kind, n: shape):
+        try:
+            scarpis._checked_family(tensors, "phi", 0)
+        except PlanError as exc:
+            assert str(exc) == "squares 1 and 2 are not LSESC"
+            return False
+    return True
+
+
 def assert_agree(a, b):
-    expected = are_lsesc_oracle(a, b)
-    assert are_lsesc(a, b) == expected
-    assert _rows_meet_once(encode(a).slices, encode(b).slices) == expected
-    return expected
+    """are_lsesc and are_mols against their oracles in both argument orders,
+    first on squares whose indexes are not built yet, then once they are,
+    and the family check on the slices in both orders."""
+    lsesc = {(0, 1): are_lsesc_oracle(a, b), (1, 0): are_lsesc_oracle(b, a)}
+    mols = {(0, 1): are_mols_oracle(a, b), (1, 0): are_mols_oracle(b, a)}
+    squares = (fresh(a), fresh(b))
+    for _ in range(2):
+        for x, y in lsesc:
+            assert are_lsesc(squares[x], squares[y]) == lsesc[x, y]
+            assert are_mols(squares[x], squares[y]) == mols[x, y]
+    assert all(cached(square) == list(CACHES) for square in squares)
+    tensors = (encode(a), encode(b))
+    for x, y in lsesc:
+        assert family_check_passes([tensors[x], tensors[y]]) == lsesc[x, y]
+    return lsesc[0, 1]
 
 
 class TestAgainstOracle:
@@ -113,8 +153,7 @@ class TestAgainstOracle:
             for swap in intercalates(q, index):
                 bad = swapped(square, *swap)
                 for other in squares:
-                    assert_agree(bad, other)
-                    assert_agree(other, bad)
+                    assert_agree(bad, other)  # and (other, bad)
 
     @given(st.data())
     def test_intercalate_swaps(self, data):
@@ -124,6 +163,56 @@ class TestAgainstOracle:
         other = data.draw(st.sampled_from(family(q)))
         assert_agree(bad, other)
         assert_agree(bad, bad)
+
+
+class TestIndexCache:
+    """The symbol-row index is built once per square, on first use, and is
+    invisible to == and hash."""
+
+    @pytest.mark.parametrize("q", [5, 8, 9])
+    def test_symbol_rows_are_the_conjugate_cells(self, q):
+        for square in family(q):
+            rows = square._symbol_rows
+            for i, row in enumerate(square.cells):
+                for k, s in enumerate(row):
+                    assert rows[(s - 1) * q + k] == i
+            conjugate = conjugate_lsesc_mols(square)
+            assert rows == tuple(v - 1 for row in conjugate.cells for v in row)
+            assert list(square._symbol_rows_times_n) == [q * v for v in rows]
+
+    def test_filled_cache_keeps_eq_and_hash(self):
+        a, b = family(7)[:2]
+        filled, empty = fresh(a), fresh(a)
+        assert are_lsesc(filled, b) and are_lsesc(b, filled)
+        assert are_mols(filled, filled) is False
+        assert cached(filled) == list(CACHES) and cached(empty) == []
+        assert filled == empty and hash(filled) == hash(empty)
+        assert {filled: 1}[empty] == 1
+        assert filled != fresh(b)
+
+    @pytest.mark.parametrize("check", [are_lsesc, are_mols])
+    def test_order_mismatch_builds_no_index(self, check):
+        small, large = fresh(family(4)[0]), fresh(family(5)[0])
+        for first, second in ((small, large), (large, small)):
+            with pytest.raises(ValueError, match="order mismatch"):
+                check(first, second)
+        assert cached(small) == cached(large) == []
+
+    def test_conjugate_then_check_builds_each_index_once(self, monkeypatch):
+        built = []
+        real = latin._symbol_row_index
+
+        def counting(*args):
+            built.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(latin, "_symbol_row_index", counting)
+        squares = [fresh(s) for s in family(8)]
+        conjugates = [conjugate_lsesc_mols(s) for s in squares]
+        assert len(built) == 7
+        assert all(are_lsesc(a, b) for a, b in itertools.combinations(squares, 2))
+        assert len(built) == 7
+        assert [conjugate_lsesc_mols(c) for c in conjugates] == squares
 
 
 class TestCheckedFamily:
@@ -167,17 +256,20 @@ class TestClassicalTables:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FAMILY_SHA256[q]
 
     def test_field_calls_are_quadratic(self, monkeypatch):
-        calls = []
-        for name in ("field_add", "field_mul"):
+        calls = {"field_add": 0, "field_mul": 0}
+        for name in calls:
             real = getattr(latin, name)
 
-            def counting(*args, real=real):
-                calls.append(1)
+            def counting(*args, real=real, name=name):
+                calls[name] += 1
                 return real(*args)
 
             monkeypatch.setattr(latin, name, counting)
         classical_lsesc_set(9)
-        assert len(calls) == 9 * 9 + 8 * 9
+        # q^2 sums; products come from the powers of the first primitive
+        # element of GF(9) = F_3[x]/(x^2 + 1): 1, 2, x and 1 + x have orders
+        # 1, 2, 4 and 8, and an element of order d costs d - 1 products.
+        assert calls == {"field_add": 9 * 9, "field_mul": 0 + 1 + 3 + 7}
 
 
 class TestOrderCap:
