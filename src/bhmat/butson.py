@@ -37,6 +37,10 @@ from .errors import FormatError, PlanError, parse_decimals
 # n^2 = 4.2e6 cells.
 FOURIER_ORDER_CAP = 2**11
 
+# Largest root order verify takes, checked before the modulus Phi_m(2^W) is
+# built: a 2 x 2 matrix takes about 0.2 s at m = 4096 and 1.1 s at 8192.
+ROOT_ORDER_CAP = 2**12
+
 
 @dataclass(frozen=True)
 class ButsonMatrix:
@@ -125,7 +129,12 @@ def verify(b: ButsonMatrix) -> VerifyReport:
     """Exact check that all distinct row pairs and column pairs are orthogonal.
 
     The rows decide; the columns are scanned only when a row pair fails.
+    A root order past ROOT_ORDER_CAP raises PlanError before any work.
     """
+    if b.m > ROOT_ORDER_CAP:
+        raise PlanError(
+            f"root order {b.m} is past the root order cap {ROOT_ORDER_CAP}"
+        )
     bad_rows = _first_non_orthogonal(b.exponents, b.m)
     if bad_rows is None:
         return VerifyReport(ok=True)

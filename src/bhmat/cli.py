@@ -170,6 +170,9 @@ def cmd_lsesc(args: argparse.Namespace) -> int:
         print(f"wrote {len(conjugated)} conjugated squares to {args.output}")
         return 0
     # check
+    other = next((s.n for s in squares if s.n != squares[0].n), None)
+    if other is not None:
+        raise FormatError(f"squares of orders {squares[0].n} and {other} in one family")
     pairs = [
         (i, j) for i in range(len(squares)) for j in range(i + 1, len(squares))
     ]

@@ -3,11 +3,17 @@
 phi turns an order-n input into an order n(n-1) output using a complete
 LSESC family of order n-1.  psi turns an order-n input (n, m even, with the
 C1 row pair and a C2 witness cell) into an order n(n/2-1) output using a
-complete family of order n/2-1, inflated by a factor of two.
+complete family of order n/2-1.
+
+Both are one block rule (see _assemble): remove some rows of the x-source
+(phi's deleted row, psi's C1 pair), scale the column blocks by the first
+of them, and run c stacked copies of family-order rows through the
+family's slices: one copy for phi (the core), two for psi (C and D of
+T = [C; D]), so psi's inflation by I_2 is index arithmetic.
 
 Both accept an optional second input matrix: the first ("x-source") feeds
-the top Kronecker band and the deleted-row scalars, the second feeds the
-core or the extracted T.  With one input the same matrix plays both roles.
+the top Kronecker band and the scale row, the second feeds the core or the
+extracted T.  With one input the same matrix plays both roles.
 
 Both verify their inputs exactly as their first step, ahead of any plan
 check, and re-verify every output before it is returned; a construction
@@ -38,7 +44,6 @@ from .latin import (
     _symbol_row_index,
     _times,
     classical_tensor_set,
-    inflate,
 )
 
 # Largest phi or psi output order, checked once the inputs are verified and
@@ -92,17 +97,6 @@ def family_shape(kind: str, n: int) -> tuple[int, int]:
     return n // 2 - 1, n // 2 - 2
 
 
-def _check_output_order(kind: str, n: int) -> None:
-    """PlanError if phi's or psi's output on an order-n input, of order n
-    times the family order, is past OUTPUT_ORDER_CAP."""
-    order = n * family_shape(kind, n)[0]
-    if order > OUTPUT_ORDER_CAP:
-        raise PlanError(
-            f"{kind} output of order {order} has {order * order} cells; "
-            f"the output order cap is {OUTPUT_ORDER_CAP}"
-        )
-
-
 def _require_verified(b: ButsonMatrix, label: str) -> None:
     report = verify(b)
     if not report.ok:
@@ -126,11 +120,18 @@ def _x_source(h: ButsonMatrix, g: ButsonMatrix | None) -> ButsonMatrix:
 
 
 def _checked_family(tensors: Sequence[LatinTensor], kind: str, n: int) -> None:
-    """PlanError unless the tensors are a complete LSESC family for phi or
-    psi on an order-n input.  Slice k of a cubic tensor is column k of its
-    square with 0-based symbols, so each square's symbol-row index is built
-    once from the slices and every pair runs are_lsesc's test on them."""
+    """PlanError if phi's or psi's output on an order-n input, of order n
+    times the family order, is past OUTPUT_ORDER_CAP, or unless the tensors
+    are a complete LSESC family for it.  Slice k of a cubic tensor is
+    column k of its square with 0-based symbols, so each square's
+    symbol-row index is built once from the slices and every pair runs
+    are_lsesc's test on them."""
     order, count = family_shape(kind, n)
+    if n * order > OUTPUT_ORDER_CAP:
+        raise PlanError(
+            f"{kind} output of order {n * order} has {(n * order) ** 2} cells; "
+            f"the output order cap is {OUTPUT_ORDER_CAP}"
+        )
     if len(tensors) != count:
         raise PlanError(
             f"need a complete LSESC set of order {order} ({count} squares), "
@@ -147,64 +148,60 @@ def _checked_family(tensors: Sequence[LatinTensor], kind: str, n: int) -> None:
 
 
 def _assemble(
-    m: int,
-    band: Sequence[Sequence[int]],
+    kind: str,
+    src: ButsonMatrix,
+    removed: Sequence[int],
     rows: Sequence[Sequence[int]],
-    lead_offsets: Sequence[int],
-    slices: Sequence[Sequence[Sequence[int]]],
-    shifts: Sequence[Sequence[int]],
+    tensors: Sequence[LatinTensor],
 ) -> ButsonMatrix:
-    """The block layout [B0; B] that phi and psi share.
+    """The block layout [B0; B] that phi and psi share, verified.
 
-    B0 is band with every entry repeated once per block row.  B has
-    len(slices)+1 block rows of height len(lead_offsets).  In block row k,
-    row r leads with rows[k + lead_offsets[r]]; column block j >= 1 takes
-    rows[slices[k-1][j-1][r]], or rows[r] when k = 0.  Column block j is
-    shifted position by position by shifts[j], modulo m.
+    With size = len(tensors) + 1, B0 is the x-source src less its 1-based
+    removed rows, every entry repeated size times.  rows holds c =
+    len(rows) // size stacked copies of size rows each.  B has size block
+    rows of c * size rows: row c' * size + i of block row k leads with
+    rows[c' * size + k], and column block j >= 1 continues with
+    rows[c' * size + X(i)], X being slice j - 1 of tensor k - 1 (the
+    identity when k = 0).  Position p of column block j is shifted by
+    x[j * c + p // size], x being the first removed row, modulo m.
     """
-    repeat = len(slices) + 1
-    out = [tuple(v for v in row for _ in range(repeat)) for row in band]
-    shifted = [
-        [tuple((v + s) % m for v, s in zip(row, shift)) for row in rows]
-        for shift in shifts
+    m, size = src.m, len(tensors) + 1
+    copies = len(rows) // size
+    x = src.exponents[removed[0] - 1]
+    out = [
+        tuple(v for v in row for _ in range(size))
+        for i, row in enumerate(src.exponents, 1)
+        if i not in removed
     ]
-    identity = [range(len(lead_offsets))] * (len(shifts) - 1)
-    for k, images in enumerate(chain([identity], slices)):
-        for r, offset in enumerate(lead_offsets):
-            parts = [shifted[0][k + offset]]
-            parts.extend(shifted[j][image[r]] for j, image in enumerate(images, 1))
-            out.append(tuple(chain.from_iterable(parts)))
-    return ButsonMatrix(m, len(out), tuple(out))
+    scaled = []
+    for j in range(size + 1):
+        shift = [x[j * copies + p // size] for p in range(copies * size)]
+        scaled.append([tuple((v + s) % m for v, s in zip(row, shift)) for row in rows])
+    identity = (range(size),) * size
+    for k, images in enumerate(chain([identity], (t.slices for t in tensors))):
+        for base in range(0, copies * size, size):
+            for i in range(size):
+                parts = [scaled[0][base + k]]
+                parts.extend(scaled[j][base + image[i]] for j, image in enumerate(images, 1))
+                out.append(tuple(chain.from_iterable(parts)))
+    result = ButsonMatrix(m, len(out), tuple(out))
+    _require_verified(result, f"{kind} output")
+    return result
 
 
 def phi(plan: PhiPlan) -> ButsonMatrix:
     """Assemble the order n(n-1) matrix [B0; B] from an order-n input.
 
-    B0 is the x-source minus its deleted row, Kronecker-expanded by the
-    all-ones row of width n-1.  B has n-1 block rows; block row k leads
-    with core row k+1 and continues with the core rows permuted by the
-    k-th tensor's frontal slices (block row 0 uses identity slices).
-    Column block j is scaled throughout by the j-th deleted-row entry.
+    The removed row is the deleted row of the x-source, and it scales the
+    n column blocks; rows is one copy of H's core, so block row k leads
+    with core row k+1 and runs the core through the k-th tensor's slices
+    (block row 0 through identity slices).
     """
     src = _x_source(plan.h, plan.g)
-    n = src.n
-    _check_output_order("phi", n)
-    _checked_family(plan.tensors, "phi", n)
-    if not 1 <= plan.deleted_row <= n:
-        raise PlanError(f"deleted row {plan.deleted_row} out of range 1..{n}")
-
-    dropped = plan.deleted_row - 1
-    band = src.exponents[:dropped] + src.exponents[dropped + 1 :]
-    out = _assemble(
-        src.m,
-        band,
-        core(plan.h),
-        (0,) * (n - 1),
-        [t.slices for t in plan.tensors],
-        [(v,) * (n - 1) for v in src.exponents[dropped]],
-    )
-    _require_verified(out, "phi output")
-    return out
+    _checked_family(plan.tensors, "phi", src.n)
+    if not 1 <= plan.deleted_row <= src.n:
+        raise PlanError(f"deleted row {plan.deleted_row} out of range 1..{src.n}")
+    return _assemble("phi", src, (plan.deleted_row,), core(plan.h), plan.tensors)
 
 
 def check_t_properties(ext: TExtraction, m: int) -> None:
@@ -266,34 +263,18 @@ def resolve_psi(plan: PsiPlan) -> PsiPlan:
 def psi(plan: PsiPlan) -> ButsonMatrix:
     """Assemble the order n(n/2-1) matrix [B0; B] from an order-n input.
 
-    B0 is the x-source minus the two C1 rows, Kronecker-expanded by width
-    n/2-1.  B has n/2-1 block rows of height n-2: the leading block stacks
-    copies of T's rows k+1 (C rows on top, D rows below), the trailing
-    blocks run T through the doubled tensor slices.  The left/right halves
-    of every block are scaled by consecutive entries of the first C1 row.
+    The removed rows are the C1 pair of the x-source, and the first of
+    them scales the column blocks: the left half of each (under T1) by one
+    entry, the right half by the next.  rows is T = [C; D], two copies of
+    n/2-1 rows, so block row k leads with C's row k+1 over D's row k+1 and
+    runs C and D each through the k-th tensor's slices.
     """
     src = _x_source(plan.h, plan.g)
-    _check_output_order("psi", src.n)
     _checked_family(plan.tensors, "psi", src.n)
     resolved = resolve_psi(plan)
     ext = extract_t(plan.h, resolved.c2_cell)
     check_t_properties(ext, src.m)
-
-    band = tuple(
-        row for i, row in enumerate(src.exponents, 1) if i not in resolved.c1_pair
-    )
-    x = src.exponents[resolved.c1_pair[0] - 1]
-    split = ext.split
-    out = _assemble(
-        src.m,
-        band,
-        ext.t,
-        (0,) * split + (split,) * split,
-        [inflate(t, 2).slices for t in plan.tensors],
-        [(x[2 * j],) * split + (x[2 * j + 1],) * split for j in range(split + 1)],
-    )
-    _require_verified(out, "psi output")
-    return out
+    return _assemble("psi", src, resolved.c1_pair, ext.t, plan.tensors)
 
 
 def halving_family(r: int) -> ButsonMatrix:

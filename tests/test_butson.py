@@ -65,6 +65,24 @@ class TestVerify:
     def test_example2_output_is_butson(self):
         assert verify(ButsonMatrix(6, 12, EXAMPLE2_PSI_F6)).ok
 
+    def test_root_order_cap(self, monkeypatch):
+        assert butson.FOURIER_ORDER_CAP <= butson.ROOT_ORDER_CAP == 2**12
+
+        def refuse(*args):
+            raise AssertionError("layout built past the cap")
+
+        monkeypatch.setattr(butson, "_layout", refuse)
+        for m in (2**12 + 1, 10**6):
+            b = ButsonMatrix(m, 2, ((0, 0), (0, m // 2)))
+            with pytest.raises(PlanError, match=f"root order {m} is past the root order cap 4096"):
+                verify(b)
+
+    def test_root_order_at_the_cap_is_verified(self, monkeypatch):
+        monkeypatch.setattr(butson, "ROOT_ORDER_CAP", 6)
+        assert verify(fourier(6)).ok
+        with pytest.raises(PlanError, match="root order 7"):
+            verify(fourier(7))
+
 
 class TestDephase:
     def test_fourier_already_dephased(self):

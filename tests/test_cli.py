@@ -11,14 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bhmat import butson, scarpis
+from bhmat import butson, latin, scarpis
 from bhmat.butson import ButsonMatrix, fourier, permute_columns, read_matrix, write_matrix
 from bhmat.cli import _parse_permutation, main
 from bhmat.errors import FormatError, PlanError
 from bhmat.latin import LatinSquare, classical_lsesc_set, dump_latin_set, read_latin_set
 
 from golden import EXAMPLE1_DEPHASED, EXAMPLE2_PSI_F6
-from oracles import are_lsesc_oracle, are_mols_oracle, verify_oracle
+from oracles import are_lsesc_oracle, verify_oracle
 
 
 def run(*argv):
@@ -118,6 +118,12 @@ class TestVerifyCommand:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert run("verify", tmp_path / "absent.json") == 3
+
+    def test_root_order_past_cap_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("BH 1000000 2\n0 0\n0 1\n")
+        assert run("verify", path) == 2
+        assert "root order 1000000 is past" in capsys.readouterr().err
 
 
 class TestConstructCommand:
@@ -320,6 +326,19 @@ class TestLsescCommand:
         stdout = capsys.readouterr().out
         assert "pairwise LSESC: yes" in stdout
 
+    def test_check_mixed_orders_exit_3_before_any_pair(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pair tested")
+
+        monkeypatch.setattr(latin, "are_lsesc", refuse)
+        monkeypatch.setattr(latin, "are_mols", refuse)
+        # the first pair is not LSESC: a pair-by-pair check would exit 1
+        path = tmp_path / "mixed.txt"
+        path.write_text("L 2\n1 2\n2 1\n\nL 2\n1 2\n2 1\n\nL 1\n1\n")
+        assert run("lsesc", "check", path) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "in one family" in err
+
     def test_check_failing_family(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("L 2\n1 2\n2 1\n\nL 2\n2 1\n1 2\n")
@@ -519,27 +538,17 @@ def expected_verify(path):
 
 
 def expected_lsesc_check(path):
-    """The exit code of `lsesc check`, which tests the pairs in order and
-    stops at the first failing pair: a pair of two orders reached before
-    that raises are_lsesc's or are_mols's order-mismatch ValueError, which
-    exits 2 (see TestParserFuzz)."""
+    """The exit code of `lsesc check`: 3 for a file that does not parse or
+    whose squares differ in order, else 0 or 1 as the LSESC oracle
+    decides."""
     try:
         squares = read_latin_set(path)
     except FormatError:
         return 3
-
-    def verdict(oracle):
-        for a, b in itertools.combinations(squares, 2):
-            if a.n != b.n:
-                return None
-            if not oracle(a, b):
-                return False
-        return True
-
-    lsesc, mols = verdict(are_lsesc_oracle), verdict(are_mols_oracle)
-    if lsesc is None or mols is None:
-        return 2
-    return 0 if lsesc else 1
+    if len({square.n for square in squares}) > 1:
+        return 3
+    pairs = itertools.combinations(squares, 2)
+    return 0 if all(are_lsesc_oracle(a, b) for a, b in pairs) else 1
 
 
 @st.composite
@@ -596,8 +605,9 @@ def latin_square_lists(draw):
     return squares
 
 
-# Garbage keeps every number below 100: a well-formed matrix file with a
-# root order in the millions makes verify run for minutes (no cap on m).
+# Garbage keeps every number below 100, so that the pair-by-pair oracles
+# stay fast; a root order past butson.ROOT_ORDER_CAP exits 2 (see
+# TestVerifyCommand).
 SMALL_INTS = st.integers(-2, 99)
 TOKENS = st.sampled_from(
     ["BH", "L", "x", "-1", "+1", "1.0", "0_1", "٣", "{", "}", "[", "]", ",", '"m":']
@@ -643,10 +653,9 @@ FAMILY_TEXTS = lsesc_families().map(dump_latin_set)
 
 class TestParserFuzz:
     """Both parsers through the CLI: valid texts exit 0, garbage exits 0, 1
-    or 3 as the oracles decide, and nothing escapes main.  The one exit 2:
-    a family whose squares differ in order, once lsesc check reaches a pair
-    of two orders, whose order-mismatch ValueError main reports as a plan
-    error."""
+    or 3 as the oracles decide, and nothing escapes main.  A family whose
+    squares differ in order is malformed: exit 3 before any pair is
+    tested."""
 
     @settings(deadline=None)
     @given(butson_matrices(), st.sampled_from(["json", "text"]))
@@ -684,11 +693,11 @@ class TestParserFuzz:
         assert code == expected
         assert (err == "") == (code in (0, 1))
 
-    def test_mixed_orders_exit_2(self):
+    def test_mixed_orders_exit_3(self):
         text = "L 1\n1\n\nL 2\n1 2\n2 1\n"
         code, out, err, expected = run_on_text("lsesc check", text, expected_lsesc_check)
-        assert (code, out, err) == (2, "", "error: order mismatch: 1 vs 2\n")
-        assert expected == 2
+        assert (code, out, err) == (3, "", "error: squares of orders 1 and 2 in one family\n")
+        assert expected == 3
 
     @pytest.mark.parametrize(
         "text",

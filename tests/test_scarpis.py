@@ -12,7 +12,7 @@ from bhmat.butson import (
     permute_columns,
     verify,
 )
-from bhmat import scarpis
+from bhmat import latin, scarpis
 from bhmat.errors import PlanError, VerificationError
 from bhmat.latin import classical_tensor_set, encode
 from bhmat.scarpis import (
@@ -109,6 +109,15 @@ class TestPsi:
         out = psi(PsiPlan(h=fourier(6), tensors=tuple(classical_tensor_set(2))))
         assert out.exponents == EXAMPLE2_PSI_F6
         assert out.exponents[0] == (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5)
+
+    def test_no_inflate(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("inflate called")
+
+        monkeypatch.setattr(latin, "inflate", forbidden)
+        monkeypatch.setattr(scarpis, "inflate", forbidden, raising=False)
+        out = psi(PsiPlan(h=fourier(6), tensors=tuple(classical_tensor_set(2))))
+        assert out.exponents == EXAMPLE2_PSI_F6
 
     def test_resolve_fills_first_choices(self):
         resolved = resolve_psi(PsiPlan(h=fourier(6), tensors=tuple(classical_tensor_set(2))))
@@ -230,7 +239,8 @@ class TestHalvingFamily:
 class TestAssemblyDigests:
     """Outputs pinned by digest, beyond the two worked examples: a permuted
     two-input phi with an inner deleted row, a two-input psi on a later C1
-    pair, and the second halving_family member."""
+    pair, psi with the family's squares in reverse order, and the second
+    halving_family member."""
 
     def test_phi_two_inputs_inner_deleted_row(self):
         f9 = fourier(9)
@@ -251,6 +261,14 @@ class TestAssemblyDigests:
         assert (out.m, out.n) == (10, 40)
         assert matrix_digest(out) == (
             "sha256:47d93b1b73abc2e5ddcc714b36e24face6b475f67c185f6b2d775931cdf18716"
+        )
+
+    def test_psi_reversed_family(self):
+        tensors = tuple(reversed(classical_tensor_set(4)))
+        out = psi(PsiPlan(h=fourier(10), tensors=tensors))
+        assert (out.m, out.n) == (10, 40)
+        assert matrix_digest(out) == (
+            "sha256:2b2c0861eaa396bbd70dba77028153753781bac22fe98fa281f543e3119544f5"
         )
 
     def test_halving_family_r2(self):
