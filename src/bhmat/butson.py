@@ -27,6 +27,7 @@ import json
 import operator
 import os
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -63,12 +64,21 @@ class ButsonMatrix:
             raise ValueError(f"matrix order must be a positive int, got {self.n!r}")
         if len(rows) != self.n or any(len(row) != self.n for row in rows):
             raise ValueError(f"exponents must form an {self.n}x{self.n} array")
-        for row in rows:
-            for v in row:
-                if type(v) is not int:
-                    raise ValueError(f"exponent {v!r} is not an int")
-                if not (0 <= v < self.m):
-                    raise ValueError(f"exponent {v} out of range [0, {self.m})")
+        # The set of types first, so that the set of values only ever
+        # holds ints: True == 1 and 1.0 == 1 would merge with them.
+        if not (
+            set().union(*map(map, repeat(type), rows)) <= {int}
+            and 0 <= min(values := set().union(*rows))
+            and max(values) < self.m
+        ):
+            bad = next(
+                v
+                for v in chain.from_iterable(rows)
+                if type(v) is not int or not 0 <= v < self.m
+            )
+            if type(bad) is not int:
+                raise ValueError(f"exponent {bad!r} is not an int")
+            raise ValueError(f"exponent {bad} out of range [0, {self.m})")
 
     def column(self, j: int) -> tuple[int, ...]:
         """Column j (0-based) as an exponent row."""

@@ -70,8 +70,17 @@ def _load_family(source: str, order: int) -> tuple[list[latin.LatinTensor], dict
     if source == "classical":
         tensors = latin.classical_tensor_set(order)
         return tensors, {"source": "classical", "order": order}
-    squares = latin.read_latin_set(source)
+    squares = _read_family(source)
     return [latin.encode(square) for square in squares], {"source": "file", "path": source}
+
+
+def _read_family(path: str | Path) -> list[latin.LatinSquare]:
+    """The squares of a family file, all of one order, else FormatError."""
+    squares = latin.read_latin_set(path)
+    other = next((s.n for s in squares if s.n != squares[0].n), None)
+    if other is not None:
+        raise FormatError(f"squares of orders {squares[0].n} and {other} in one family")
+    return squares
 
 
 def _parse_permutation(text: str, n: int) -> list[int]:
@@ -163,21 +172,16 @@ def cmd_lsesc(args: argparse.Namespace) -> int:
         latin.write_latin_set(squares, args.output)
         print(f"wrote {len(squares)} squares of order {args.q} to {args.output}")
         return 0
-    squares = latin.read_latin_set(args.path)
     if args.action == "conjugate":
+        squares = latin.read_latin_set(args.path)
         conjugated = [latin.conjugate_lsesc_mols(square) for square in squares]
         latin.write_latin_set(conjugated, args.output)
         print(f"wrote {len(conjugated)} conjugated squares to {args.output}")
         return 0
     # check
-    other = next((s.n for s in squares if s.n != squares[0].n), None)
-    if other is not None:
-        raise FormatError(f"squares of orders {squares[0].n} and {other} in one family")
-    pairs = [
-        (i, j) for i in range(len(squares)) for j in range(i + 1, len(squares))
-    ]
-    lsesc_ok = all(latin.are_lsesc(squares[i], squares[j]) for i, j in pairs)
-    mols_ok = all(latin.are_mols(squares[i], squares[j]) for i, j in pairs)
+    squares = _read_family(args.path)
+    lsesc_ok = latin.first_non_lsesc_pair(squares) is None
+    mols_ok = latin.first_non_mols_pair(squares) is None
     print(f"squares: {len(squares)}, order {squares[0].n}")
     print(f"pairwise LSESC: {'yes' if lsesc_ok else 'no'}")
     print(f"pairwise MOLS: {'yes' if mols_ok else 'no'}")

@@ -7,6 +7,13 @@ into mutually orthogonal Latin squares and back, so both notions are
 decided by one test: two squares are MOLS when the n^2 cell pairs are
 distinct, and LSESC when their conjugates are MOLS.
 
+A whole family is decided in one packed pass (first_non_lsesc_pair,
+first_non_mols_pair): row r of A meets every row of B exactly once iff
+sum_k 2^(row of B holding A[r][k] in column k) = 2^n - 1.  Every square B
+of a tile gets its own byte-aligned slot of n + n.bit_length() bits, which
+holds the largest such sum, n 2^(n-1), so one integer sum per row of A
+tests it against the whole tile.
+
 Squares always use the symbol set {1..n}.  The classical complete families
 come from GF(q): the square for a nonzero field element b has cell (i, j)
 equal to the enumeration index of x_i + b*x_j, read off the field's addition
@@ -19,7 +26,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
-from operator import add
+from operator import add, getitem
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -163,6 +170,105 @@ def _pairs_distinct(n: int, scaled: Iterable[int], plain: Iterable[int]) -> bool
     n consecutive ints, so the codes are distinct exactly when the pairs
     (x, y) are."""
     return len(set(map(add, scaled, plain))) == n * n
+
+
+def first_non_lsesc_pair(squares: Sequence[LatinSquare]) -> tuple[int, int] | None:
+    """The first pair (a, b), a < b, 1-based in lexicographic order, of
+    squares that are not LSESC, or None: row r of A meets every row of B
+    once iff the rows of B holding A's symbols, column by column, are
+    distinct (see _first_unmet_pair)."""
+    n = _common_order(squares)
+    return _first_unmet_pair(
+        [s.cells for s in squares], [s._symbol_rows for s in squares], n, 1, 0
+    )
+
+
+def first_non_mols_pair(squares: Sequence[LatinSquare]) -> tuple[int, int] | None:
+    """The first pair (a, b), a < b, 1-based in lexicographic order, of
+    squares that are not MOLS, or None: the cells of A holding symbol x,
+    one per column, must hold distinct symbols in B, for every x."""
+    n = _common_order(squares)
+    return _first_unmet_pair(
+        [[s._symbol_rows[x : x + n] for x in range(0, n * n, n)] for s in squares],
+        [tuple(chain.from_iterable(s.cells)) for s in squares],
+        n,
+        0,
+        1,
+    )
+
+
+def _common_order(squares: Sequence[LatinSquare]) -> int:
+    """The order all squares share (1 when there are none), else ValueError."""
+    n = squares[0].n if squares else 1
+    other = next((s.n for s in squares if s.n != n), None)
+    if other is not None:
+        raise ValueError(f"order mismatch: {n} vs {other}")
+    return n
+
+
+# Bytes of packed tables held at once by _first_unmet_pair.
+_TILE_BYTES = 1 << 19
+
+
+def _first_unmet_pair(
+    keys: Sequence[Sequence[Sequence[int]]],
+    exponents: Sequence[Sequence[int]],
+    n: int,
+    key_base: int,
+    exponent_base: int,
+) -> tuple[int, int] | None:
+    """The first pair (a, b), a < b, 1-based in lexicographic order, of a
+    family of order-n squares for which some row of keys[a] does not meet
+    b, or None.
+
+    keys[a] holds n rows of n keys, from key_base on, and square b holds
+    the exponent exponents[b][(v - key_base) n + k], from exponent_base
+    on, for key v in column k.  A row of keys meets b when the n exponents
+    e_k it picks out of b are distinct, that is when
+    sum_k 2^(e_k - exponent_base) = 2^n - 1: distinct powers below 2^n add
+    up to that number, and a repeat leaves fewer set bits.
+
+    Squares b are packed a tile at a time: columns[k][v] holds, in one
+    byte-aligned slot per square b of the tile, 2^(e - exponent_base) for
+    b's exponent e at key v in column k.  A slot sums n powers below 2^n,
+    at most n 2^(n-1) (a square against itself), so n + n.bit_length()
+    bits never carry into the next slot.  Each row of keys[a] is then one
+    sum over its columns; XORed with 2^n - 1 in every slot, it leaves
+    nonzero exactly the slots of the squares it does not meet, and the
+    lowest such slot above a is the first failing b.  Tiles run in order
+    of b and each is packed once; a failure at a leaves only the squares
+    before a to later tiles.
+    """
+    slot = (n + n.bit_length() + 7) // 8
+    bits = 8 * slot
+    assert n << (n - 1) < 1 << bits
+    unit = [b""] * exponent_base + [(1 << e).to_bytes(slot, "little") for e in range(n)]
+    full = ((1 << n) - 1).to_bytes(slot, "little")
+    tile = max(1, _TILE_BYTES // (n * n * slot))
+    count = len(keys)
+    best = None
+    for b0 in range(0, count, tile):
+        b1 = min(b0 + tile, count)
+        firsts = range(min(b1 - 1, count if best is None else best[0]))
+        if not firsts:
+            continue
+        table = [
+            int.from_bytes(b"".join(map(unit.__getitem__, values)), "little")
+            for values in zip(*exponents[b0:b1])
+        ]
+        columns = [[0] * key_base + table[k::n] for k in range(n)]
+        ones = int.from_bytes(full * (b1 - b0), "little")
+        for a in firsts:
+            unmet = 0
+            for row in keys[a]:
+                unmet |= sum(map(getitem, columns, row)) ^ ones
+            skip = max(b0, a + 1) - b0
+            unmet >>= bits * skip
+            if unmet:
+                lowest = (unmet & -unmet).bit_length() - 1
+                best = (a, b0 + skip + lowest // bits)
+                break  # later squares a of this tile come after (a, b)
+    return None if best is None else (best[0] + 1, best[1] + 1)
 
 
 def _times(n: int, values: Iterable[int]) -> array:

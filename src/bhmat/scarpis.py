@@ -40,9 +40,8 @@ from .butson import (
 from .errors import PlanError, VerificationError
 from .latin import (
     LatinTensor,
-    _pairs_distinct,
+    _first_unmet_pair,
     _symbol_row_index,
-    _times,
     classical_tensor_set,
 )
 
@@ -123,9 +122,9 @@ def _checked_family(tensors: Sequence[LatinTensor], kind: str, n: int) -> None:
     """PlanError if phi's or psi's output on an order-n input, of order n
     times the family order, is past OUTPUT_ORDER_CAP, or unless the tensors
     are a complete LSESC family for it.  Slice k of a cubic tensor is
-    column k of its square with 0-based symbols, so each square's
-    symbol-row index is built once from the slices and every pair runs
-    are_lsesc's test on them."""
+    column k of its square with 0-based symbols, so the rows of each
+    square and its symbol-row index come from the slices, and one packed
+    pass over the family names the first failing pair."""
     order, count = family_shape(kind, n)
     if n * order > OUTPUT_ORDER_CAP:
         raise PlanError(
@@ -140,11 +139,15 @@ def _checked_family(tensors: Sequence[LatinTensor], kind: str, n: int) -> None:
     for t in tensors:
         if t.n != order or t.size != order:
             raise PlanError(f"tensor of order {t.n} (size {t.size}); expected {order}")
-    rows = [_symbol_row_index(t.slices, order, 0) for t in tensors]
-    for i, scaled in enumerate(_times(order, r) for r in rows):
-        for j in range(i + 1, len(rows)):
-            if not _pairs_distinct(order, scaled, rows[j]):
-                raise PlanError(f"squares {i + 1} and {j + 1} are not LSESC")
+    pair = _first_unmet_pair(
+        [tuple(zip(*t.slices)) for t in tensors],
+        [_symbol_row_index(t.slices, order, 0) for t in tensors],
+        order,
+        0,
+        0,
+    )
+    if pair is not None:
+        raise PlanError(f"squares {pair[0]} and {pair[1]} are not LSESC")
 
 
 def _assemble(

@@ -1,8 +1,8 @@
 """Test-only oracles: the polynomial root-of-unity sum test, the
-pair-by-pair verifier, the pair-by-pair T check, the cell-by-cell Latin
-test, the row-pair LSESC check, the symbol-pair MOLS check, brute-force
-Latin-square search, polynomial products and the floating-point value of
-a root-of-unity sum.
+pair-by-pair verifier, the pair-by-pair T check, the cell-by-cell exponent
+and Latin tests, the row-pair LSESC check, the symbol-pair MOLS check,
+brute-force Latin-square search, polynomial products and the
+floating-point value of a root-of-unity sum.
 
 None of these is used by the library; they give the tests independent
 expected values.
@@ -214,6 +214,17 @@ def check_t_oracle(ext: TExtraction, m: int) -> None:
     for i, d_row in enumerate(ext.d_rows):
         if not half_sums_ok(d_row, -1, 1):
             raise PlanError(f"row {i + 1} of D lacks the (-1, +1) half sums")
+
+
+def check_exponents_oracle(rows: Sequence[Sequence[object]], m: int) -> None:
+    """ButsonMatrix's exponent check cell by cell, rows in order: the first
+    cell that is not an int, or lies outside [0, m), raises ValueError."""
+    for row in rows:
+        for v in row:
+            if type(v) is not int:
+                raise ValueError(f"exponent {v!r} is not an int")
+            if not (0 <= v < m):
+                raise ValueError(f"exponent {v} out of range [0, {m})")
 
 
 def is_latin_oracle(cells: Sequence[Sequence[int]]) -> bool:

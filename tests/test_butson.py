@@ -25,7 +25,7 @@ from bhmat.errors import FormatError, PlanError
 from bhmat.scarpis import check_t_properties
 
 from golden import EXAMPLE2_PSI_F6, EXAMPLE2_T
-from oracles import dot_counts, exponent_counts, sum_equals
+from oracles import check_exponents_oracle, dot_counts, exponent_counts, sum_equals
 
 
 class TestFourier:
@@ -303,3 +303,50 @@ def test_self_column_dot_is_order(n):
     for j in range(n):
         col = b.column(j)
         assert sum_equals(dot_counts(col, col, b.m), n)
+
+
+# Cells that are not valid exponents: bools and floats equal to valid
+# ints, negative and out-of-range ints, and values that are not numbers.
+ODD_CELLS = st.one_of(
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, 2.5, float("nan"), None, "1", (0,), [0]]),
+    st.integers(-3, 12),
+)
+
+
+class TestValidationAgainstOracle:
+    """ButsonMatrix's set-based exponent check names the same first
+    offender, with the same message, as the cell-by-cell scan."""
+
+    @given(st.data())
+    def test_first_offender(self, data):
+        m, n = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 5))
+        valid = st.integers(0, m - 1)
+        cells = st.one_of(valid, ODD_CELLS) if data.draw(st.booleans()) else valid
+        rows = tuple(tuple(data.draw(cells) for _ in range(n)) for _ in range(n))
+        try:
+            check_exponents_oracle(rows, m)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                ButsonMatrix(m, n, rows)
+            assert str(info.value) == str(exc)
+        else:
+            assert ButsonMatrix(m, n, rows).exponents == rows
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            (True, "exponent True is not an int"),
+            (1.0, "exponent 1.0 is not an int"),
+            (-1, "exponent -1 out of range [0, 3)"),
+            (3, "exponent 3 out of range [0, 3)"),
+            ([0], "exponent [0] is not an int"),
+        ],
+    )
+    def test_offender_after_its_equal_int(self, cell, message):
+        # an int equal to the offender comes first, so a set of values
+        # alone would merge the two
+        rows = ((0, 1, 2), (2, cell, 1), (1, 2, 0))
+        with pytest.raises(ValueError) as info:
+            ButsonMatrix(3, 3, rows)
+        assert str(info.value) == message

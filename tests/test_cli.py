@@ -187,6 +187,21 @@ class TestConstructCommand:
         run("fourier", 5, src)
         assert run("construct", "phi", src, "-o", tmp_path / "x.json", "--lsesc", family) == 2
 
+    def test_lsesc_file_mixed_orders_exit_3(self, tmp_path, capsys):
+        # the order-3 square fits phi on F_4; the order-2 one makes the
+        # file malformed, as `lsesc check` says too
+        mixed = tmp_path / "m.txt"
+        mixed.write_text("L 3\n1 2 3\n2 3 1\n3 1 2\n\nL 2\n1 2\n2 1\n")
+        src, out = tmp_path / "f4.json", tmp_path / "o.json"
+        run("fourier", 4, src)
+        capsys.readouterr()
+        message = "error: squares of orders 3 and 2 in one family\n"
+        assert run("construct", "phi", src, "-o", out, "--lsesc", mixed) == 3
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+        assert run("lsesc", "check", mixed) == 3
+        assert capsys.readouterr() == ("", message)
+
     def test_unavailable_classical_family(self, tmp_path):
         src = tmp_path / "f7.json"
         run("fourier", 7, src)
@@ -330,8 +345,8 @@ class TestLsescCommand:
         def refuse(*args):
             raise AssertionError("pair tested")
 
-        monkeypatch.setattr(latin, "are_lsesc", refuse)
-        monkeypatch.setattr(latin, "are_mols", refuse)
+        for name in ("are_lsesc", "are_mols", "first_non_lsesc_pair", "first_non_mols_pair"):
+            monkeypatch.setattr(latin, name, refuse)
         # the first pair is not LSESC: a pair-by-pair check would exit 1
         path = tmp_path / "mixed.txt"
         path.write_text("L 2\n1 2\n2 1\n\nL 2\n1 2\n2 1\n\nL 1\n1\n")

@@ -1,7 +1,7 @@
 """The LSESC and MOLS checks (one distinct-pairs test on cached symbol-row
-indexes or on cells) against the row-pair and symbol-pair oracles, the
-table-built classical families against their pinned texts, and the
-family order cap.
+indexes or on cells, and one packed power-sum pass per family) against
+the row-pair and symbol-pair oracles, the table-built classical families
+against their pinned texts, and the family order cap.
 """
 
 import hashlib
@@ -247,6 +247,162 @@ class TestCheckedFamily:
         monkeypatch.setattr(latin, "reconstruct", forbidden)
         monkeypatch.setattr(scarpis, "reconstruct", forbidden, raising=False)
         scarpis._checked_family(classical_tensor_set(8), "phi", 9)
+
+
+def first_failing(check, squares):
+    """The first pair (a, b), a < b, 1-based in lexicographic order, that
+    check rejects, tested pair by pair."""
+    pairs = itertools.combinations(range(len(squares)), 2)
+    return next(((a + 1, b + 1) for a, b in pairs if not check(squares[a], squares[b])), None)
+
+
+def tile_budget(n, squares):
+    """A _TILE_BYTES that packs exactly that many order-n squares a tile."""
+    slot = (n + n.bit_length() + 7) // 8
+    assert n << (n - 1) < 1 << 8 * slot  # a square against itself fits
+    return squares * n * n * slot
+
+
+def assert_family_agrees(squares, tile=None, oracle=True):
+    """The packed family checks, and phi/psi's check on the slices, name
+    the pair that are_lsesc and are_mols (and their oracles) reject first;
+    tile, if given, is the number of squares packed at a time."""
+    n = squares[0].n
+    budget = latin._TILE_BYTES if tile is None else tile_budget(n, tile)
+    lsesc = first_failing(are_lsesc, squares)
+    mols = first_failing(are_mols, squares)
+    if oracle:
+        assert first_failing(are_lsesc_oracle, squares) == lsesc
+        assert first_failing(are_mols_oracle, squares) == mols
+    tensors = [encode(s) for s in squares]
+    shape = (n, len(squares))
+    with mock.patch.object(latin, "_TILE_BYTES", budget), mock.patch.object(
+        scarpis, "family_shape", lambda kind, k: shape
+    ):
+        assert latin.first_non_lsesc_pair(squares) == lsesc
+        assert latin.first_non_mols_pair(squares) == mols
+        if lsesc is None:
+            scarpis._checked_family(tensors, "phi", 0)
+        else:
+            with pytest.raises(PlanError) as info:
+                scarpis._checked_family(tensors, "phi", 0)
+            assert str(info.value) == "squares %d and %d are not LSESC" % lsesc
+    return lsesc, mols
+
+
+def exchange_columns(square, j, j2):
+    cells = [list(row) for row in square.cells]
+    for row in cells:
+        row[j], row[j2] = row[j2], row[j]
+    return LatinSquare(square.n, tuple(map(tuple, cells)))
+
+
+TILES = [None, 1, 2]
+
+
+class TestFamilyKernel:
+    """first_non_lsesc_pair, first_non_mols_pair and _checked_family
+    against are_lsesc, are_mols and the oracles taken pair by pair, at the
+    default tile and at tiles of one and of two squares."""
+
+    @pytest.mark.parametrize("tile", TILES)
+    @pytest.mark.parametrize("q", ORDERS)
+    def test_classical_families(self, q, tile):
+        assert assert_family_agrees(list(family(q)), tile) == (None, None)
+
+    @pytest.mark.parametrize("tile", TILES)
+    @pytest.mark.parametrize("q", [3, 4, 5, 8])
+    def test_family_then_its_conjugates(self, q, tile):
+        squares = list(family(q)) + [conjugate_lsesc_mols(s) for s in family(q)]
+        assert assert_family_agrees(squares, tile) != (None, None)
+
+    @pytest.mark.parametrize("tile", TILES)
+    def test_one_square_and_order_one(self, tile):
+        assert assert_family_agrees([family(5)[2]], tile) == (None, None)
+        one = LatinSquare(1, ((1,),))
+        assert assert_family_agrees([one], tile) == (None, None)
+        # order-1 rows meet in their one column, and (1, 1) is every pair
+        assert assert_family_agrees([one] * 4, tile) == (None, None)
+
+    @given(st.data())
+    def test_modified_families(self, data):
+        q = data.draw(st.sampled_from([3, 4, 5, 7, 8, 9, 16]))
+        squares = list(family(q))
+        for _ in range(data.draw(st.integers(1, 2))):
+            index = data.draw(st.integers(0, q - 2))
+            square = squares[index]
+            # intercalates are listed for the classical squares only
+            classical = q % 2 == 0 and square is family(q)[index]
+            kinds = ["columns", "repeat", "rows", "symbols"] + ["intercalate"] * classical
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "intercalate":
+                swap = data.draw(st.sampled_from(intercalates(q, index)))
+                squares[index] = swapped(square, *swap)
+            elif kind == "columns":
+                j, j2 = data.draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True))
+                squares[index] = exchange_columns(square, j, j2)
+            elif kind == "repeat":
+                squares[data.draw(st.integers(0, q - 2))] = square
+            else:
+                perm = data.draw(st.permutations(range(q)))
+                same = list(range(q))
+                args = (perm, same, same) if kind == "rows" else (same, same, perm)
+                # moving rows keeps LSESC and breaks MOLS; symbols the reverse
+                squares[index] = isotope(square, *args)
+        assert_family_agrees(squares, data.draw(st.sampled_from(TILES)))
+
+    def test_repeat_in_every_tile_position(self):
+        squares = list(family(9))
+        for b in range(1, 8):
+            for a in range(b):
+                copy = squares[:b] + [squares[a]] + squares[b + 1 :]
+                for tile in TILES:
+                    assert assert_family_agrees(copy, tile) == ((a + 1, b + 1),) * 2
+
+    def test_several_default_tiles(self):
+        # q = 64 packs 14 squares a tile; the swapped last square is
+        # reached in the fifth
+        q = 64
+        squares = classical_lsesc_set(q)
+        assert 1 < latin._TILE_BYTES // tile_budget(q, 1) < q - 2
+        c = squares[-1].cells
+        swap = next(
+            (0, i2, j, j2)
+            for i2 in range(1, q)
+            for j, j2 in itertools.combinations(range(q), 2)
+            if c[0][j] == c[i2][j2] and c[0][j2] == c[i2][j]
+        )
+        squares[-1] = swapped(squares[-1], *swap)
+        lsesc, mols = assert_family_agrees(squares, oracle=False)
+        assert lsesc is not None and lsesc[1] == q - 1
+
+    def test_order_mismatch(self):
+        for check in (latin.first_non_lsesc_pair, latin.first_non_mols_pair):
+            with pytest.raises(ValueError, match="order mismatch: 4 vs 5"):
+                check([family(4)[0], family(5)[0]])
+            assert check([]) is None
+
+    def test_no_pair_by_pair_calls(self, monkeypatch, tmp_path):
+        calls = []
+
+        def refuse(*args):
+            raise AssertionError("pair tested")
+
+        kernel = latin._first_unmet_pair
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(latin, "_pairs_distinct", refuse)
+        monkeypatch.setattr(latin, "_first_unmet_pair", counting)
+        monkeypatch.setattr(scarpis, "_first_unmet_pair", counting)
+        path = tmp_path / "q8.txt"
+        latin.write_latin_set(family(8), path)
+        assert cli.main(["lsesc", "check", str(path)]) == 0
+        assert calls == [7, 7]  # LSESC, then MOLS, each one pass
+        scarpis._checked_family(classical_tensor_set(8), "phi", 9)
+        assert calls == [7, 7, 7]
 
 
 class TestClassicalTables:
