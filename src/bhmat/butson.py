@@ -25,13 +25,12 @@ import functools
 import hashlib
 import json
 import operator
-import os
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import FormatError, PlanError, parse_decimals
+from .errors import FormatError, PlanError, parse_decimals, read_text, write_text
 
 
 # Largest Fourier order, checked before any row is built: n = 2048 is
@@ -396,12 +395,8 @@ def permute_columns(b: ButsonMatrix, order: Sequence[int]) -> ButsonMatrix:
 # exactly.
 
 def matrix_digest(b: ButsonMatrix) -> str:
-    payload = _canonical_json({"m": b.m, "n": b.n, "exponents": _listify(b.exponents)})
+    payload = _canonical_json({"m": b.m, "n": b.n, "exponents": b.exponents})
     return "sha256:" + hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _listify(rows: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    return [list(row) for row in rows]
 
 
 def _canonical_json(obj: Any) -> str:
@@ -412,7 +407,7 @@ def dump_matrix(
     b: ButsonMatrix, fmt: str = "json", provenance: dict[str, Any] | None = None
 ) -> str:
     if fmt == "json":
-        doc: dict[str, Any] = {"m": b.m, "n": b.n, "exponents": _listify(b.exponents)}
+        doc: dict[str, Any] = {"m": b.m, "n": b.n, "exponents": b.exponents}
         if provenance is not None:
             doc["provenance"] = provenance
         return _canonical_json(doc) + "\n"
@@ -429,16 +424,18 @@ def write_matrix(
     fmt: str = "json",
     provenance: dict[str, Any] | None = None,
 ) -> None:
-    """Write b atomically: the text goes to a sibling temporary file, which
-    then replaces path, so a failed write never leaves a truncated file."""
-    text = dump_matrix(b, fmt, provenance)
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Write b atomically (see errors.write_text)."""
+    write_text(path, dump_matrix(b, fmt, provenance))
+
+
+def _without_repeated_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; json.loads alone would keep the last value
+    of a repeated key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in doc if keys.count(k) > 1)!r}")
+    return doc
 
 
 def parse_matrix(text: str) -> tuple[ButsonMatrix, dict[str, Any] | None]:
@@ -448,7 +445,7 @@ def parse_matrix(text: str) -> tuple[ButsonMatrix, dict[str, Any] | None]:
         raise FormatError("empty matrix file")
     if stripped.startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_without_repeated_keys)
         except (ValueError, RecursionError) as exc:
             # besides JSONDecodeError: an int past Python's digit limit
             # (ValueError) or arrays nested past the recursion limit
@@ -472,8 +469,4 @@ def parse_matrix(text: str) -> tuple[ButsonMatrix, dict[str, Any] | None]:
 
 
 def read_matrix(path: str | Path) -> tuple[ButsonMatrix, dict[str, Any] | None]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"matrix file is not UTF-8: {exc}") from exc
-    return parse_matrix(text)
+    return parse_matrix(read_text(path, "matrix"))

@@ -1,5 +1,8 @@
-"""Exception types shared across the library and the CLI, and the strict
-integer token check of the text parsers."""
+"""Exception types shared across the library and the CLI, the strict
+integer token check of the text parsers, and the one file reader and writer."""
+
+import os
+from pathlib import Path
 
 
 class FormatError(ValueError):
@@ -23,3 +26,24 @@ def parse_decimals(tokens: list[str]) -> tuple[int, ...]:
     if not (joined.isascii() and joined.isdigit()):
         raise FormatError(f"not all ASCII decimal integers: {' '.join(tokens)!r}")
     return tuple(map(int, tokens))
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The file's text, which must be UTF-8, else FormatError naming what."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} file is not UTF-8: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Atomic UTF-8 write: a sibling temporary file, then os.replace onto path."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
+    except OSError as exc:  # named after path, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(target)) from exc
+    finally:
+        tmp.unlink(missing_ok=True)

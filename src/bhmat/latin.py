@@ -25,12 +25,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, groupby
 from operator import add, getitem
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import FormatError, PlanError, parse_decimals
+from .errors import FormatError, PlanError, parse_decimals, read_text, write_text
 from .galois import (
     FieldElement,
     GaloisField,
@@ -150,18 +150,14 @@ def are_lsesc(first: LatinSquare, second: LatinSquare) -> bool:
     square paired with itself always fails: identical rows agree in every
     column.
     """
-    if first.n != second.n:
-        raise ValueError(f"order mismatch: {first.n} vs {second.n}")
-    return _pairs_distinct(first.n, first._symbol_rows_times_n, second._symbol_rows)
+    n = _common_order((first, second))
+    return _pairs_distinct(n, first._symbol_rows_times_n, second._symbol_rows)
 
 
 def are_mols(first: LatinSquare, second: LatinSquare) -> bool:
     """True iff superimposing the squares yields all n^2 ordered symbol pairs."""
-    if first.n != second.n:
-        raise ValueError(f"order mismatch: {first.n} vs {second.n}")
-    return _pairs_distinct(
-        first.n, first._cells_times_n, chain.from_iterable(second.cells)
-    )
+    n = _common_order((first, second))
+    return _pairs_distinct(n, first._cells_times_n, chain.from_iterable(second.cells))
 
 
 def _pairs_distinct(n: int, scaled: Iterable[int], plain: Iterable[int]) -> bool:
@@ -391,7 +387,7 @@ def reconstruct(tensor: LatinTensor) -> LatinSquare:
 
 
 def write_latin_set(squares: Sequence[LatinSquare], path: str | Path) -> None:
-    Path(path).write_text(dump_latin_set(squares), encoding="utf-8")
+    write_text(path, dump_latin_set(squares))
 
 
 def dump_latin_set(squares: Sequence[LatinSquare]) -> str:
@@ -404,20 +400,15 @@ def dump_latin_set(squares: Sequence[LatinSquare]) -> str:
 
 
 def read_latin_set(path: str | Path) -> list[LatinSquare]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"Latin-square file is not UTF-8: {exc}") from exc
-    return parse_latin_set(text)
+    return parse_latin_set(read_text(path, "Latin-square"))
 
 
 def parse_latin_set(text: str) -> list[LatinSquare]:
     squares = []
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for block in text.split("\n\n"):
-        lines = [line for line in block.splitlines() if line.strip()]
-        if not lines:
+    for blank, run in groupby(text.splitlines(), lambda line: not line.strip()):
+        if blank:
             continue
+        lines = list(run)
         header = lines[0].split()
         if len(header) != 2 or header[0] != "L":
             raise FormatError(f"expected 'L n' header, got {lines[0]!r}")

@@ -286,6 +286,13 @@ class TestFiles:
         with pytest.raises(FormatError):
             parse_matrix("BH 3 3\n0 0\n0 0\n0 0\n")
 
+    def test_repeated_json_key(self):
+        with pytest.raises(FormatError, match="repeated key 'm'"):
+            parse_matrix('{"m": 4, "n": 2, "exponents": [[0, 0], [0, 2]], "m": 8}')
+        text = dump_matrix(fourier(2), provenance={"plan": {"n": 2}})
+        with pytest.raises(FormatError, match="repeated key 'n'"):
+            parse_matrix(text.replace('{"n":2}', '{"n":2,"n":3}'))
+
 
 class TestValidation:
     def test_rejects_out_of_range_exponent(self):

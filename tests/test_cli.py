@@ -61,6 +61,16 @@ class TestFourierCommand:
         assert "order 5 has 25 cells" in capsys.readouterr().err
         assert run("fourier", 4, out) == 0
 
+    @pytest.mark.parametrize("name", ["missing/x.json", "directory"])
+    def test_failed_write_names_target(self, tmp_path, capsys, name):
+        (tmp_path / "directory").mkdir()
+        out = tmp_path / name
+        assert run("fourier", 4, out) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'{out}'" in captured.err and ".tmp" not in captured.err
+        assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
+
     def test_round_trip_bit_exact(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         assert run("fourier", 5, first) == 0
@@ -115,6 +125,13 @@ class TestVerifyCommand:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         assert run("verify", path) == 3
+
+    def test_repeated_json_key_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text('{"m": 4, "n": 2, "exponents": [[0, 0], [0, 2]], "m": 8}')
+        assert run("verify", path) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "repeated key 'm'" in captured.err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert run("verify", tmp_path / "absent.json") == 3
@@ -633,8 +650,8 @@ JUNK = st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isdigi
 @st.composite
 def token_soup(draw):
     lines = draw(st.lists(st.lists(TOKENS, max_size=6), max_size=8))
-    return "".join(" ".join(line) + draw(st.sampled_from(["\n", "\n\n", "\r\n", " "]))
-                   for line in lines)
+    ends = st.sampled_from(["\n", "\n\n", "\r\n", "\r", "\n \n", "\n\t\n", " "])
+    return "".join(" ".join(line) + draw(ends) for line in lines)
 
 
 @st.composite

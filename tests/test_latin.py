@@ -1,4 +1,8 @@
+import errno
 import itertools
+import os
+import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -409,6 +413,47 @@ class TestFiles:
         text = dump_latin_set(squares)
         assert parse_latin_set(text.replace("\n", "\r\n")) == squares
         assert parse_latin_set(text.replace("\n", "\r")) == squares
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("separator", [" ", "\t", " \t "])
+    def test_whitespace_separator_lines(self, end, separator):
+        squares = classical_lsesc_set(4)
+        text = dump_latin_set(squares).replace("\n\n", f"\n{separator}\n")
+        assert parse_latin_set(text.replace("\n", end)) == squares
+
+    def test_whitespace_line_inside_square_is_a_separator(self):
+        with pytest.raises(FormatError, match="order 2 needs 2 rows, got 1"):
+            parse_latin_set("L 2\n1 2\n \n2 1\n")
+
+    def test_failed_write_keeps_old_family(self, tmp_path, monkeypatch):
+        path = tmp_path / "set.txt"
+        write_latin_set(classical_lsesc_set(3), path)
+        old = path.read_bytes()
+        real = Path.write_text
+
+        def half_then_fail(self, text, *args, **kwargs):
+            real(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        with pytest.raises(OSError) as failure:
+            write_latin_set(classical_lsesc_set(4), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["set.txt"]
+        assert f"'{path}'" in str(failure.value)
+
+    def test_write_replaces_whole_file_with_umask_mode(self, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+        path = tmp_path / "set.txt"
+        path.write_text("a longer stale family than the squares themselves " * 20)
+        # a mode a new file would not get, which a write in place would keep
+        path.chmod(mode ^ 0o004)
+        write_latin_set([L2], path)
+        assert path.read_text() == dump_latin_set([L2])
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["set.txt"]
 
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
