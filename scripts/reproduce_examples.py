@@ -7,7 +7,7 @@ primitive m-th root of unity) together with the exact verification verdict.
 from bhmat import (
     PhiPlan,
     PsiPlan,
-    classical_tensor_set,
+    classical_lsesc_set,
     dephase,
     extract_t,
     find_c1_pairs,
@@ -27,9 +27,9 @@ def show(label, matrix):
 
 
 def main():
-    tensors2 = tuple(classical_tensor_set(2))
+    family2 = tuple(classical_lsesc_set(2))
 
-    out1 = phi(PhiPlan(h=fourier(3), tensors=tensors2))
+    out1 = phi(PhiPlan(h=fourier(3), tensors=family2))
     show("phi(F_3) raw", out1)
     show("phi(F_3) dephased", dephase(out1))
 
@@ -43,7 +43,7 @@ def main():
         print("  " + " ".join(f"{v:2d}" for v in row))
     print()
 
-    show("psi(F_6)", psi(PsiPlan(h=f6, tensors=tensors2)))
+    show("psi(F_6)", psi(PsiPlan(h=f6, tensors=family2)))
 
 
 if __name__ == "__main__":

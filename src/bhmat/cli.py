@@ -66,20 +66,19 @@ def _print_analysis(matrix: butson.ButsonMatrix) -> None:
         print(f"C2 cells: {listed}")
 
 
-def _load_family(source: str, order: int) -> tuple[list[latin.LatinTensor], dict[str, Any]]:
+def _load_family(source: str, order: int) -> tuple[list[latin.LatinSquare], dict[str, Any]]:
     if source == "classical":
-        tensors = latin.classical_tensor_set(order)
-        return tensors, {"source": "classical", "order": order}
-    squares = _read_family(source)
-    return [latin.encode(square) for square in squares], {"source": "file", "path": source}
+        return latin.classical_lsesc_set(order), {"source": "classical", "order": order}
+    return _read_family(source), {"source": "file", "path": source}
 
 
 def _read_family(path: str | Path) -> list[latin.LatinSquare]:
     """The squares of a family file, all of one order, else FormatError."""
     squares = latin.read_latin_set(path)
-    other = next((s.n for s in squares if s.n != squares[0].n), None)
-    if other is not None:
-        raise FormatError(f"squares of orders {squares[0].n} and {other} in one family")
+    try:
+        latin._common_order(squares)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
     return squares
 
 
@@ -94,6 +93,10 @@ def _parse_permutation(text: str, n: int) -> list[int]:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    foreign = {"phi": ("c1_pair", "c2_cell"), "psi": ("delete_row",)}[args.kind]
+    for name in foreign:
+        if getattr(args, name) is not None:
+            raise PlanError(f"--{name.replace('_', '-')} does not apply to {args.kind}")
     inputs = [str(p) for p in args.inputs]
     if not 1 <= len(inputs) <= 2:
         raise PlanError("construct takes one or two input matrices")
@@ -113,23 +116,21 @@ def cmd_construct(args: argparse.Namespace) -> int:
         pre_permuted = order
 
     family_order, _ = scarpis.family_shape(args.kind, h.n)
-    tensors, family_info = _load_family(args.lsesc, family_order)
+    squares, family_info = _load_family(args.lsesc, family_order)
 
     plan_info: dict[str, Any] = {"lsesc": family_info}
     if pre_permuted is not None:
         plan_info["pre_permuted_cols"] = pre_permuted
 
     if args.kind == "phi":
-        plan = scarpis.PhiPlan(
-            h=h, tensors=tuple(tensors), g=g, deleted_row=args.delete_row
-        )
-        result = scarpis.phi(plan)
-        plan_info["deleted_row"] = args.delete_row
-        plan_text = f"deleted row {args.delete_row}"
+        row = 1 if args.delete_row is None else args.delete_row
+        result = scarpis.phi(scarpis.PhiPlan(h=h, tensors=tuple(squares), g=g, deleted_row=row))
+        plan_info["deleted_row"] = row
+        plan_text = f"deleted row {row}"
     else:
         psi_plan = scarpis.PsiPlan(
             h=h,
-            tensors=tuple(tensors),
+            tensors=tuple(squares),
             g=g,
             c1_pair=tuple(args.c1_pair) if args.c1_pair else None,
             c2_cell=tuple(args.c2_cell) if args.c2_cell else None,
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("inputs", nargs="+", type=Path, metavar="INPUT")
     p_construct.add_argument("-o", "--output", required=True, type=Path)
     p_construct.add_argument("--format", choices=("json", "text"), default="json")
-    p_construct.add_argument("--delete-row", type=_decimal, default=1, metavar="T")
+    p_construct.add_argument("--delete-row", type=_decimal, default=None, metavar="T")
     p_construct.add_argument(
         "--c1-pair", type=_decimal, nargs=2, metavar=("T", "S"), default=None
     )

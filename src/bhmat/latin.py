@@ -1,4 +1,5 @@
-"""Latin squares, the LSESC and MOLS predicates, and tensor encodings.
+"""Latin squares, which are also the paper's cubic tensors, the LSESC and
+MOLS predicates, and inflated tensors.
 
 Two squares are eligible for the row-indexed construction ("LSESC") when
 every pair of rows, one from each square, agrees in exactly one column.
@@ -51,7 +52,8 @@ CLASSICAL_ORDER_CAP = 2**8
 class LatinSquare:
     """Order-n square over symbols {1..n}; validated on construction.
 
-    Entries must be ints (bools are rejected); nothing is coerced.
+    Entries must be ints (bools are rejected); nothing is coerced.  It is
+    its own cubic tensor: slices, size and row_images as in LatinTensor.
     """
 
     n: int
@@ -74,7 +76,7 @@ class LatinSquare:
         """The 0-based row holding symbol s in column k, at (s-1)*n + k:
         the cells of the conjugate square, less one, row by row.  Built on
         first use and kept; it is not a field, so == and hash ignore it."""
-        return _symbol_row_index(zip(*self.cells), self.n, 1)
+        return _symbol_row_index(zip(*self.cells), self.n)
 
     @cached_property
     def _symbol_rows_times_n(self) -> array:
@@ -86,15 +88,28 @@ class LatinSquare:
         """The cells row by row, each multiplied by n."""
         return _times(self.n, chain.from_iterable(self.cells))
 
+    @cached_property
+    def slices(self) -> tuple[tuple[int, ...], ...]:
+        """Frontal slice k sends row i to l_ik - 1: column k less one."""
+        return tuple(tuple(v - 1 for v in column) for column in zip(*self.cells))
+
+    @property
+    def size(self) -> int:
+        return self.n
+
+    def row_images(self, slice_index: int) -> tuple[int, ...]:
+        """0-based map i -> j of slice slice_index (1-based)."""
+        return self.slices[slice_index - 1]
+
 
 @dataclass(frozen=True)
 class LatinTensor:
     """Stack of n disjoint permutations (the frontal slices), as row images.
 
-    slices[k][i] is the 0-based image of row i under slice k.  For an
-    encoded square, slice k sends row i to l_ik - 1; inflated tensors keep
-    the same slice count but blow each slice up block-diagonally, so
-    slices may permute more than n rows.
+    slices[k][i] is the 0-based image of row i under slice k.  A cubic
+    tensor is a LatinSquare already; this class holds inflated and
+    hand-built ones.  Inflation keeps the slice count but blows each slice
+    up block-diagonally, so slices may permute more than n rows.
     """
 
     n: int
@@ -119,9 +134,7 @@ class LatinTensor:
     def size(self) -> int:
         return len(self.slices[0])
 
-    def row_images(self, slice_index: int) -> tuple[int, ...]:
-        """0-based map i -> j of slice slice_index (1-based)."""
-        return self.slices[slice_index - 1]
+    row_images = LatinSquare.row_images
 
 
 def is_latin(cells: Sequence[Sequence[int]]) -> bool:
@@ -198,7 +211,7 @@ def _common_order(squares: Sequence[LatinSquare]) -> int:
     n = squares[0].n if squares else 1
     other = next((s.n for s in squares if s.n != n), None)
     if other is not None:
-        raise ValueError(f"order mismatch: {n} vs {other}")
+        raise ValueError(f"squares of orders {n} and {other} in one family")
     return n
 
 
@@ -274,18 +287,16 @@ def _times(n: int, values: Iterable[int]) -> array:
     return array("I", map(n.__mul__, values))
 
 
-def _symbol_row_index(
-    columns: Iterable[Sequence[int]], n: int, first_symbol: int
-) -> tuple[int, ...]:
-    """The row i holding symbol s in column k, at (s - first_symbol)*n + k,
-    for n columns that each permute the n symbols from first_symbol on:
-    column k's inverse permutation fills positions k, k + n, k + 2n, ..."""
+def _symbol_row_index(columns: Iterable[Sequence[int]], n: int) -> tuple[int, ...]:
+    """The row i holding symbol s in column k, at (s - 1)*n + k, for n
+    columns that each permute the symbols 1..n: column k's inverse
+    permutation fills positions k, k + n, k + 2n, ..."""
     index = [0] * (n * n)
-    inverse = [0] * (first_symbol + n)
+    inverse = [0] * (n + 1)
     for k, column in enumerate(columns):
         for i, s in enumerate(column):
             inverse[s] = i
-        index[k::n] = inverse[first_symbol:]
+        index[k::n] = inverse[1:]
     return tuple(index)
 
 
@@ -351,19 +362,17 @@ def _primitive_powers(
     raise AssertionError("the multiplicative group of a finite field is cyclic")
 
 
-def classical_tensor_set(q: int) -> list[LatinTensor]:
-    return [encode(square) for square in classical_lsesc_set(q)]
+def classical_tensor_set(q: int) -> list[LatinSquare]:
+    return classical_lsesc_set(q)
 
 
-def encode(square: LatinSquare) -> LatinTensor:
-    """Tensor of frontal slices, one per column: slice k sends row i to l_ik - 1."""
-    n = square.n
-    return LatinTensor(
-        n, tuple(tuple(square.cells[i][k] - 1 for i in range(n)) for k in range(n))
-    )
+def encode(square: LatinSquare) -> LatinSquare:
+    """The cubic tensor of square, which is the square itself (see
+    LatinSquare.slices); kept for callers of the tensor form."""
+    return square
 
 
-def inflate(tensor: LatinTensor, m: int) -> LatinTensor:
+def inflate(tensor: LatinSquare | LatinTensor, m: int) -> LatinTensor:
     """Blow each frontal slice X_k up to the block diagonal I_m (x) X_k."""
     if m < 1:
         raise ValueError(f"inflation factor must be positive, got {m}")
@@ -377,7 +386,7 @@ def inflate(tensor: LatinTensor, m: int) -> LatinTensor:
     )
 
 
-def reconstruct(tensor: LatinTensor) -> LatinSquare:
+def reconstruct(tensor: LatinSquare | LatinTensor) -> LatinSquare:
     """Recover the square from a cubic tensor: cell (i, k) is the symbol slice k maps row i to."""
     if tensor.size != tensor.n:
         raise ValueError("only cubic (non-inflated) tensors encode a Latin square")

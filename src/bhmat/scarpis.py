@@ -8,8 +8,9 @@ complete family of order n/2-1.
 Both are one block rule (see _assemble): remove some rows of the x-source
 (phi's deleted row, psi's C1 pair), scale the column blocks by the first
 of them, and run c stacked copies of family-order rows through the
-family's slices: one copy for phi (the core), two for psi (C and D of
-T = [C; D]), so psi's inflation by I_2 is index arithmetic.
+family's slices (square columns less one): one copy for phi (the core),
+two for psi (C and D of T = [C; D]), so psi's inflation by I_2 is index
+arithmetic.
 
 Both accept an optional second input matrix: the first ("x-source") feeds
 the top Kronecker band and the scale row, the second feeds the core or the
@@ -38,12 +39,7 @@ from .butson import (
     verify,
 )
 from .errors import PlanError, VerificationError
-from .latin import (
-    LatinTensor,
-    _first_unmet_pair,
-    _symbol_row_index,
-    classical_tensor_set,
-)
+from .latin import LatinSquare, classical_lsesc_set, first_non_lsesc_pair
 
 # Largest phi or psi output order, checked once the inputs are verified and
 # before any block is built: psi on F_66 (r = 5) makes n = 2112.
@@ -52,11 +48,11 @@ OUTPUT_ORDER_CAP = 2**12
 
 @dataclass(frozen=True)
 class PhiPlan:
-    """Inputs for phi: matrix H, a complete LSESC tensor set of order n-1,
-    an optional x-source G, and which row of the x-source to delete."""
+    """Inputs for phi: matrix H, a complete LSESC family of order n-1, an
+    optional x-source G, and which row of the x-source to delete."""
 
     h: ButsonMatrix
-    tensors: tuple[LatinTensor, ...]
+    tensors: tuple[LatinSquare, ...]
     g: ButsonMatrix | None = None
     deleted_row: int = 1
 
@@ -69,7 +65,7 @@ class PsiPlan:
     """Inputs for psi; a None c1_pair or c2_cell means "first in scan order"."""
 
     h: ButsonMatrix
-    tensors: tuple[LatinTensor, ...]
+    tensors: tuple[LatinSquare, ...]
     g: ButsonMatrix | None = None
     c1_pair: tuple[int, int] | None = None
     c2_cell: tuple[int, int] | None = None
@@ -118,34 +114,27 @@ def _x_source(h: ButsonMatrix, g: ButsonMatrix | None) -> ButsonMatrix:
     return g
 
 
-def _checked_family(tensors: Sequence[LatinTensor], kind: str, n: int) -> None:
+def _checked_family(squares: Sequence[LatinSquare], kind: str, n: int) -> None:
     """PlanError if phi's or psi's output on an order-n input, of order n
-    times the family order, is past OUTPUT_ORDER_CAP, or unless the tensors
-    are a complete LSESC family for it.  Slice k of a cubic tensor is
-    column k of its square with 0-based symbols, so the rows of each
-    square and its symbol-row index come from the slices, and one packed
-    pass over the family names the first failing pair."""
+    times the family order, is past OUTPUT_ORDER_CAP, or unless squares
+    is a complete LSESC family for it: that many LatinSquares of the
+    family order, of which one packed pass on their cached symbol-row
+    indexes names the first failing pair."""
     order, count = family_shape(kind, n)
     if n * order > OUTPUT_ORDER_CAP:
         raise PlanError(
             f"{kind} output of order {n * order} has {(n * order) ** 2} cells; "
             f"the output order cap is {OUTPUT_ORDER_CAP}"
         )
-    if len(tensors) != count:
+    if len(squares) != count:
         raise PlanError(
             f"need a complete LSESC set of order {order} ({count} squares), "
-            f"got {len(tensors)}"
+            f"got {len(squares)}"
         )
-    for t in tensors:
-        if t.n != order or t.size != order:
-            raise PlanError(f"tensor of order {t.n} (size {t.size}); expected {order}")
-    pair = _first_unmet_pair(
-        [tuple(zip(*t.slices)) for t in tensors],
-        [_symbol_row_index(t.slices, order, 0) for t in tensors],
-        order,
-        0,
-        0,
-    )
+    for k, s in enumerate(squares, 1):
+        if not isinstance(s, LatinSquare) or s.n != order:
+            raise PlanError(f"family member {k} is not a Latin square of order {order}")
+    pair = first_non_lsesc_pair(squares)
     if pair is not None:
         raise PlanError(f"squares {pair[0]} and {pair[1]} are not LSESC")
 
@@ -155,20 +144,20 @@ def _assemble(
     src: ButsonMatrix,
     removed: Sequence[int],
     rows: Sequence[Sequence[int]],
-    tensors: Sequence[LatinTensor],
+    squares: Sequence[LatinSquare],
 ) -> ButsonMatrix:
     """The block layout [B0; B] that phi and psi share, verified.
 
-    With size = len(tensors) + 1, B0 is the x-source src less its 1-based
+    With size = len(squares) + 1, B0 is the x-source src less its 1-based
     removed rows, every entry repeated size times.  rows holds c =
     len(rows) // size stacked copies of size rows each.  B has size block
     rows of c * size rows: row c' * size + i of block row k leads with
     rows[c' * size + k], and column block j >= 1 continues with
-    rows[c' * size + X(i)], X being slice j - 1 of tensor k - 1 (the
+    rows[c' * size + X(i)], X being slice j - 1 of square k - 1 (the
     identity when k = 0).  Position p of column block j is shifted by
     x[j * c + p // size], x being the first removed row, modulo m.
     """
-    m, size = src.m, len(tensors) + 1
+    m, size = src.m, len(squares) + 1
     copies = len(rows) // size
     x = src.exponents[removed[0] - 1]
     out = [
@@ -181,7 +170,7 @@ def _assemble(
         shift = [x[j * copies + p // size] for p in range(copies * size)]
         scaled.append([tuple((v + s) % m for v, s in zip(row, shift)) for row in rows])
     identity = (range(size),) * size
-    for k, images in enumerate(chain([identity], (t.slices for t in tensors))):
+    for k, images in enumerate(chain([identity], (s.slices for s in squares))):
         for base in range(0, copies * size, size):
             for i in range(size):
                 parts = [scaled[0][base + k]]
@@ -197,7 +186,7 @@ def phi(plan: PhiPlan) -> ButsonMatrix:
 
     The removed row is the deleted row of the x-source, and it scales the
     n column blocks; rows is one copy of H's core, so block row k leads
-    with core row k+1 and runs the core through the k-th tensor's slices
+    with core row k+1 and runs the core through the k-th square's slices
     (block row 0 through identity slices).
     """
     src = _x_source(plan.h, plan.g)
@@ -270,7 +259,7 @@ def psi(plan: PsiPlan) -> ButsonMatrix:
     them scales the column blocks: the left half of each (under T1) by one
     entry, the right half by the next.  rows is T = [C; D], two copies of
     n/2-1 rows, so block row k leads with C's row k+1 over D's row k+1 and
-    runs C and D each through the k-th tensor's slices.
+    runs C and D each through the k-th square's slices.
     """
     src = _x_source(plan.h, plan.g)
     _checked_family(plan.tensors, "psi", src.n)
@@ -286,8 +275,8 @@ def halving_family(r: int) -> ButsonMatrix:
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     q = 2**r
-    tensors = tuple(classical_tensor_set(q))  # PlanError past the order cap
-    return psi(PsiPlan(h=fourier(2 * (q + 1)), tensors=tensors))
+    squares = tuple(classical_lsesc_set(q))  # PlanError past the order cap
+    return psi(PsiPlan(h=fourier(2 * (q + 1)), tensors=squares))
 
 
 def count_phi_outputs(mols_count: int, bh_count: int, n: int) -> int:

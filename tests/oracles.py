@@ -1,8 +1,9 @@
 """Test-only oracles: the polynomial root-of-unity sum test, the
 pair-by-pair verifier, the pair-by-pair T check, the cell-by-cell exponent
 and Latin tests, the row-pair LSESC check, the symbol-pair MOLS check,
-brute-force Latin-square search, polynomial products and the
-floating-point value of a root-of-unity sum.
+brute-force Latin-square search, polynomial products, the
+floating-point value of a root-of-unity sum, and reference parsers of the
+two file kinds.
 
 None of these is used by the library; they give the tests independent
 expected values.
@@ -11,10 +12,12 @@ expected values.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from pathlib import Path
+from typing import Any, Iterator, Sequence
 
 from bhmat.butson import ButsonMatrix, TExtraction, VerifyReport
 from bhmat.errors import PlanError
@@ -347,3 +350,117 @@ def exhaustive_complete_lsesc(n: int) -> list[LatinSquare] | None:
         return None
 
     return extend([], 0)
+
+
+# ---------------------------------------------------------------------------
+# Reference parsers, written from README's "File formats" rules with none
+# of bhmat's parsing code: no parse_decimals, and no validating ButsonMatrix
+# or LatinSquare.  Each returns the file's content, or None for a file that
+# the CLI must reject with exit 3.  Lines are those of str.splitlines, a
+# blank line is empty or whitespace-only, and tokens are separated by
+# whitespace.
+
+DIGITS = frozenset("0123456789")
+
+
+def _text(path: str | Path) -> str | None:
+    """The file's text, or None unless its bytes are UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def _decimals(tokens: Sequence[str]) -> list[int] | None:
+    """The tokens as ints if each is plain ASCII decimal digits, else None
+    (also for an int past Python's digit limit)."""
+    if not all(set(token) <= DIGITS for token in tokens):
+        return None
+    try:
+        return [int(token) for token in tokens]
+    except ValueError:
+        return None
+
+
+def _is_int(value: Any) -> bool:
+    return type(value) is int
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError("repeated key")
+    return dict(pairs)
+
+
+def reference_matrix(path: str | Path) -> tuple[int, int, list[list[int]]] | None:
+    """(m, n, rows) of a matrix file, or None.  A file whose first
+    non-whitespace character is '{' is a JSON object with no repeated key
+    in any object, holding int m >= 1, int n >= 1 and exponents, a list of
+    n lists of n ints in [0, m); other keys are free.  Any other non-blank
+    file is a 'BH m n' header line and n rows of n exponents; blank lines
+    are ignored."""
+    text = _text(path)
+    if text is None or not text.strip():
+        return None
+    if text.lstrip()[0] == "{":
+        try:
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError):
+            return None
+        m, n, rows = doc.get("m"), doc.get("n"), doc.get("exponents")
+    else:
+        lines = [line.split() for line in text.splitlines() if line.strip()]
+        if len(lines[0]) != 3 or lines[0][0] != "BH":
+            return None
+        numbers = [_decimals(tokens) for tokens in [lines[0][1:]] + lines[1:]]
+        if None in numbers:
+            return None
+        (m, n), rows = numbers[0], numbers[1:]
+    if not (_is_int(m) and _is_int(n) and m >= 1 and n >= 1):
+        return None
+    if not (isinstance(rows, list) and len(rows) == n):
+        return None
+    if not all(isinstance(row, list) and len(row) == n for row in rows):
+        return None
+    if not all(_is_int(v) and 0 <= v < m for row in rows for v in row):
+        return None
+    return m, n, rows
+
+
+def reference_latin_set(path: str | Path) -> list[list[list[int]]] | None:
+    """The squares of a family file, each as its rows, or None.  Squares
+    are the runs of non-blank lines, at least one: an 'L n' header, n >= 1,
+    then n rows in which every row and every column holds each of 1..n once.
+    Squares of different orders are left to the caller."""
+    text = _text(path)
+    if text is None:
+        return None
+    squares, run = [], []
+    for line in text.splitlines() + [""]:
+        if line.strip():
+            run.append(line.split())
+            continue
+        if run:
+            square = _reference_square(run)
+            if square is None:
+                return None
+            squares.append(square)
+            run = []
+    return squares or None
+
+
+def _reference_square(lines: list[list[str]]) -> list[list[int]] | None:
+    header = lines[0]
+    if len(header) != 2 or header[0] != "L":
+        return None
+    order = _decimals(header[1:])
+    if order is None or order[0] < 1 or len(lines) != order[0] + 1:
+        return None
+    rows = [_decimals(tokens) for tokens in lines[1:]]
+    symbols = list(range(1, order[0] + 1))
+    if None in rows or any(sorted(row) != symbols for row in rows):
+        return None
+    if any(sorted(column) != symbols for column in zip(*rows)):
+        return None
+    return rows

@@ -9,16 +9,21 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bhmat import butson, latin, scarpis
 from bhmat.butson import ButsonMatrix, fourier, permute_columns, read_matrix, write_matrix
 from bhmat.cli import _parse_permutation, main
-from bhmat.errors import FormatError, PlanError
+from bhmat.errors import PlanError
 from bhmat.latin import LatinSquare, classical_lsesc_set, dump_latin_set, read_latin_set
 
 from golden import EXAMPLE1_DEPHASED, EXAMPLE2_PSI_F6
-from oracles import are_lsesc_oracle, verify_oracle
+from oracles import (
+    are_lsesc_oracle,
+    reference_latin_set,
+    reference_matrix,
+    verify_oracle,
+)
 
 
 def run(*argv):
@@ -196,6 +201,38 @@ class TestConstructCommand:
         out = tmp_path / "bh20.json"
         assert run("construct", "phi", src, "-o", out, "--lsesc", family) == 0
         assert run("verify", out) == 0
+
+    def test_lsesc_file_builds_no_tensor(self, tmp_path, monkeypatch):
+        family, src = tmp_path / "family.txt", tmp_path / "f5.json"
+        run("lsesc", "classical", 4, family)
+        run("fourier", 5, src)
+
+        def forbidden(self):
+            raise AssertionError("LatinTensor built")
+
+        monkeypatch.setattr(latin.LatinTensor, "__post_init__", forbidden)
+        out = tmp_path / "bh20.json"
+        assert run("construct", "phi", src, "-o", out, "--lsesc", family) == 0
+        assert run("construct", "phi", src, "-o", tmp_path / "c.json") == 0
+        assert read_matrix(out)[0] == read_matrix(tmp_path / "c.json")[0]
+
+    @pytest.mark.parametrize(
+        "kind, option",
+        [
+            ("phi", ["--c1-pair", "1", "2"]),
+            ("phi", ["--c2-cell", "3", "3"]),
+            ("psi", ["--delete-row", "9"]),
+            ("psi", ["--delete-row", "1"]),
+        ],
+        ids=["phi-c1-pair", "phi-c2-cell", "psi-delete-row", "psi-delete-row-1"],
+    )
+    def test_option_of_the_other_construction(self, tmp_path, capsys, kind, option):
+        src, out = tmp_path / "f.json", tmp_path / "o.json"
+        run("fourier", 5 if kind == "phi" else 6, src)
+        capsys.readouterr()
+        assert run("construct", kind, src, "-o", out, *option) == 2
+        assert capsys.readouterr() == ("", f"error: {option[0]} does not apply to {kind}\n")
+        assert not out.exists()
 
     def test_lsesc_file_wrong_order(self, tmp_path):
         family = tmp_path / "family.txt"
@@ -562,23 +599,22 @@ def run_on_text(command, text, expect):
 
 
 def expected_verify(path):
-    try:
-        matrix, _ = read_matrix(path)
-    except FormatError:
+    """The exit code of `verify`: 3 for a file that the reference parser
+    rejects, else 0 or 1 as the pair-by-pair oracle decides."""
+    parsed = reference_matrix(path)
+    if parsed is None:
         return 3
-    return 0 if verify_oracle(matrix).ok else 1
+    return 0 if verify_oracle(ButsonMatrix(*parsed)).ok else 1
 
 
 def expected_lsesc_check(path):
-    """The exit code of `lsesc check`: 3 for a file that does not parse or
-    whose squares differ in order, else 0 or 1 as the LSESC oracle
-    decides."""
-    try:
-        squares = read_latin_set(path)
-    except FormatError:
+    """The exit code of `lsesc check`: 3 for a file that the reference
+    parser rejects or whose squares differ in order, else 0 or 1 as the
+    LSESC oracle decides."""
+    parsed = reference_latin_set(path)
+    if parsed is None or len({len(rows) for rows in parsed}) > 1:
         return 3
-    if len({square.n for square in squares}) > 1:
-        return 3
+    squares = [LatinSquare(len(rows), rows) for rows in parsed]
     pairs = itertools.combinations(squares, 2)
     return 0 if all(are_lsesc_oracle(a, b) for a, b in pairs) else 1
 
@@ -663,7 +699,7 @@ def one_edit(draw, texts):
     edit = draw(st.sampled_from(["delete", "replace", "insert", "cut"]))
     if edit == "cut":
         return text[:at]
-    chars = " \n" if edit == "insert" else " \n0123456789"
+    chars = " \n+" if edit == "insert" else " \n0123456789"
     char = draw(JUNK | st.sampled_from(chars))
     return text[:at] + (char if edit != "delete" else "") + text[at + (edit != "insert"):]
 
@@ -711,6 +747,8 @@ class TestParserFuzz:
 
     @settings(deadline=None)
     @given(st.one_of(token_soup(), one_edit(MATRIX_TEXTS), JSON_DOCS, one_edit(JSON_DOCS)))
+    @example("BH 2 1\n+1\n")
+    @example("BH 2 1\n\u0661\n")
     def test_verify_garbage(self, text):
         code, out, err, expected = run_on_text("verify", text, expected_verify)
         assert code == expected
@@ -720,6 +758,8 @@ class TestParserFuzz:
     @given(st.one_of(
         token_soup(), one_edit(FAMILY_TEXTS), latin_square_lists().map(dump_latin_set)
     ))
+    @example("L 1\n+1\n")
+    @example("L 1\n\u0661\n")
     def test_lsesc_check_garbage(self, text):
         code, out, err, expected = run_on_text("lsesc check", text, expected_lsesc_check)
         assert code == expected

@@ -316,8 +316,8 @@ class TestInflate:
         )
 
     def test_identity_inflation(self):
-        tensor = encode(CYCLIC3)
-        assert inflate(tensor, 1) == tensor
+        t = encode(CYCLIC3)
+        assert inflate(t, 1) == LatinTensor(t.n, t.slices)
 
     def test_slice_count_preserved(self):
         tensor = encode(CYCLIC3)

@@ -14,7 +14,7 @@ from bhmat.butson import (
 )
 from bhmat import latin, scarpis
 from bhmat.errors import PlanError, VerificationError
-from bhmat.latin import classical_tensor_set, encode
+from bhmat.latin import classical_lsesc_set, classical_tensor_set, encode, inflate
 from bhmat.scarpis import (
     PhiPlan,
     PsiPlan,
@@ -300,6 +300,50 @@ class TestHadamardSpecialisations:
         out = psi(PsiPlan(h=h8, tensors=tuple(classical_tensor_set(3))))
         assert (out.m, out.n) == (2, 24)
         assert all(v in (0, 1) for row in out.exponents for v in row)
+
+
+class TestSquaresAreTheTensors:
+    """phi and psi take the squares of the family themselves: they build
+    no LatinTensor, refuse one with a PlanError, and build each square's
+    symbol-row index at most once."""
+
+    def test_no_tensor_built(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("LatinTensor built")
+
+        monkeypatch.setattr(latin.LatinTensor, "__post_init__", forbidden)
+        out = halving_family(2)
+        assert (out.m, out.n) == (10, 40)
+        assert phi(PhiPlan(fourier(5), classical_tensor_set(4))).n == 20
+
+    @pytest.mark.parametrize("member", ["cubic tensor", "inflated tensor", "square of order 3"])
+    def test_member_not_a_square_of_the_order(self, member):
+        square = classical_lsesc_set(2)[0]
+        tensors = ({
+            "cubic tensor": inflate(square, 1),
+            "inflated tensor": inflate(square, 2),
+            "square of order 3": classical_lsesc_set(3)[0],
+        }[member],)
+        message = "family member 1 is not a Latin square of order 2"
+        with pytest.raises(PlanError, match=message):
+            phi(PhiPlan(h=fourier(3), tensors=tensors))
+        with pytest.raises(PlanError, match=message):
+            psi(PsiPlan(h=fourier(6), tensors=tensors))
+
+    def test_index_built_once(self, monkeypatch):
+        built = []
+        real = latin._symbol_row_index
+
+        def counting(*args):
+            built.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(latin, "_symbol_row_index", counting)
+        squares = classical_lsesc_set(4)
+        assert latin.first_non_lsesc_pair(squares) is None
+        assert len(built) == 3
+        assert phi(PhiPlan(h=fourier(5), tensors=tuple(squares))).n == 20
+        assert len(built) == 3
 
 
 class TestCounts:
