@@ -11,9 +11,14 @@ the pair is orthogonal exactly when Phi_m(w) divides c(w).  Row 1 is
 tested pair by pair, as a sum of residues w^e mod Phi_m(w); all pairs of
 each later row come out of one big-integer pass that packs every tile of
 rows once (see _first_non_orthogonal, which also decides psi's T check).
-The pass packs each row into a slot of residues mod Phi_m(w), about
-(2 phi(m) + 1)W bits wide where c(w) itself would need 2mW.  No floating
-point is involved in verification.
+The pass packs each row into a slot of one of two layouts, where c(w)
+itself would need 2mW bits: residues mod Phi_m(w), about (2 phi(m) + 1)W
+bits wide, or the cyclic difference histogram h(w) = c(w) mod (w^m - 1),
+m digits of W bits.  Phi_m(w) divides w^m - 1, so h(w) = c(w) mod
+Phi_m(w) too.  The narrower slot is taken, the residue one on a tie
+(see _layout): odd m and powers of two mostly pack histograms, so
+BH(17,272) takes 20 bytes a slot in place of 38, and other even m pack
+residues.  No floating point is involved in verification.
 
 Row and column indices in the public API are 1-based, matching the usual
 matrix convention.
@@ -30,7 +35,7 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import FormatError, PlanError, parse_decimals, read_text, write_text
+from .errors import FormatError, PlanError, parse_decimals, read_text, text_lines, write_text
 
 
 # Largest Fourier order, checked before any row is built: n = 2048 is
@@ -183,16 +188,33 @@ def _cyclotomic_value(m: int, w: int) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(m: int, n: int) -> tuple[int, int, int, int]:
-    """The packed layout of _first_non_orthogonal for n vectors of length n:
-    W and M = Phi_m(2^W) from _embedding, the slot of one row in bytes,
-    which holds n (M - 1)^2, and the number of combine steps e that are
-    shifts, those with w^e < M (all m of them when m is prime, where
-    M > w^(m-1))."""
+def _residue_layout(m: int, n: int) -> tuple[int, int]:
+    """The residue layout for n vectors of length n: the slot of one row
+    in bytes, which holds n (M - 1)^2, M = Phi_m(2^W), and the number of
+    combine steps e that are shifts, those with w^e < M (all m of them
+    when m is prime, where M > w^(m-1))."""
     width, modulus = _embedding(m, n)
     slot = ((n * (modulus - 1) ** 2).bit_length() + 7) // 8
     shifts = sum(1 << width * e < modulus for e in range(m))
-    return width, modulus, slot, shifts
+    return slot, shifts
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(m: int, n: int) -> tuple[int, int, int, bool]:
+    """The packed layout of _first_non_orthogonal for n vectors of length
+    n: W and M = Phi_m(2^W) from _embedding, the slot of one row in bytes,
+    and whether it is the cyclic layout.  The cyclic slot holds m digits
+    of W bits against the residue slot's (2 phi(m) + 1)W or so, about
+    half of it at prime m; it is taken when it is narrower in whole
+    bytes, and a tie keeps the residue layout.  Below m = 300 that is odd
+    m and powers of two, less odd m with phi(m) well under m/2 (105, 165,
+    195) and ties of one- and two-byte slots such as m = 2 at n = 30.
+    BH(17,272) packs 20 bytes a row in place of 38; the other even m,
+    such as 6, 10, 12, 18, 34 and 66, keep the residue layout."""
+    width, modulus = _embedding(m, n)
+    residue = _residue_layout(m, n)[0]
+    cyclic = (m * width + 7) // 8
+    return width, modulus, min(cyclic, residue), cyclic < residue
 
 
 def _first_non_orthogonal(
@@ -228,23 +250,43 @@ def _first_packed_failure(
     """The first pair (i, j), 2 <= i < j, 1-based in lexicographic order, of
     vectors that are not orthogonal, or None; row 1 is not tested.
 
-    Rows j are packed a tile at a time as residues mod M = Phi_m(w):
-    table[k] holds w^(m - a_jk) mod M in the slot of row j.  Row i adds
-    the table[k] with a_ik = e into sums[e], and sum_e sums[e] (w^e mod M)
-    then holds, in slot j, a number congruent mod M to c(w) for the pair
-    (i, j).  A step e is a shift while w^e < M, else one multiplication by
-    the residue.  Each slot holds at most n (M - 1)^2, so no slot carries
-    into the next: n additions and m shifts or multiplications per row and
-    tile, and one reduction mod M per pair.  Tiles run in order of j and
-    each is packed at most once; a failure in row i leaves only the rows
-    before i to later tiles.
+    Rows j are packed a tile at a time, one slot of _layout's width each:
+    table[k] holds unit[a_jk] in the slot of row j, and row i adds the
+    table[k] with a_ik = e into sums[e].  Combining the sums[e] leaves in
+    slot j a number congruent mod M = Phi_m(w) to c(w) for the pair (i, j),
+    so one reduction mod M decides the pair.  The two layouts differ only
+    in the unit table, the slot width and the combine step:
+
+    - residue layout: unit[e] = w^(m - e) mod M, and sum_e sums[e] (w^e
+      mod M) is combined by shifts while w^e < M, else by one
+      multiplication by the residue.  A slot holds at most n (M - 1)^2.
+    - cyclic layout: unit[e] = w^((m - e) mod m), one digit of W bits, and
+      each sums[e] is rotated by e digits inside every slot (Horner's rule
+      over one-digit rotations, each two shifts and two masks).  Digit d
+      of slot j then counts the k with a_ik - a_jk = d mod m, so the slot
+      holds h(w) = c(w) mod (w^m - 1), and Phi_m(w) divides w^m - 1.  The
+      digits of a slot add up to n < w, so none carries.
+
+    In neither does a slot carry into the next: n additions and m combine
+    steps per row and tile, and one reduction mod M per pair.  Tiles run
+    in order of j and each is packed at most once; a failure in row i
+    leaves only the rows before i to later tiles.
     """
     n = len(vectors)
-    width, modulus, slot, shifts = _layout(m, n)
-    power = [pow(1 << width, e, modulus) for e in range(m)]
-    unit = [power[-e].to_bytes(slot, "little") for e in range(m)]
-    residues = power[shifts:]
+    width, modulus, slot, cyclic = _layout(m, n)
     tile = max(1, _TILE_BYTES // (n * slot))
+    if cyclic:
+        unit = [(1 << width * (-e % m)).to_bytes(slot, "little") for e in range(m)]
+        # a one-digit rotation moves digits 0..m-2 of every slot up (mask
+        # low) and digit m-1 down to digit 0 (mask first)
+        ones = int.from_bytes(b"\1".ljust(slot, b"\0") * min(tile, n), "little")
+        low, first = ones * ((1 << width * (m - 1)) - 1), ones * ((1 << width) - 1)
+        top = width * (m - 1)
+    else:
+        power = [pow(1 << width, e, modulus) for e in range(m)]
+        unit = [power[-e].to_bytes(slot, "little") for e in range(m)]
+        shifts = _residue_layout(m, n)[1]
+        residues = power[shifts:]
     best = None
     for j0 in range(0, n, tile):
         j1 = min(j0 + tile, n)
@@ -259,8 +301,13 @@ def _first_packed_failure(
             sums = [0] * m
             for q, e in zip(table, vectors[i]):
                 sums[e] += q
-            packed = sum(s << width * e for e, s in enumerate(sums[:shifts]))
-            packed += sum(map(operator.mul, sums[shifts:], residues))
+            if cyclic:
+                packed = sums[-1]
+                for s in reversed(sums[:-1]):
+                    packed = ((packed & low) << width | (packed >> top) & first) + s
+            else:
+                packed = sum(s << width * e for e, s in enumerate(sums[:shifts]))
+                packed += sum(map(operator.mul, sums[shifts:], residues))
             data = packed.to_bytes((j1 - j0) * slot, "little")
             for j in range(max(j0, i + 1), j1):
                 at = (j - j0) * slot
@@ -352,6 +399,11 @@ def extract_t(b: ButsonMatrix, cell: tuple[int, int]) -> TExtraction:
     """
     if cell not in find_c2_cells(b):
         raise PlanError(f"cell {cell} is not a C2 witness of this matrix")
+    return _extract_t(b, cell)
+
+
+def _extract_t(b: ButsonMatrix, cell: tuple[int, int]) -> TExtraction:
+    """extract_t for a cell already known to be a C2 witness of b."""
     i0, j0 = cell
     split = (b.n - 2) // 2
 
@@ -456,7 +508,7 @@ def parse_matrix(text: str) -> tuple[ButsonMatrix, dict[str, Any] | None]:
             raise FormatError(f"bad matrix document: {exc}") from exc
         provenance = doc.get("provenance")
         return matrix, provenance
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in text_lines(text) if line.strip()]
     header = lines[0].split()
     if len(header) != 3 or header[0] != "BH":
         raise FormatError(f"expected 'BH m n' header, got {lines[0]!r}")

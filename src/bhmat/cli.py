@@ -135,8 +135,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             c1_pair=tuple(args.c1_pair) if args.c1_pair else None,
             c2_cell=tuple(args.c2_cell) if args.c2_cell else None,
         )
-        result = scarpis.psi(psi_plan)
-        resolved = scarpis.resolve_psi(psi_plan)
+        result, resolved = scarpis.psi_with_plan(psi_plan)
         plan_info["c1_pair"] = list(resolved.c1_pair)
         plan_info["c2_cell"] = list(resolved.c2_cell)
         plan_text = f"C1 pair {resolved.c1_pair}, C2 cell {resolved.c2_cell}"

@@ -1,5 +1,6 @@
-"""Exception types shared across the library and the CLI, the strict
-integer token check of the text parsers, and the one file reader and writer."""
+"""Exception types shared across the library and the CLI, the line split
+and strict integer token check of the text parsers, and the one file
+reader and writer."""
 
 import os
 from pathlib import Path
@@ -15,6 +16,13 @@ class PlanError(ValueError):
 
 class VerificationError(RuntimeError):
     """A matrix that was required to be orthogonal is not."""
+
+
+def text_lines(text: str) -> list[str]:
+    """The lines of text, ended by LF, CRLF or CR only.  str.splitlines
+    would also end a line at VT, FF, \\x1c-\\x1e, NEL, U+2028 and U+2029,
+    which the file formats do not allow."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def parse_decimals(tokens: list[str]) -> tuple[int, ...]:

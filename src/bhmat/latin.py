@@ -31,7 +31,7 @@ from operator import add, getitem
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import FormatError, PlanError, parse_decimals, read_text, write_text
+from .errors import FormatError, PlanError, parse_decimals, read_text, text_lines, write_text
 from .galois import (
     FieldElement,
     GaloisField,
@@ -414,7 +414,7 @@ def read_latin_set(path: str | Path) -> list[LatinSquare]:
 
 def parse_latin_set(text: str) -> list[LatinSquare]:
     squares = []
-    for blank, run in groupby(text.splitlines(), lambda line: not line.strip()):
+    for blank, run in groupby(text_lines(text), lambda line: not line.strip()):
         if blank:
             continue
         lines = list(run)

@@ -30,9 +30,9 @@ from typing import Sequence
 from .butson import (
     ButsonMatrix,
     TExtraction,
+    _extract_t,
     _first_non_orthogonal,
     core,
-    extract_t,
     find_c1_pairs,
     find_c2_cells,
     fourier,
@@ -261,12 +261,18 @@ def psi(plan: PsiPlan) -> ButsonMatrix:
     n/2-1 rows, so block row k leads with C's row k+1 over D's row k+1 and
     runs C and D each through the k-th square's slices.
     """
+    return psi_with_plan(plan)[0]
+
+
+def psi_with_plan(plan: PsiPlan) -> tuple[ButsonMatrix, PsiPlan]:
+    """psi's output and the plan it used (resolve_psi's): the C1 rows and
+    the C2 cells are each scanned once."""
     src = _x_source(plan.h, plan.g)
     _checked_family(plan.tensors, "psi", src.n)
     resolved = resolve_psi(plan)
-    ext = extract_t(plan.h, resolved.c2_cell)
+    ext = _extract_t(plan.h, resolved.c2_cell)
     check_t_properties(ext, src.m)
-    return _assemble("psi", src, resolved.c1_pair, ext.t, plan.tensors)
+    return _assemble("psi", src, resolved.c1_pair, ext.t, plan.tensors), resolved
 
 
 def halving_family(r: int) -> ButsonMatrix:

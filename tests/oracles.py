@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -356,9 +357,9 @@ def exhaustive_complete_lsesc(n: int) -> list[LatinSquare] | None:
 # Reference parsers, written from README's "File formats" rules with none
 # of bhmat's parsing code: no parse_decimals, and no validating ButsonMatrix
 # or LatinSquare.  Each returns the file's content, or None for a file that
-# the CLI must reject with exit 3.  Lines are those of str.splitlines, a
-# blank line is empty or whitespace-only, and tokens are separated by
-# whitespace.
+# the CLI must reject with exit 3.  Lines end at LF, CRLF or CR and at no
+# other character, a blank line is empty or whitespace-only, and tokens
+# are separated by whitespace.
 
 DIGITS = frozenset("0123456789")
 
@@ -369,6 +370,10 @@ def _text(path: str | Path) -> str | None:
         return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError:
         return None
+
+
+def _lines(text: str) -> list[str]:
+    return re.split("\r\n|\r|\n", text)
 
 
 def _decimals(tokens: Sequence[str]) -> list[int] | None:
@@ -410,7 +415,7 @@ def reference_matrix(path: str | Path) -> tuple[int, int, list[list[int]]] | Non
             return None
         m, n, rows = doc.get("m"), doc.get("n"), doc.get("exponents")
     else:
-        lines = [line.split() for line in text.splitlines() if line.strip()]
+        lines = [line.split() for line in _lines(text) if line.strip()]
         if len(lines[0]) != 3 or lines[0][0] != "BH":
             return None
         numbers = [_decimals(tokens) for tokens in [lines[0][1:]] + lines[1:]]
@@ -437,7 +442,7 @@ def reference_latin_set(path: str | Path) -> list[list[list[int]]] | None:
     if text is None:
         return None
     squares, run = [], []
-    for line in text.splitlines() + [""]:
+    for line in _lines(text) + [""]:
         if line.strip():
             run.append(line.split())
             continue

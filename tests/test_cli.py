@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -41,6 +42,21 @@ def _count_verify(monkeypatch):
 
     monkeypatch.setattr(butson, "verify", counting)
     monkeypatch.setattr(scarpis, "verify", counting)
+    return calls
+
+
+def _count_scans(monkeypatch):
+    """Record "C1" or "C2" for every find_c1_pairs or find_c2_cells call."""
+    calls = []
+    for name, kind in (("find_c1_pairs", "C1"), ("find_c2_cells", "C2")):
+        real = getattr(butson, name)
+
+        def counting(b, real=real, kind=kind):
+            calls.append(kind)
+            return real(b)
+
+        monkeypatch.setattr(butson, name, counting)
+        monkeypatch.setattr(scarpis, name, counting)
     return calls
 
 
@@ -308,6 +324,26 @@ class TestConstructCommand:
         run("fourier", 6, src)
         assert run("construct", "psi", src, src, "-o", tmp_path / "out.json") == 0
         assert calls == [(6, 6), (6, 12)]
+
+    @pytest.mark.parametrize(
+        "choice, digest",
+        [
+            ((), "89c1684cdcb2e79b3c2392b0ffbaeca97ddaf50920ba2c40357583717ac8a75c"),
+            (
+                ("--c1-pair", 2, 5, "--c2-cell", 4, 4),
+                "74d9a6fe5112f378c413272317f73c7ae8d2bb799431045e338493ac86f6b06f",
+            ),
+        ],
+        ids=["first", "chosen"],
+    )
+    def test_c1_and_c2_scanned_once(self, tmp_path, monkeypatch, choice, digest):
+        # the provenance names the pair and cell from that one scan
+        calls = _count_scans(monkeypatch)
+        src, out = tmp_path / "f6.json", tmp_path / "out.json"
+        run("fourier", 6, src)
+        assert run("construct", "psi", src, *choice, "-o", out) == 0
+        assert sorted(calls) == ["C1", "C2"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_text_output_format(self, tmp_path):
         src = tmp_path / "f3.json"
@@ -764,6 +800,23 @@ class TestParserFuzz:
         code, out, err, expected = run_on_text("lsesc check", text, expected_lsesc_check)
         assert code == expected
         assert (err == "") == (code in (0, 1))
+
+    @pytest.mark.parametrize("end", ["\x85", "\x0b", "\x0c", "\x1c", "\x1e", "\u2028", "\u2029"])
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("verify", "BH 2 2\n0 0{}0 1\n", "must form an 2x2 array"),
+            ("lsesc check", "L 2\n1 2{}2 1\n", "needs 2 rows, got 1"),
+        ],
+        ids=["matrix", "family"],
+    )
+    def test_only_lf_crlf_and_cr_end_lines(self, command, text, message, end):
+        # str.splitlines would end a line at each of these, so that both
+        # files would hold a 2 x 2 square
+        expect = expected_verify if command == "verify" else expected_lsesc_check
+        code, out, err, expected = run_on_text(command, text.format(end), expect)
+        assert (code, out, expected) == (3, "", 3)
+        assert message in err
 
     def test_mixed_orders_exit_3(self):
         text = "L 1\n1\n\nL 2\n1 2\n2 1\n"

@@ -135,6 +135,94 @@ class TestCorruptions:
             assert verify(bad) == verify_oracle(bad), (i, j)
 
 
+def _sylvester(k):
+    """The Sylvester Hadamard matrix of order 2^k, as a BH(2, 2^k)."""
+    n = 1 << k
+    return ButsonMatrix(2, n, tuple(tuple(bin(i & j).count("1") % 2 for j in range(n)) for i in range(n)))
+
+
+def _with_row(b, src, dst, phase):
+    """Row dst replaced by row src times zeta^phase: still orthogonal to
+    every other row but src, so with src > 0 the row-1 pass passes it on
+    to the packed pass, which must report (src + 1, dst + 1)."""
+    rows = list(b.exponents)
+    rows[dst] = tuple((v + phase) % b.m for v in rows[src])
+    return ButsonMatrix(b.m, b.n, tuple(rows))
+
+
+def _row_moves(n, tile):
+    """(src, dst) with dst on both sides of the first two tile boundaries,
+    and src on both sides of the first."""
+    return [
+        (1, tile - 1),
+        (1, tile),
+        (1, min(2 * tile - 1, n - 1)),
+        (1, min(2 * tile, n - 1)),
+        (tile - 1, tile),
+        (tile, min(tile + 1, n - 1)),
+        (n - 2, n - 1),
+    ]
+
+
+class TestCyclicLayout:
+    """Odd m and powers of two pack each row as a cyclic difference
+    histogram of m W-bit digits; BH(17,272) and the Sylvester matrix of
+    order 64 take that layout, and must give verify_oracle's report on
+    corruptions on both sides of tile boundaries."""
+
+    def test_tile_sizes(self):
+        assert butson._layout(17, 272)[2:] == (20, True)
+        assert butson._residue_layout(17, 272)[0] == 38
+        assert _tile_rows(17, 272) == 96
+        assert butson._layout(2, 64)[2:] == (2, True)
+        assert butson._residue_layout(2, 64)[0] == 3
+
+    def test_bh_17_272_default_tiles(self):
+        b = phi(PhiPlan(h=fourier(17), tensors=tuple(classical_tensor_set(16))))
+        assert _tile_rows(b.m, b.n) == 96
+        # dst on both sides of the boundaries at rows 96 and 192 (0-based);
+        # src = 95 would make the oracle test 26000 pairs, so sources at a
+        # boundary are left to the small tiles below
+        for src, dst in [(1, 95), (1, 96), (1, 191), (1, 192), (149, 199), (2, b.n - 1)]:
+            bad = _with_row(b, src, dst, 5)
+            report = verify(bad)
+            assert report.bad_row_pair == (src + 1, dst + 1)
+            assert report == verify_oracle(bad), (src, dst)
+        # row 200 a copy of row 150 passes the row-1 scan and is met in
+        # the third tile
+        seen = []
+        bad = _with_row(b, 149, 199, 0)
+        assert butson._first_non_orthogonal(_Tiles(bad.exponents, seen), b.m) == (150, 200)
+        assert seen == [(0, 96), (96, 192), (192, 272)]
+
+    @pytest.mark.parametrize("tile", [3, 7])
+    def test_sylvester_small_tiles(self, tile):
+        b = _sylvester(6)
+        with mock.patch.object(butson, "_TILE_BYTES", tile * b.n * _slot_bytes(b.m, b.n)):
+            assert _tile_rows(b.m, b.n) == tile
+            assert verify(b).ok
+            for src, dst in _row_moves(b.n, tile):
+                for phase in (0, 1):
+                    bad = _with_row(b, src, dst, phase)
+                    report = verify(bad)
+                    assert report.bad_row_pair == (src + 1, dst + 1)
+                    assert report == verify_oracle(bad), (src, dst, phase)
+            for i, j in _corruption_cells(b.n, tile):
+                bad = _with_entry(b, i, j, 1 - b.exponents[i][j])
+                assert verify(bad) == verify_oracle(bad), (i, j)
+
+    @pytest.mark.parametrize("kind", ["fourier", "phi", "psi"])
+    @pytest.mark.parametrize("tile", [3, 7])
+    def test_rows_moved_across_small_tiles(self, constructions, kind, tile):
+        # fourier(13) and phi's BH(5,20) pack digits, psi's BH(10,40) residues
+        b = constructions[kind]
+        assert butson._layout(b.m, b.n)[3] == (kind != "psi")
+        with mock.patch.object(butson, "_TILE_BYTES", tile * b.n * _slot_bytes(b.m, b.n)):
+            for src, dst in _row_moves(b.n, tile):
+                bad = _with_row(b, src, dst, 1)
+                assert verify(bad) == verify_oracle(bad), (src, dst)
+
+
 class _Tiles(tuple):
     """Rows that record the tiles [j0, j1) the kernel packs from them."""
 
@@ -332,8 +420,10 @@ class TestEmbeddingLemma:
         width, modulus = butson._embedding(30, 30)
         assert sum(1 << width * e for e in exponents) % modulus == 0
         assert _lemma_agrees(30, 30, exponents)
-        # 21 of the kernel's 30 combine steps are multiplications here
-        assert butson._layout(30, 30)[3] == 9
+        # m = 30 packs residues, and 21 of its 30 combine steps are
+        # multiplications here
+        assert not butson._layout(30, 30)[3]
+        assert butson._residue_layout(30, 30)[1] == 9
         phases = [7 * k for k in range(30)]
         assert _kernel_agrees(30, exponents, phases)
         assert _kernel_agrees(30, [1] + exponents[1:], phases)
@@ -345,6 +435,40 @@ def _is_prime(m):
     return m > 1 and all(m % d for d in range(2, int(m**0.5) + 1))
 
 
+class TestLayoutChoice:
+    """The kernel packs a row as m digits of W bits (the cyclic layout)
+    when that slot is narrower than the residue slot; a tie keeps the
+    residue layout."""
+
+    @pytest.mark.parametrize("n", [30, 31, 62, 63, 272, 544, 2112])
+    def test_narrower_slot_wins(self, n):
+        ties = 0
+        for m in range(2, 300):
+            width, modulus, slot, cyclic = butson._layout(m, n)
+            assert (width, modulus) == butson._embedding(m, n)
+            residue = butson._residue_layout(m, n)[0]
+            digits = (m * width + 7) // 8  # m digits of W bits, in whole bytes
+            assert n < 1 << width  # a digit counts at most n columns
+            assert slot == min(residue, digits), m
+            assert cyclic == (digits < residue), m
+            ties += digits == residue
+        # n = 30 has ties (m = 2, 6, 14, ...), and each keeps residues
+        assert ties or n != 30
+
+    def test_named_orders(self):
+        # (m, n): residue bytes, cyclic bytes
+        slots = {
+            (5, 20): (6, 4), (9, 72): (12, 8), (17, 272): (38, 20), (2, 64): (3, 2),
+            (2, 30): (2, 2), (6, 12): (3, 3), (10, 40): (7, 8), (18, 144): (13, 18),
+            (34, 544): (42, 43), (66, 2112): (62, 99),
+        }
+        for (m, n), (residue, digits) in slots.items():
+            width, _, slot, cyclic = butson._layout(m, n)
+            assert butson._residue_layout(m, n)[0] == residue
+            assert (m * width + 7) // 8 == digits
+            assert (slot, cyclic) == (min(residue, digits), digits < residue), (m, n)
+
+
 class TestResidueSlots:
     """Slot j of a packed row holds at most n (M - 1)^2, M = Phi_m(2^W); the
     combine step e is a shift while w^e < M, else a multiplication."""
@@ -352,7 +476,8 @@ class TestResidueSlots:
     @pytest.mark.parametrize("n", [30, 31, 62, 63, 544, 2112])
     def test_bound_fits_a_slot_no_wider_than_2mw(self, n):
         for m in range(2, 300):
-            width, modulus, slot, shifts = butson._layout(m, n)
+            width, modulus = butson._embedding(m, n)
+            slot, shifts = butson._residue_layout(m, n)
             bits = (n * (modulus - 1) ** 2).bit_length()
             assert bits <= 8 * slot < bits + 8, m
             assert bits <= 2 * m * width, m
@@ -363,10 +488,10 @@ class TestResidueSlots:
     @pytest.mark.parametrize("n", [30, 31, 62, 63, 544, 2112])
     def test_prime_m_combines_by_shifts_only(self, n):
         for m in filter(_is_prime, range(2, 300)):
-            assert butson._layout(m, n)[3] == m, m
+            assert butson._residue_layout(m, n)[1] == m, m
 
     @pytest.mark.parametrize("n", [30, 31, 62, 63, 544, 2112])
     def test_composite_m_multiplies(self, n):
         for m in range(4, 300):
             if not _is_prime(m):
-                assert butson._layout(m, n)[3] < m, m
+                assert butson._residue_layout(m, n)[1] < m, m
