@@ -11,14 +11,14 @@ the pair is orthogonal exactly when Phi_m(w) divides c(w).  Row 1 is
 tested pair by pair, as a sum of residues w^e mod Phi_m(w); all pairs of
 each later row come out of one big-integer pass that packs every tile of
 rows once (see _first_non_orthogonal, which also decides psi's T check).
-The pass packs each row into a slot of one of two layouts, where c(w)
-itself would need 2mW bits: residues mod Phi_m(w), about (2 phi(m) + 1)W
-bits wide, or the cyclic difference histogram h(w) = c(w) mod (w^m - 1),
-m digits of W bits.  Phi_m(w) divides w^m - 1, so h(w) = c(w) mod
-Phi_m(w) too.  The narrower slot is taken, the residue one on a tie
-(see _layout): odd m and powers of two mostly pack histograms, so
-BH(17,272) takes 20 bytes a slot in place of 38, and other even m pack
-residues.  No floating point is involved in verification.
+The pass packs each row into a slot of one rotation layout, where c(w)
+itself would need 2mW bits: c(w) mod F, with F = w^m - 1 at odd m (m
+digits of W bits, the cyclic difference histogram) and F = w^(m/2) + 1
+at even m (m/2 digits and a bias, negacyclic).  Phi_m(w) divides F in
+both, so a slot is a multiple of Phi_m(w) exactly when its pair is
+orthogonal, and all slots of a row are tested by one division (see
+_layout and _first_packed_failure).  No floating point is involved in
+verification.
 
 Row and column indices in the public API are 1-based, matching the usual
 matrix convention.
@@ -188,33 +188,43 @@ def _cyclotomic_value(m: int, w: int) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _residue_layout(m: int, n: int) -> tuple[int, int]:
-    """The residue layout for n vectors of length n: the slot of one row
-    in bytes, which holds n (M - 1)^2, M = Phi_m(2^W), and the number of
-    combine steps e that are shifts, those with w^e < M (all m of them
-    when m is prime, where M > w^(m-1))."""
-    width, modulus = _embedding(m, n)
-    slot = ((n * (modulus - 1) ** 2).bit_length() + 7) // 8
-    shifts = sum(1 << width * e < modulus for e in range(m))
-    return slot, shifts
-
-
-@functools.lru_cache(maxsize=256)
-def _layout(m: int, n: int) -> tuple[int, int, int, bool]:
-    """The packed layout of _first_non_orthogonal for n vectors of length
+def _layout(m: int, n: int) -> tuple[int, int, int, int, int, int]:
+    """The packed layout of _first_packed_failure for n vectors of length
     n: W and M = Phi_m(2^W) from _embedding, the slot of one row in bytes,
-    and whether it is the cyclic layout.  The cyclic slot holds m digits
-    of W bits against the residue slot's (2 phi(m) + 1)W or so, about
-    half of it at prime m; it is taken when it is narrower in whole
-    bytes, and a tie keeps the residue layout.  Below m = 300 that is odd
-    m and powers of two, less odd m with phi(m) well under m/2 (105, 165,
-    195) and ties of one- and two-byte slots such as m = 2 at n = 30.
-    BH(17,272) packs 20 bytes a row in place of 38; the other even m,
-    such as 6, 10, 12, 18, 34 and 66, keep the residue layout."""
+    the number L of W-bit digits, the per-slot bias and the bit count z of
+    the whole-row test.
+
+    Odd m packs c(w) mod F = w^m - 1 in L = m digits (cyclic), which add up
+    to n, so a slot is at most n w^(m-1).  Even m packs it mod F = w^L + 1,
+    L = m/2 (negacyclic; Phi_m does not divide x^L - 1, so Phi_m(w) divides
+    F), with the bias (n + c)F: cF covers what a rotation subtracts, the
+    part of the slot from digit L - 1 up, and a slot stays below bound =
+    w^L + (2n + c)F.  c is the least that covers every slot below its
+    bound; L = 1 has no rotation, and c = 0.  Z = 2^z is the least power of
+    two above (bound - 1) // M, and the slot holds bound - 1 and (Z - 1) M.
+    """
     width, modulus = _embedding(m, n)
-    residue = _residue_layout(m, n)[0]
-    cyclic = (m * width + 7) // 8
-    return width, modulus, min(cyclic, residue), cyclic < residue
+    if m % 2:
+        digits, bias, bound = m, 0, (n << width * (m - 1)) + 1
+    else:
+        digits, c = m // 2, 0
+        span = (1 << width * digits) + 1
+        while digits > 1 and c * span < ((2 * n + c + 1) * span - 2) >> width * (digits - 1):
+            c += 1
+        bias, bound = (n + c) * span, (2 * n + c + 1) * span - 1
+    quotient = ((bound - 1) // modulus).bit_length()
+    slot = (max(bound - 1, ((1 << quotient) - 1) * modulus).bit_length() + 7) // 8
+    return width, modulus, slot, digits, bias, quotient
+
+
+def _slots_divisible(tail: int, modulus: int, over: int) -> bool:
+    """Whether every slot of tail is a multiple of M = modulus, for slots of
+    _layout's width, where over masks the bits at or above z in each.  If
+    every slot is q_j M, each q_j < Z = 2^z is a slot of the quotient.  If
+    M divides tail and every quotient slot q_j is below Z, each q_j M fits
+    a slot, so sum_j q_j M 2^(8Sj) is tail's one slot image."""
+    quotient, remainder = divmod(tail, modulus)
+    return not remainder and not quotient & over
 
 
 def _first_non_orthogonal(
@@ -231,10 +241,10 @@ def _first_non_orthogonal(
     entry of a Butson matrix breaks the pair (1, j) of its row j, or (1, 2)
     if it lies in row 1, so it is found here without packing anything.
     Rows 2..n-1 are then decided by _first_packed_failure, which packs
-    each tile of rows once.
+    each tile of rows once and tests each later row with one division.
     """
     n = len(vectors)
-    width, modulus, _, _ = _layout(m, n)
+    width, modulus = _layout(m, n)[:2]
     power = [pow(1 << width, e, modulus) for e in range(m)]
     rotation = {a: [power[a - b] for b in range(m)] for a in set(vectors[0])}
     terms = list(map(rotation.__getitem__, vectors[0]))
@@ -252,41 +262,28 @@ def _first_packed_failure(
 
     Rows j are packed a tile at a time, one slot of _layout's width each:
     table[k] holds unit[a_jk] in the slot of row j, and row i adds the
-    table[k] with a_ik = e into sums[e].  Combining the sums[e] leaves in
-    slot j a number congruent mod M = Phi_m(w) to c(w) for the pair (i, j),
-    so one reduction mod M decides the pair.  The two layouts differ only
-    in the unit table, the slot width and the combine step:
+    table[k] with a_ik = e into sums[e].  unit[e] is w^t, t = -e mod m,
+    reduced mod F: w^t itself while t < L, else F - w^(t - L), as w^L = -1
+    mod w^(m/2) + 1.  Even m folds sums[e + L] into sums[e] with a minus
+    sign; then Horner's rule over L - 1 rotations leaves in slot j a number
+    congruent to c(w) mod F, and so mod M = Phi_m(w), for the pair (i, j).
+    A rotation takes x = hi w^(L-1) + lo to lo w + hi w^L, where w^L is +1
+    mod w^m - 1 and -1 mod w^(m/2) + 1: two shifts, two masks and an
+    addition or a subtraction, the same step for every m.
 
-    - residue layout: unit[e] = w^(m - e) mod M, and sum_e sums[e] (w^e
-      mod M) is combined by shifts while w^e < M, else by one
-      multiplication by the residue.  A slot holds at most n (M - 1)^2.
-    - cyclic layout: unit[e] = w^((m - e) mod m), one digit of W bits, and
-      each sums[e] is rotated by e digits inside every slot (Horner's rule
-      over one-digit rotations, each two shifts and two masks).  Digit d
-      of slot j then counts the k with a_ik - a_jk = d mod m, so the slot
-      holds h(w) = c(w) mod (w^m - 1), and Phi_m(w) divides w^m - 1.  The
-      digits of a slot add up to n < w, so none carries.
-
-    In neither does a slot carry into the next: n additions and m combine
-    steps per row and tile, and one reduction mod M per pair.  Tiles run
-    in order of j and each is packed at most once; a failure in row i
-    leaves only the rows before i to later tiles.
+    The slots j > i of a row are tested at once, by _slots_divisible; only
+    a failing row is cut into slots, to name its first j.  Tiles run in
+    order of j and each is packed at most once; a failure in row i leaves
+    only the rows before i to later tiles.
     """
     n = len(vectors)
-    width, modulus, slot, cyclic = _layout(m, n)
+    width, modulus, slot, digits, bias, quotient = _layout(m, n)
     tile = max(1, _TILE_BYTES // (n * slot))
-    if cyclic:
-        unit = [(1 << width * (-e % m)).to_bytes(slot, "little") for e in range(m)]
-        # a one-digit rotation moves digits 0..m-2 of every slot up (mask
-        # low) and digit m-1 down to digit 0 (mask first)
-        ones = int.from_bytes(b"\1".ljust(slot, b"\0") * min(tile, n), "little")
-        low, first = ones * ((1 << width * (m - 1)) - 1), ones * ((1 << width) - 1)
-        top = width * (m - 1)
-    else:
-        power = [pow(1 << width, e, modulus) for e in range(m)]
-        unit = [power[-e].to_bytes(slot, "little") for e in range(m)]
-        shifts = _residue_layout(m, n)[1]
-        residues = power[shifts:]
+    powers = [1 << width * t for t in range(digits)]
+    powers += [(1 << width * digits) + 1 - p for p in powers]  # F - w^(t - L), t >= L
+    unit = [powers[-e % m].to_bytes(slot, "little") for e in range(m)]
+    top = width * (digits - 1)
+    rotate_in = operator.add if m % 2 else operator.sub  # w^L = +1 or -1 mod F
     best = None
     for j0 in range(0, n, tile):
         j1 = min(j0 + tile, n)
@@ -297,25 +294,29 @@ def _first_packed_failure(
             int.from_bytes(b"".join(map(unit.__getitem__, col)), "little")
             for col in zip(*vectors[j0:j1])
         ]
+        ones = int.from_bytes(b"\1".ljust(slot, b"\0") * (j1 - j0), "little")
+        low, high = ones * ((1 << top) - 1), ones * ((1 << 8 * slot - top) - 1)
+        offset, over = ones * bias, ones * ((1 << 8 * slot) - (1 << quotient))
         for i in rows:
-            sums = [0] * m
-            for q, e in zip(table, vectors[i]):
-                sums[e] += q
-            if cyclic:
-                packed = sums[-1]
-                for s in reversed(sums[:-1]):
-                    packed = ((packed & low) << width | (packed >> top) & first) + s
-            else:
-                packed = sum(s << width * e for e, s in enumerate(sums[:shifts]))
-                packed += sum(map(operator.mul, sums[shifts:], residues))
+            sums = [offset] * digits + [0] * (m - digits)
+            for entry, e in zip(table, vectors[i]):
+                sums[e] += entry
+            if m % 2 == 0:
+                sums = list(map(operator.sub, sums[:digits], sums[digits:]))
+            packed = sums[-1]
+            for s in reversed(sums[:-1]):
+                packed = rotate_in(((packed & low) << width) + s, (packed >> top) & high)
+            start = max(j0, i + 1)
+            if _slots_divisible(packed >> 8 * slot * (start - j0), modulus, over):
+                continue
             data = packed.to_bytes((j1 - j0) * slot, "little")
-            for j in range(max(j0, i + 1), j1):
+            for j in range(start, j1):
                 at = (j - j0) * slot
                 if int.from_bytes(data[at : at + slot], "little") % modulus:
                     best = (i, j)
                     break
             else:
-                continue
+                raise AssertionError(f"row {i + 1} failed the division test in no slot")
             break  # later rows of this tile come after (i, j)
     return None if best is None else (best[0] + 1, best[1] + 1)
 

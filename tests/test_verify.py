@@ -165,17 +165,15 @@ def _row_moves(n, tile):
 
 
 class TestCyclicLayout:
-    """Odd m and powers of two pack each row as a cyclic difference
-    histogram of m W-bit digits; BH(17,272) and the Sylvester matrix of
-    order 64 take that layout, and must give verify_oracle's report on
+    """Odd m packs each row as a cyclic difference histogram of m W-bit
+    digits, and m = 2 as one negacyclic digit; BH(17,272) and the
+    Sylvester matrix of order 64 must give verify_oracle's report on
     corruptions on both sides of tile boundaries."""
 
     def test_tile_sizes(self):
-        assert butson._layout(17, 272)[2:] == (20, True)
-        assert butson._residue_layout(17, 272)[0] == 38
+        assert butson._layout(17, 272)[2:5] == (20, 17, 0)
         assert _tile_rows(17, 272) == 96
-        assert butson._layout(2, 64)[2:] == (2, True)
-        assert butson._residue_layout(2, 64)[0] == 3
+        assert butson._layout(2, 64)[2:4] == (2, 1)
 
     def test_bh_17_272_default_tiles(self):
         b = phi(PhiPlan(h=fourier(17), tensors=tuple(classical_tensor_set(16))))
@@ -214,9 +212,10 @@ class TestCyclicLayout:
     @pytest.mark.parametrize("kind", ["fourier", "phi", "psi"])
     @pytest.mark.parametrize("tile", [3, 7])
     def test_rows_moved_across_small_tiles(self, constructions, kind, tile):
-        # fourier(13) and phi's BH(5,20) pack digits, psi's BH(10,40) residues
+        # fourier(13) and phi's BH(5,20) pack cyclic slots of m digits,
+        # psi's BH(10,40) negacyclic slots of m/2
         b = constructions[kind]
-        assert butson._layout(b.m, b.n)[3] == (kind != "psi")
+        assert butson._layout(b.m, b.n)[3] == (b.m // 2 if kind == "psi" else b.m)
         with mock.patch.object(butson, "_TILE_BYTES", tile * b.n * _slot_bytes(b.m, b.n)):
             for src, dst in _row_moves(b.n, tile):
                 bad = _with_row(b, src, dst, 1)
@@ -420,10 +419,9 @@ class TestEmbeddingLemma:
         width, modulus = butson._embedding(30, 30)
         assert sum(1 << width * e for e in exponents) % modulus == 0
         assert _lemma_agrees(30, 30, exponents)
-        # m = 30 packs residues, and 21 of its 30 combine steps are
-        # multiplications here
-        assert not butson._layout(30, 30)[3]
-        assert butson._residue_layout(30, 30)[1] == 9
+        # m = 30 packs negacyclic slots of 15 digits, with a bias
+        assert butson._layout(30, 30)[3] == 15
+        assert butson._layout(30, 30)[4] % ((1 << 5 * 15) + 1) == 0
         phases = [7 * k for k in range(30)]
         assert _kernel_agrees(30, exponents, phases)
         assert _kernel_agrees(30, [1] + exponents[1:], phases)
@@ -431,67 +429,216 @@ class TestEmbeddingLemma:
         assert _packed_agrees(30, [1] + exponents[1:], phases)
 
 
-def _is_prime(m):
-    return m > 1 and all(m % d for d in range(2, int(m**0.5) + 1))
+def _old_slots(m, n):
+    """The slot bytes of the two layouts the rotation layout replaced:
+    residues mod M = Phi_m(2^W), which held n (M - 1)^2, and cyclic
+    histograms of m digits at every m."""
+    width, modulus = butson._embedding(m, n)
+    return ((n * (modulus - 1) ** 2).bit_length() + 7) // 8, (m * width + 7) // 8
+
+
+# Orders where the rotation slot is wider than the narrower slot before it.
+# _WIDER: 2 phi(m) well under the digits of a slot (m at odd m, m/2 at even
+# m), at most 11% wider.  _ONE_BYTE_WIDER: m = 2, whose slot holds about
+# 2nF against two digits w^2, and odd m at n = 144, where m digits of W = 8
+# bits filled whole bytes and the whole-row test needs a bit more.
+_WIDER = {105, 165, 195, 210}
+_ONE_BYTE_WIDER = {(2, 144), (2, 2112), (231, 144), (255, 144), (273, 144), (285, 144)}
 
 
 class TestLayoutChoice:
-    """The kernel packs a row as m digits of W bits (the cyclic layout)
-    when that slot is narrower than the residue slot; a tie keeps the
-    residue layout."""
+    """The kernel packs a row mod F: cyclic slots of m W-bit digits at odd
+    m, F = w^m - 1 and no bias, and negacyclic slots at even m, F =
+    w^(m/2) + 1 and a bias that is a multiple of F.  The slot is as narrow
+    as the narrower of the two layouts it replaced, but for _WIDER and
+    _ONE_BYTE_WIDER."""
 
-    @pytest.mark.parametrize("n", [30, 31, 62, 63, 272, 544, 2112])
+    @pytest.mark.parametrize("n", [30, 31, 62, 63, 144, 272, 544, 2112])
     def test_narrower_slot_wins(self, n):
-        ties = 0
         for m in range(2, 300):
-            width, modulus, slot, cyclic = butson._layout(m, n)
+            width, modulus, slot, digits, bias, _ = butson._layout(m, n)
             assert (width, modulus) == butson._embedding(m, n)
-            residue = butson._residue_layout(m, n)[0]
-            digits = (m * width + 7) // 8  # m digits of W bits, in whole bytes
-            assert n < 1 << width  # a digit counts at most n columns
-            assert slot == min(residue, digits), m
-            assert cyclic == (digits < residue), m
-            ties += digits == residue
-        # n = 30 has ties (m = 2, 6, 14, ...), and each keeps residues
-        assert ties or n != 30
+            assert n < 1 << width  # a cyclic digit counts at most n columns
+            if m % 2:
+                assert (digits, bias) == (m, 0), m
+            else:
+                span = (1 << width * digits) + 1
+                assert digits == m // 2 and bias % span == 0 and bias >= n * span, m
+            old = min(_old_slots(m, n))
+            if m in _WIDER:
+                assert old < slot <= 1.11 * old, m
+            elif (m, n) in _ONE_BYTE_WIDER:
+                assert slot == old + 1, m
+            else:
+                assert slot <= old, m
 
     def test_named_orders(self):
-        # (m, n): residue bytes, cyclic bytes
+        # (m, n): rotation bytes, then residue and cyclic bytes before it
         slots = {
-            (5, 20): (6, 4), (9, 72): (12, 8), (17, 272): (38, 20), (2, 64): (3, 2),
-            (2, 30): (2, 2), (6, 12): (3, 3), (10, 40): (7, 8), (18, 144): (13, 18),
-            (34, 544): (42, 43), (66, 2112): (62, 99),
+            (5, 20): (4, 6, 4), (9, 72): (8, 12, 8), (17, 272): (20, 38, 20),
+            (2, 64): (2, 3, 2), (2, 30): (2, 2, 2), (6, 12): (3, 3, 3),
+            (10, 40): (5, 7, 8), (16, 272): (11, 20, 18), (18, 144): (11, 13, 18),
+            (34, 544): (23, 42, 43), (66, 2112): (52, 62, 99),
         }
-        for (m, n), (residue, digits) in slots.items():
-            width, _, slot, cyclic = butson._layout(m, n)
-            assert butson._residue_layout(m, n)[0] == residue
-            assert (m * width + 7) // 8 == digits
-            assert (slot, cyclic) == (min(residue, digits), digits < residue), (m, n)
+        for (m, n), (slot, residue, digits) in slots.items():
+            assert butson._layout(m, n)[2] == slot, (m, n)
+            assert _old_slots(m, n) == (residue, digits), (m, n)
 
 
 class TestResidueSlots:
-    """Slot j of a packed row holds at most n (M - 1)^2, M = Phi_m(2^W); the
-    combine step e is a shift while w^e < M, else a multiplication."""
+    """A slot holds c(w) mod F up to a multiple of F.  Every value a slot
+    takes stays below bound: n w^(m-1) + 1 at odd m, where the digits add
+    up to n, and w^L + (2n + c)F at even m, with the bias (n + c)F and
+    cF >= (bound - 1) >> W(L - 1), so that no rotation goes negative.  The
+    slot holds bound - 1 and (Z - 1)M, Z = 2^z the least power of two above
+    (bound - 1) // M."""
 
     @pytest.mark.parametrize("n", [30, 31, 62, 63, 544, 2112])
     def test_bound_fits_a_slot_no_wider_than_2mw(self, n):
         for m in range(2, 300):
-            width, modulus = butson._embedding(m, n)
-            slot, shifts = butson._residue_layout(m, n)
-            bits = (n * (modulus - 1) ** 2).bit_length()
+            width, modulus, slot, digits, bias, quotient = butson._layout(m, n)
+            if m % 2:
+                bound = (n << width * (m - 1)) + 1
+            else:
+                span = (1 << width * digits) + 1
+                c = bias // span - n
+                bound = (1 << width * digits) + (2 * n + c) * span
+                if digits == 1:
+                    assert c == 0
+                else:
+                    # the least c that covers what a rotation subtracts
+                    top = width * (digits - 1)
+                    assert c * span >= (bound - 1) >> top, m
+                    assert (c - 1) * span < (bound - span - 1) >> top, m
+            assert (1 << quotient) > (bound - 1) // modulus >= (1 << quotient) >> 1, m
+            bits = max(bound - 1, ((1 << quotient) - 1) * modulus).bit_length()
             assert bits <= 8 * slot < bits + 8, m
+            # c(w) itself takes 2mW bits
             assert bits <= 2 * m * width, m
-            # steps e < shifts are the ones with w^e < M
-            assert 1 << width * (shifts - 1) < modulus, m
-            assert shifts == m or 1 << width * shifts > modulus, m
 
-    @pytest.mark.parametrize("n", [30, 31, 62, 63, 544, 2112])
-    def test_prime_m_combines_by_shifts_only(self, n):
-        for m in filter(_is_prime, range(2, 300)):
-            assert butson._residue_layout(m, n)[1] == m, m
 
-    @pytest.mark.parametrize("n", [30, 31, 62, 63, 544, 2112])
-    def test_composite_m_multiplies(self, n):
-        for m in range(4, 300):
-            if not _is_prime(m):
-                assert butson._residue_layout(m, n)[1] < m, m
+def _crafted_tail(m, n, values):
+    """The slots of one packed row of _layout(m, n) holding values, and the
+    mask of the bits at or above z in each."""
+    _, _, slot, _, _, quotient = butson._layout(m, n)
+    tail = sum(v << 8 * slot * j for j, v in enumerate(values))
+    over = sum(((1 << 8 * slot) - (1 << quotient)) << 8 * slot * j for j in range(len(values)))
+    return tail, over
+
+
+class TestWholeRowTest:
+    """_slots_divisible decides all slots of a row with one division by M:
+    no remainder and every quotient slot below Z = 2^z."""
+
+    ORDERS = [(1, 5), (2, 144), (3, 30), (6, 12), (17, 272), (18, 144), (34, 544)]
+
+    @pytest.mark.parametrize("m, n", ORDERS)
+    def test_a_wrap_that_divides_fails(self, m, n):
+        # v_0 + v_1 2^(8S) = 0 mod M, with v_0 not a multiple of M
+        _, modulus, slot, _, _, _ = butson._layout(m, n)
+        tail, over = _crafted_tail(m, n, [modulus - (1 << 8 * slot) % modulus, 1])
+        assert tail % modulus == 0
+        assert not butson._slots_divisible(tail, modulus, over)
+
+    @pytest.mark.parametrize("m, n", ORDERS)
+    def test_multiples_pass_and_others_fail(self, m, n):
+        _, modulus, _, _, _, quotient = butson._layout(m, n)
+        top = (1 << quotient) - 1  # 0 at m = 1, where no slot but 0 divides
+        one = min(1, top)
+        for q in ([0, 0, 0], [top, top, top], [one, top, 0], [top, 0, one]):
+            tail, over = _crafted_tail(m, n, [v * modulus for v in q])
+            assert butson._slots_divisible(tail, modulus, over), q
+            for j in range(3):
+                bad = [v * modulus for v in q]
+                bad[j] += 1 if q[j] < top else -1
+                tail, over = _crafted_tail(m, n, bad)
+                assert not butson._slots_divisible(tail, modulus, over), (q, j)
+
+
+def _kronecker(a, b):
+    """The Kronecker product of two BH(m, .)."""
+    rows = tuple(
+        tuple((x + y) % a.m for x in row_a for y in row_b)
+        for row_a in a.exponents
+        for row_b in b.exponents
+    )
+    return ButsonMatrix(a.m, a.n * b.n, rows)
+
+
+class TestEvenOrders:
+    """Negacyclic slots at even m: a row replaced by a phase of another row
+    passes the row-1 scan, so the packed pass must name the pair, on both
+    sides of the first two tile boundaries, in verify_oracle's report
+    (m = 2 in TestCyclicLayout::test_sylvester_small_tiles)."""
+
+    MATRICES = {
+        4: lambda: _kronecker(fourier(4), _kronecker(fourier(4), fourier(4))),
+        6: lambda: _kronecker(fourier(6), fourier(6)),
+        34: lambda: fourier(34),
+        66: lambda: fourier(66),
+    }
+
+    @pytest.mark.parametrize("m", sorted(MATRICES))
+    @pytest.mark.parametrize("tile", [3, 7])
+    def test_rows_moved_across_small_tiles(self, m, tile):
+        b = self.MATRICES[m]()
+        assert butson._layout(b.m, b.n)[3] == m // 2
+        with mock.patch.object(butson, "_TILE_BYTES", tile * b.n * _slot_bytes(b.m, b.n)):
+            assert _tile_rows(b.m, b.n) == tile
+            assert verify(b).ok
+            for src, dst in _row_moves(b.n, tile):
+                bad = _with_row(b, src, dst, m // 2 + 1)
+                report = verify(bad)
+                assert report.bad_row_pair == (src + 1, dst + 1)
+                assert report == verify_oracle(bad), (src, dst)
+
+    def test_bh_34_544_default_tiles(self):
+        # halving_family(4), the r = 4 output, packs 41-row tiles; sources
+        # past row 2 would make the oracle test thousands of pairs
+        b = halving_family(4)
+        tile = _tile_rows(b.m, b.n)
+        assert tile == 41
+        for dst in (tile - 1, tile, 2 * tile - 1, 2 * tile):
+            bad = _with_row(b, 1, dst, 3)
+            report = verify(bad)
+            assert report.bad_row_pair == (2, dst + 1)
+            assert report == verify_oracle(bad), dst
+
+    def test_short_last_tile(self):
+        # 34 rows in tiles of 5: the last tile holds 4, and row 34 a copy
+        # of row 30 is met there
+        b = fourier(34)
+        with mock.patch.object(butson, "_TILE_BYTES", 5 * b.n * _slot_bytes(b.m, b.n)):
+            assert verify(b).ok
+            for src in (29, 30, 31):
+                bad = _with_row(b, src, 33, 0)
+                assert verify(bad) == verify_oracle(bad), src
+
+
+class TestSmallRootOrders:
+    """m = 1 and m = 2, where a slot has one digit and no rotation."""
+
+    def test_m1(self):
+        assert verify(ButsonMatrix(1, 1, ((0,),))).ok
+        b = ButsonMatrix(1, 4, ((0,) * 4,) * 4)
+        assert verify(b) == verify_oracle(b) == butson.VerifyReport(False, (1, 2), (1, 2))
+        # every pair fails at m = 1; the packed pass starts at row 2
+        assert butson._first_packed_failure(b.exponents, 1) == (2, 3)
+
+    def test_m2_accept(self):
+        for b in (fourier(2), _sylvester(2), _sylvester(6)):
+            assert verify(b).ok
+            assert butson._first_packed_failure(b.exponents, 2) is None
+
+    def test_m2_reject(self):
+        b = _sylvester(3)
+        for bad in (
+            _with_entry(b, 5, 6, 1 - b.exponents[5][6]),
+            _with_row(b, 2, 6, 1),
+            _with_row(b, 1, 2, 0),
+        ):
+            report = verify(bad)
+            assert not report.ok
+            assert report == verify_oracle(bad)
+        assert verify(_with_row(b, 2, 6, 1)).bad_row_pair == (3, 7)
+
