@@ -69,17 +69,15 @@ def _print_analysis(matrix: butson.ButsonMatrix) -> None:
 def _load_family(source: str, order: int) -> tuple[list[latin.LatinSquare], dict[str, Any]]:
     if source == "classical":
         return latin.classical_lsesc_set(order), {"source": "classical", "order": order}
-    return _read_family(source), {"source": "file", "path": source}
+    return latin.read_latin_set(source), {"source": "file", "path": source}
 
 
-def _read_family(path: str | Path) -> list[latin.LatinSquare]:
-    """The squares of a family file, all of one order, else FormatError."""
-    squares = latin.read_latin_set(path)
-    try:
-        latin._common_order(squares)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-    return squares
+def _refuse_foreign(args: argparse.Namespace, foreign: dict[str, tuple[str, ...]]) -> None:
+    """PlanError naming the first option of foreign[args.kind], the options
+    of the other kind, that was given."""
+    for name in foreign[args.kind]:
+        if getattr(args, name) is not None:
+            raise PlanError(f"--{name.replace('_', '-')} does not apply to {args.kind}")
 
 
 def _parse_permutation(text: str, n: int) -> list[int]:
@@ -93,10 +91,7 @@ def _parse_permutation(text: str, n: int) -> list[int]:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    foreign = {"phi": ("c1_pair", "c2_cell"), "psi": ("delete_row",)}[args.kind]
-    for name in foreign:
-        if getattr(args, name) is not None:
-            raise PlanError(f"--{name.replace('_', '-')} does not apply to {args.kind}")
+    _refuse_foreign(args, {"phi": ("c1_pair", "c2_cell"), "psi": ("delete_row",)})
     inputs = [str(p) for p in args.inputs]
     if not 1 <= len(inputs) <= 2:
         raise PlanError("construct takes one or two input matrices")
@@ -155,6 +150,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    _refuse_foreign(args, {"phi": ("card2", "dh"), "psi": ("card", "n")})
     if args.kind == "phi":
         if args.card is None or args.n is None:
             raise PlanError("count phi needs --mols, --card and --n")
@@ -179,7 +175,7 @@ def cmd_lsesc(args: argparse.Namespace) -> int:
         print(f"wrote {len(conjugated)} conjugated squares to {args.output}")
         return 0
     # check
-    squares = _read_family(args.path)
+    squares = latin.read_latin_set(args.path)
     lsesc_ok = latin.first_non_lsesc_pair(squares) is None
     mols_ok = latin.first_non_mols_pair(squares) is None
     print(f"squares: {len(squares)}, order {squares[0].n}")

@@ -1,9 +1,11 @@
-"""GF(p^r) arithmetic with a deterministic modulus and element order.
+"""GF(p^r) with a deterministic modulus and element order.
 
 Elements are coefficient tuples of length r (ascending degree, reduced mod
 p).  The modulus is the lexicographically smallest monic irreducible of its
 degree, and elements are enumerated by base-p digit value, so the same field
-and the same element indexing come out on every run.
+and the same element indexing come out on every run.  The library computes
+in the field only through latin's integer tables on those indices; the
+tuple arithmetic that checks them lives with the tests.
 """
 
 from __future__ import annotations
@@ -113,23 +115,3 @@ def enumerate_elements(field: GaloisField) -> list[FieldElement]:
     return [
         _element_from_value(value, field.r, field.p) for value in range(field.order)
     ]
-
-
-def element_value(field: GaloisField, a: FieldElement) -> int:
-    """Position of a in the digit enumeration (0 for the zero element)."""
-    return sum(c * field.p**k for k, c in enumerate(a))
-
-
-def field_add(field: GaloisField, a: FieldElement, b: FieldElement) -> FieldElement:
-    return tuple((x + y) % field.p for x, y in zip(a, b, strict=True))
-
-
-def field_mul(field: GaloisField, a: FieldElement, b: FieldElement) -> FieldElement:
-    prod = [0] * (2 * field.r - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    reduced = _poly_mod(prod, field.modulus, field.p)
-    return tuple(reduced + [0] * (field.r - len(reduced)))

@@ -17,31 +17,23 @@ tests it against the whole tile.
 
 Squares always use the symbol set {1..n}.  The classical complete families
 come from GF(q): the square for a nonzero field element b has cell (i, j)
-equal to the enumeration index of x_i + b*x_j, read off the field's addition
-table and a log/antilog table of a primitive element.
+equal to the enumeration index of x_i + b*x_j, plus one.  The field is held
+as integer tables on those indices: addition, and multiplication by X, from
+which each row of products b*x_j is built digit by digit.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, groupby
 from operator import add, getitem
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, PlanError, parse_decimals, read_text, text_lines, write_text
-from .galois import (
-    FieldElement,
-    GaloisField,
-    enumerate_elements,
-    element_value,
-    field_add,
-    field_mul,
-    make_field,
-    prime_power,
-)
+from .galois import make_field, prime_power
 
 # Largest classical family order, checked before any field table is built:
 # q = 256 is (q-1) q^2 = 1.7e7 cells.
@@ -73,9 +65,9 @@ class LatinSquare:
 
     @cached_property
     def _symbol_rows(self) -> tuple[int, ...]:
-        """The 0-based row holding symbol s in column k, at (s-1)*n + k:
-        the cells of the conjugate square, less one, row by row.  Built on
-        first use and kept; it is not a field, so == and hash ignore it."""
+        """The 1-based row holding symbol s in column k, at (s-1)*n + k:
+        the cells of the conjugate square, row by row.  Built on first use
+        and kept; it is not a field, so == and hash ignore it."""
         return _symbol_row_index(zip(*self.cells), self.n)
 
     @cached_property
@@ -187,9 +179,7 @@ def first_non_lsesc_pair(squares: Sequence[LatinSquare]) -> tuple[int, int] | No
     once iff the rows of B holding A's symbols, column by column, are
     distinct (see _first_unmet_pair)."""
     n = _common_order(squares)
-    return _first_unmet_pair(
-        [s.cells for s in squares], [s._symbol_rows for s in squares], n, 1, 0
-    )
+    return _first_unmet_pair([s.cells for s in squares], [s._symbol_rows for s in squares], n)
 
 
 def first_non_mols_pair(squares: Sequence[LatinSquare]) -> tuple[int, int] | None:
@@ -201,8 +191,6 @@ def first_non_mols_pair(squares: Sequence[LatinSquare]) -> tuple[int, int] | Non
         [[s._symbol_rows[x : x + n] for x in range(0, n * n, n)] for s in squares],
         [tuple(chain.from_iterable(s.cells)) for s in squares],
         n,
-        0,
-        1,
     )
 
 
@@ -223,23 +211,20 @@ def _first_unmet_pair(
     keys: Sequence[Sequence[Sequence[int]]],
     exponents: Sequence[Sequence[int]],
     n: int,
-    key_base: int,
-    exponent_base: int,
 ) -> tuple[int, int] | None:
     """The first pair (a, b), a < b, 1-based in lexicographic order, of a
     family of order-n squares for which some row of keys[a] does not meet
     b, or None.
 
-    keys[a] holds n rows of n keys, from key_base on, and square b holds
-    the exponent exponents[b][(v - key_base) n + k], from exponent_base
-    on, for key v in column k.  A row of keys meets b when the n exponents
-    e_k it picks out of b are distinct, that is when
-    sum_k 2^(e_k - exponent_base) = 2^n - 1: distinct powers below 2^n add
-    up to that number, and a repeat leaves fewer set bits.
+    keys[a] holds n rows of n keys in 1..n, and square b holds the
+    exponent exponents[b][(v - 1) n + k], in 1..n, for key v in column k.
+    A row of keys meets b when the n exponents e_k it picks out of b are
+    distinct, that is when sum_k 2^(e_k - 1) = 2^n - 1: distinct powers
+    below 2^n add up to that number, and a repeat leaves fewer set bits.
 
     Squares b are packed a tile at a time: columns[k][v] holds, in one
-    byte-aligned slot per square b of the tile, 2^(e - exponent_base) for
-    b's exponent e at key v in column k.  A slot sums n powers below 2^n,
+    byte-aligned slot per square b of the tile, 2^(e - 1) for b's
+    exponent e at key v in column k.  A slot sums n powers below 2^n,
     at most n 2^(n-1) (a square against itself), so n + n.bit_length()
     bits never carry into the next slot.  Each row of keys[a] is then one
     sum over its columns; XORed with 2^n - 1 in every slot, it leaves
@@ -251,7 +236,7 @@ def _first_unmet_pair(
     slot = (n + n.bit_length() + 7) // 8
     bits = 8 * slot
     assert n << (n - 1) < 1 << bits
-    unit = [b""] * exponent_base + [(1 << e).to_bytes(slot, "little") for e in range(n)]
+    unit = [b""] + [(1 << e).to_bytes(slot, "little") for e in range(n)]
     full = ((1 << n) - 1).to_bytes(slot, "little")
     tile = max(1, _TILE_BYTES // (n * n * slot))
     count = len(keys)
@@ -265,7 +250,7 @@ def _first_unmet_pair(
             int.from_bytes(b"".join(map(unit.__getitem__, values)), "little")
             for values in zip(*exponents[b0:b1])
         ]
-        columns = [[0] * key_base + table[k::n] for k in range(n)]
+        columns = [[0] + table[k::n] for k in range(n)]
         ones = int.from_bytes(full * (b1 - b0), "little")
         for a in firsts:
             unmet = 0
@@ -288,13 +273,13 @@ def _times(n: int, values: Iterable[int]) -> array:
 
 
 def _symbol_row_index(columns: Iterable[Sequence[int]], n: int) -> tuple[int, ...]:
-    """The row i holding symbol s in column k, at (s - 1)*n + k, for n
-    columns that each permute the symbols 1..n: column k's inverse
+    """The 1-based row i holding symbol s in column k, at (s - 1)*n + k,
+    for n columns that each permute the symbols 1..n: column k's inverse
     permutation fills positions k, k + n, k + 2n, ..."""
     index = [0] * (n * n)
     inverse = [0] * (n + 1)
     for k, column in enumerate(columns):
-        for i, s in enumerate(column):
+        for i, s in enumerate(column, 1):
             inverse[s] = i
         index[k::n] = inverse[1:]
     return tuple(index)
@@ -305,13 +290,11 @@ def conjugate_lsesc_mols(square: LatinSquare) -> LatinSquare:
 
     The image square has cell (a, j) = i exactly when the input has cell
     (i, j) = a, i.e. each column is replaced by its inverse permutation:
-    row a of the image is the input's symbol-row index for symbol a, plus one.
+    row a of the image is the input's symbol-row index for symbol a.
     """
     n = square.n
     rows = square._symbol_rows
-    return LatinSquare(
-        n, tuple(tuple([i + 1 for i in rows[a : a + n]]) for a in range(0, n * n, n))
-    )
+    return LatinSquare(n, tuple(rows[a : a + n] for a in range(0, n * n, n)))
 
 
 def classical_lsesc_set(q: int) -> list[LatinSquare]:
@@ -324,42 +307,56 @@ def classical_lsesc_set(q: int) -> list[LatinSquare]:
             f"LSESC family of order {q} has {(q - 1) * q * q} cells; "
             f"the order cap is {CLASSICAL_ORDER_CAP}"
         )
-    field = make_field(*decomposition)
-    elements = enumerate_elements(field)
-    index = partial(element_value, field)
+    p, r = decomposition
+    plus, times_x = _field_tables(p, r, make_field(p, r).modulus)
     # sums[i][k] is the symbol of x_i + x_k
-    sums = [[index(field_add(field, x, y)) + 1 for y in elements] for x in elements]
-    # antilog[e] is the index of g^e for a primitive g, taken twice over so
-    # that log b + log x_j needs no reduction mod q - 1; products[b-1][j]
-    # is the index of b*x_j, which is 0 for x_j = 0
-    antilog = [index(x) for x in _primitive_powers(field, elements)] * 2
-    log = [0] * q
-    for e, v in enumerate(antilog[: q - 1]):
-        log[v] = e
-    products = [
-        [0] + [antilog[log[b] + log[j]] for j in range(1, q)] for b in range(1, q)
-    ]
+    sums = [[v + 1 for v in row] for row in plus]
     return [
         LatinSquare(q, tuple(tuple(map(row.__getitem__, scaled)) for row in sums))
-        for scaled in products
+        for scaled in _products(plus, times_x, p, r)
     ]
 
 
-def _primitive_powers(
-    field: GaloisField, elements: Sequence[FieldElement]
-) -> list[FieldElement]:
-    """g^0, g^1, ..., g^(q-2) for the first element g, in enumeration order,
-    whose powers reach every nonzero element; elements[1] is the one."""
-    one = elements[1]
-    for g in elements[1:]:
-        powers = [one]
-        power = g
-        while power != one:
-            powers.append(power)
-            power = field_mul(field, power, g)
-        if len(powers) == len(elements) - 1:
-            return powers
-    raise AssertionError("the multiplicative group of a finite field is cyclic")
+def _field_tables(
+    p: int, r: int, modulus: Sequence[int]
+) -> tuple[list[list[int]], list[int]]:
+    """The addition table and the multiply-by-X table of F_p[X]/(modulus),
+    on the indices of the base-p digit enumeration.
+
+    plus[x][y] adds digit by digit mod p; it is built one digit at a time,
+    the table for p^(k+1) from the one for p^k.  times_x[v] shifts v's
+    digits up one place, and a top digit t comes back as t copies of
+    X^r = -(modulus less its leading term).
+    """
+    plus = [[0]]
+    for s in (p**k for k in range(r)):
+        plus = [
+            [plus[x % s][y % s] + (x // s + y // s) % p * s for y in range(s * p)]
+            for x in range(s * p)
+        ]
+    top = p ** (r - 1)
+    wrap = [sum((-t * c) % p * p**k for k, c in enumerate(modulus[:r])) for t in range(p)]
+    times_x = [plus[v % top * p][wrap[v // top]] for v in range(top * p)]
+    return plus, times_x
+
+
+def _products(
+    plus: list[list[int]], times_x: list[int], p: int, r: int
+) -> Iterator[list[int]]:
+    """For b = 1..q-1 in order, the row whose entry j is the index of b*x_j.
+
+    b*x is linear over F_p, so b's row grows one digit at a time: with
+    j = low + d p^k, b*x_j = b*x_low + d (b X^k)."""
+    for b in range(1, len(plus)):
+        row = [0]
+        power = b  # b X^k
+        for _ in range(r):
+            multiples = [0]
+            for _ in range(p - 1):
+                multiples.append(plus[multiples[-1]][power])
+            row = [plus[v][w] for w in multiples for v in row]
+            power = times_x[power]
+        yield row
 
 
 def classical_tensor_set(q: int) -> list[LatinSquare]:
@@ -434,4 +431,8 @@ def parse_latin_set(text: str) -> list[LatinSquare]:
             raise FormatError(f"bad square block: {exc}") from exc
     if not squares:
         raise FormatError("no Latin squares in file")
+    try:
+        _common_order(squares)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
     return squares

@@ -1,9 +1,9 @@
 """Test-only oracles: the polynomial root-of-unity sum test, the
 pair-by-pair verifier, the pair-by-pair T check, the cell-by-cell exponent
 and Latin tests, the row-pair LSESC check, the symbol-pair MOLS check,
-brute-force Latin-square search, polynomial products, the
-floating-point value of a root-of-unity sum, and reference parsers of the
-two file kinds.
+brute-force Latin-square search, polynomial products, the reference
+GF(p^r) arithmetic on coefficient tuples, the floating-point value of a
+root-of-unity sum, and reference parsers of the two file kinds.
 
 None of these is used by the library; they give the tests independent
 expected values.
@@ -22,6 +22,7 @@ from typing import Any, Iterator, Sequence
 
 from bhmat.butson import ButsonMatrix, TExtraction, VerifyReport
 from bhmat.errors import PlanError
+from bhmat.galois import FieldElement, GaloisField
 from bhmat.latin import LatinSquare, are_lsesc
 
 
@@ -285,6 +286,32 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         for j, y in enumerate(b.coefficients):
             out[i + j] += x * y
     return IntPolynomial(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# Reference GF(p^r) arithmetic on coefficient tuples.
+#
+# The library builds its classical families from integer tables on the
+# digit enumeration (latin._field_tables); these tuple operations are the
+# field those tables are checked against.
+
+
+def element_value(field: GaloisField, a: FieldElement) -> int:
+    """Position of a in the digit enumeration (0 for the zero element)."""
+    return sum(c * field.p**k for k, c in enumerate(a))
+
+
+def field_add(field: GaloisField, a: FieldElement, b: FieldElement) -> FieldElement:
+    return tuple((x + y) % field.p for x, y in zip(a, b, strict=True))
+
+
+def field_mul(field: GaloisField, a: FieldElement, b: FieldElement) -> FieldElement:
+    """a*b reduced by the monic modulus: the integer remainder, taken mod
+    p, is the remainder over F_p."""
+    product = poly_mul(IntPolynomial(a), IntPolynomial(b))
+    _, rem = divmod(product, IntPolynomial(field.modulus))
+    reduced = [c % field.p for c in rem.coefficients]
+    return tuple(reduced + [0] * (field.r - len(reduced)))
 
 
 def approx_sum(c: ExponentCountVector) -> tuple[float, float]:

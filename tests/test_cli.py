@@ -417,6 +417,20 @@ class TestCountCommand:
         assert run("count", "phi", "--mols", 1) == 2
         assert run("count", "psi", "--mols", 1, "--card2", 2) == 2
 
+    @pytest.mark.parametrize(
+        "kind, given, option",
+        [
+            ("phi", ["--card", "1", "--n", "3"], ["--card2", "5"]),
+            ("phi", ["--card", "1", "--n", "3"], ["--dh", "2"]),
+            ("psi", ["--card2", "1", "--dh", "3"], ["--card", "1"]),
+            ("psi", ["--card2", "1", "--dh", "3"], ["--n", "4"]),
+        ],
+        ids=["phi-card2", "phi-dh", "psi-card", "psi-n"],
+    )
+    def test_option_of_the_other_kind(self, capsys, kind, given, option):
+        assert run("count", kind, "--mols", 1, *given, *option) == 2
+        assert capsys.readouterr() == ("", f"error: {option[0]} does not apply to {kind}\n")
+
 
 class TestLsescCommand:
     def test_classical_q2(self, tmp_path):
@@ -449,6 +463,13 @@ class TestLsescCommand:
         path.write_text("L 2\n1 2\n2 1\n\nL 2\n2 1\n1 2\n")
         assert run("lsesc", "check", path) == 1
         assert "pairwise LSESC: no" in capsys.readouterr().out
+
+    def test_conjugate_mixed_orders_exit_3_and_write_nothing(self, tmp_path, capsys):
+        path, out = tmp_path / "mixed.txt", tmp_path / "conjugated.txt"
+        path.write_text("L 2\n1 2\n2 1\n\nL 3\n1 2 3\n2 3 1\n3 1 2\n")
+        assert run("lsesc", "conjugate", path, out) == 3
+        assert capsys.readouterr() == ("", "error: squares of orders 2 and 3 in one family\n")
+        assert not out.exists()
 
     def test_conjugate_involution_bytes(self, tmp_path):
         q5, once, twice = tmp_path / "q5.txt", tmp_path / "c1.txt", tmp_path / "c2.txt"

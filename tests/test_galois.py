@@ -1,14 +1,8 @@
 import pytest
 
-from bhmat.galois import (
-    element_value,
-    enumerate_elements,
-    field_add,
-    field_mul,
-    is_prime,
-    make_field,
-    prime_power,
-)
+from bhmat.galois import enumerate_elements, is_prime, make_field, prime_power
+
+from oracles import element_value, field_add, field_mul
 
 PRIME_POWERS_UP_TO_64 = [
     q for q in range(2, 65) if prime_power(q) is not None

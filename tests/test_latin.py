@@ -407,6 +407,8 @@ class TestFiles:
             parse_latin_set("\n\n")
         with pytest.raises(FormatError):
             parse_latin_set("L 2\n1 1\n2 2\n")  # not Latin
+        with pytest.raises(FormatError, match="squares of orders 2 and 1 in one family"):
+            parse_latin_set("L 2\n1 2\n2 1\n\nL 1\n1\n")
 
     def test_crlf_family_round_trip(self):
         squares = classical_lsesc_set(16)

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from bhmat import cli, latin, scarpis
 from bhmat.errors import PlanError
+from bhmat.galois import enumerate_elements, make_field, prime_power
 from bhmat.latin import (
     LatinSquare,
     are_lsesc,
@@ -25,15 +26,17 @@ from bhmat.latin import (
     encode,
 )
 
-from oracles import are_lsesc_oracle, are_mols_oracle
+from oracles import are_lsesc_oracle, are_mols_oracle, element_value, field_add, field_mul
 
 # The lazily built indexes a LatinSquare keeps beside its fields.
 CACHES = ("_symbol_rows", "_symbol_rows_times_n", "_cells_times_n")
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
 
-# sha256 of dump_latin_set(classical_lsesc_set(q)), as the per-cell
-# field arithmetic built them before the tables did.
+# sha256 of dump_latin_set(classical_lsesc_set(q)).  Orders up to 32 were
+# pinned from the per-cell tuple arithmetic, 25, 49, 64 and 81 from the
+# log/antilog tables that replaced it; the digit-by-digit tables of
+# latin._field_tables give the same texts.
 FAMILY_SHA256 = {
     2: "426253437d6d3b5204bcb0af44efee9f4cd0a944915a6047eeda6cc3da9d3843",
     3: "098e50d236cbb6ac0868618823e0a69e935f0ac5daf114ddec65116c49f22025",
@@ -43,8 +46,12 @@ FAMILY_SHA256 = {
     8: "0377c9f5c609e17bf2872480978ba3d983c4c465faeb6938b8c9e2c9e40a0bab",
     9: "91b404af3fb3748dd440ef2425f97a65a68ae35c6dce8f1115765ebcee9fb90c",
     16: "7a92b05a0e2ecda86d1a1c7043e64eb74074823267bdf3aa668e65705c336030",
+    25: "e969048e5c2cc528e7cbea62b98747365fdf24ee1292ef6a69e3d0c36baa4c04",
     27: "5da1a177aeb44b0c306648a58fc3ddb0aeba61d403595a142f298ece0ad2c58a",
     32: "6ca2281e9398cc52005fe57afeb8446fb704c0b7dde97fd494f93b56612f932c",
+    49: "2d47819f1e3902d178384b5a786b7591910efe52f0470ce2f36cc6acb4f415cf",
+    64: "b34b7e9c386353b752173b9aead2f654c38fd763b3e8b72577d203ecce3c83c0",
+    81: "5bd08c5c84c64d167c53ca119f7e24010d55c55c9154dad269a0ac2e7672743e",
 }
 
 
@@ -175,9 +182,9 @@ class TestIndexCache:
             rows = square._symbol_rows
             for i, row in enumerate(square.cells):
                 for k, s in enumerate(row):
-                    assert rows[(s - 1) * q + k] == i
+                    assert rows[(s - 1) * q + k] == i + 1
             conjugate = conjugate_lsesc_mols(square)
-            assert rows == tuple(v - 1 for row in conjugate.cells for v in row)
+            assert rows == tuple(v for row in conjugate.cells for v in row)
             assert list(square._symbol_rows_times_n) == [q * v for v in rows]
 
     def test_filled_cache_keeps_eq_and_hash(self):
@@ -410,21 +417,19 @@ class TestClassicalTables:
         text = dump_latin_set(classical_lsesc_set(q))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FAMILY_SHA256[q]
 
-    def test_field_calls_are_quadratic(self, monkeypatch):
-        calls = {"field_add": 0, "field_mul": 0}
-        for name in calls:
-            real = getattr(latin, name)
-
-            def counting(*args, real=real, name=name):
-                calls[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(latin, name, counting)
-        classical_lsesc_set(9)
-        # q^2 sums; products come from the powers of the first primitive
-        # element of GF(9) = F_3[x]/(x^2 + 1): 1, 2, x and 1 + x have orders
-        # 1, 2, 4 and 8, and an element of order d costs d - 1 products.
-        assert calls == {"field_add": 9 * 9, "field_mul": 0 + 1 + 3 + 7}
+    @pytest.mark.parametrize("q", [q for q in range(2, 82) if prime_power(q)])
+    def test_tables_match_the_reference_field(self, q):
+        p, r = prime_power(q)
+        field = make_field(p, r)
+        elements = enumerate_elements(field)
+        plus, times_x = latin._field_tables(p, r, field.modulus)
+        # X is elements[p]; in GF(p) = F_p[X]/(X) it is zero
+        x = elements[p] if r > 1 else elements[0]
+        assert plus == [
+            [element_value(field, field_add(field, a, b)) for b in elements]
+            for a in elements
+        ]
+        assert times_x == [element_value(field, field_mul(field, a, x)) for a in elements]
 
 
 class TestOrderCap:
