@@ -128,6 +128,8 @@ class TExtraction:
 
 def fourier(n: int) -> ButsonMatrix:
     """The order-n Fourier matrix: exponent (i-1)(j-1) mod n, root order n."""
+    if type(n) is not int:
+        raise ValueError(f"order must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     if n > FOURIER_ORDER_CAP:
@@ -398,7 +400,7 @@ def extract_t(b: ButsonMatrix, cell: tuple[int, int]) -> TExtraction:
     stable-partitioned so the second row and second column each read
     (1, -1, 1..1, -1..-1).  T is the trailing (n-2) x (n-2) block.
     """
-    if cell not in find_c2_cells(b):
+    if cell not in find_c2_cells(b) or set(map(type, cell)) != {int}:
         raise PlanError(f"cell {cell} is not a C2 witness of this matrix")
     return _extract_t(b, cell)
 

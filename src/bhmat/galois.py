@@ -18,7 +18,8 @@ FieldElement = tuple[int, ...]
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Whether n is a prime int; a bool or a float never is."""
+    if type(n) is not int or n < 2:
         return False
     d = 2
     while d * d <= n:
@@ -29,8 +30,9 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
-    """Decompose q as p^r with p prime, or None if q is not a prime power."""
-    if q < 2:
+    """Decompose q as p^r with p prime, or None if q is not a prime power
+    (a bool or a float never is)."""
+    if type(q) is not int or q < 2:
         return None
     p = 2
     while p * p <= q:
@@ -98,9 +100,9 @@ def make_field(p: int, r: int) -> GaloisField:
     gets x^2 + x + 1 (the only irreducible monic quadratic over F_2).
     """
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if r < 1:
-        raise ValueError(f"extension degree must be positive, got {r}")
+        raise ValueError(f"{p!r} is not prime")
+    if type(r) is not int or r < 1:
+        raise ValueError(f"extension degree must be a positive int, got {r!r}")
     if p**r > SIZE_CAP:
         raise ValueError(f"field order {p}^{r} exceeds cap {SIZE_CAP}")
     for value in range(p**r):

@@ -191,6 +191,8 @@ def phi(plan: PhiPlan) -> ButsonMatrix:
     """
     src = _x_source(plan.h, plan.g)
     _checked_family(plan.tensors, "phi", src.n)
+    if type(plan.deleted_row) is not int:
+        raise PlanError(f"deleted row {plan.deleted_row!r} is not an int")
     if not 1 <= plan.deleted_row <= src.n:
         raise PlanError(f"deleted row {plan.deleted_row} out of range 1..{src.n}")
     return _assemble("phi", src, (plan.deleted_row,), core(plan.h), plan.tensors)
@@ -237,7 +239,7 @@ def resolve_psi(plan: PsiPlan) -> PsiPlan:
         cell = cells[0]
     else:
         cell = plan.c2_cell
-        if cell not in cells:
+        if cell not in cells or set(map(type, cell)) != {int}:
             raise PlanError(f"cell {cell} is not a C2 witness of the input")
 
     pairs = find_c1_pairs(src)
@@ -247,7 +249,7 @@ def resolve_psi(plan: PsiPlan) -> PsiPlan:
         pair = pairs[0]
     else:
         pair = plan.c1_pair
-        if pair not in pairs:
+        if pair not in pairs or set(map(type, pair)) != {int}:
             raise PlanError(f"pair {pair} is not a C1 pair of the x-source")
     return replace(plan, c1_pair=pair, c2_cell=cell)
 
@@ -278,8 +280,8 @@ def psi_with_plan(plan: PsiPlan) -> tuple[ButsonMatrix, PsiPlan]:
 def halving_family(r: int) -> ButsonMatrix:
     """The family BH(2(2^r+1), 2^(r+1)(2^r+1)): psi on the Fourier matrix of
     order 2(2^r+1) with the classical LSESC family over GF(2^r)."""
-    if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
+    if type(r) is not int or r < 1:
+        raise ValueError(f"r must be a positive int, got {r!r}")
     q = 2**r
     squares = tuple(classical_lsesc_set(q))  # PlanError past the order cap
     return psi(PsiPlan(h=fourier(2 * (q + 1)), tensors=squares))

@@ -24,7 +24,6 @@ from bhmat.latin import (
     are_lsesc,
     are_mols,
     classical_lsesc_set,
-    classical_tensor_set,
     conjugate_lsesc_mols,
 )
 from bhmat.scarpis import PhiPlan, PsiPlan, halving_family, phi, psi
@@ -58,30 +57,23 @@ def criterion(number, label, budget=None):
 
 def test_criterion_1_example1_golden():
     with criterion(1, "phi(F_3) dephased equals the published order-6 matrix", budget=1.0):
-        out = phi(PhiPlan(h=fourier(3), tensors=tuple(classical_tensor_set(2))))
+        out = phi(PhiPlan(h=fourier(3), tensors=classical_lsesc_set(2)))
         assert dephase(out).exponents == EXAMPLE1_DEPHASED
 
 
 def test_criterion_2_example2_golden():
     with criterion(2, "psi(F_6) equals the published order-12 matrix and its T", budget=1.0):
         assert extract_t(fourier(6), (4, 4)).t == EXAMPLE2_T
-        out = psi(
-            PsiPlan(
-                h=fourier(6),
-                tensors=tuple(classical_tensor_set(2)),
-                c1_pair=(1, 4),
-                c2_cell=(4, 4),
-            )
-        )
-        assert out.exponents == EXAMPLE2_PSI_F6
+        plan = PsiPlan(h=fourier(6), tensors=classical_lsesc_set(2), c1_pair=(1, 4), c2_cell=(4, 4))
+        assert psi(plan).exponents == EXAMPLE2_PSI_F6
 
 
 def test_criterion_3_phi_property_suite():
     with criterion(3, "phi verifies for n in {3,4,5,8,9} and every deleted row", budget=30.0):
         for n in (3, 4, 5, 8, 9):
-            tensors = tuple(classical_tensor_set(n - 1))
+            family = classical_lsesc_set(n - 1)
             for t in range(1, n + 1):
-                out = phi(PhiPlan(h=fourier(n), tensors=tensors, deleted_row=t))
+                out = phi(PhiPlan(h=fourier(n), tensors=family, deleted_row=t))
                 assert (out.m, out.n) == (n, n * (n - 1))
                 assert verify(out).ok
 
@@ -108,12 +100,12 @@ def test_criterion_5_hadamard_specialisations():
         g4 = _sylvester(2)
         h4 = ButsonMatrix(2, 4, tuple(g4.exponents[i] for i in (0, 2, 3, 1)))
         assert g4 != h4
-        h12 = phi(PhiPlan(h=h4, tensors=tuple(classical_tensor_set(3)), g=g4))
+        h12 = phi(PhiPlan(h=h4, tensors=classical_lsesc_set(3), g=g4))
         assert (h12.m, h12.n) == (2, 12) and verify(h12).ok
 
         g8 = _sylvester(3)
         h8 = ButsonMatrix(2, 8, tuple(g8.exponents[i] for i in (0, 4, 1, 5, 2, 6, 3, 7)))
-        h24 = psi(PsiPlan(h=h8, tensors=tuple(classical_tensor_set(3)), g=g8))
+        h24 = psi(PsiPlan(h=h8, tensors=classical_lsesc_set(3), g=g8))
         assert (h24.m, h24.n) == (2, 24) and verify(h24).ok
 
 

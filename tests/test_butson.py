@@ -48,6 +48,11 @@ class TestFourier:
     def test_order1(self):
         assert fourier(1).exponents == ((0,),)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_rejects_non_int_order(self, n):
+        with pytest.raises(ValueError, match="order must be an int"):
+            fourier(n)
+
 
 class TestVerify:
     @pytest.mark.parametrize("n", range(2, 65))
@@ -199,6 +204,11 @@ class TestExtractT:
         )
         assert permuted[1][:2] == (0, 3)
         assert ext.t == tuple(row[2:] for row in permuted[2:])
+
+    @pytest.mark.parametrize("cell", [(4.0, 4.0), (4, 4.0)])
+    def test_non_int_cell_is_not_a_witness(self, cell):
+        with pytest.raises(PlanError, match="is not a C2 witness"):
+            extract_t(fourier(6), cell)
 
     def test_split_views(self):
         ext = extract_t(fourier(6), (4, 4))

@@ -493,6 +493,107 @@ class TestLsescCommand:
         assert "pairwise LSESC" not in capsys.readouterr().out
 
 
+def crlf_blank_lines(d):
+    """bad.txt: family.txt with CRLF line ends and whitespace-only separator lines."""
+    text = (d / "family.txt").read_text().replace("\n\n", "\n \t\n")
+    (d / "bad.txt").write_bytes(text.replace("\n", "\r\n").encode())
+
+
+def swap_last_intercalate(d):
+    """bad.txt: family.txt with an intercalate (2 x 2 subsquare) of its last
+    square swapped: still Latin, no longer LSESC with the others."""
+    *squares, last = read_latin_set(d / "family.txt")
+    c = [list(row) for row in last.cells]
+    pairs = list(itertools.combinations(range(last.n), 2))
+    i, i2, j, j2 = next((i, i2, j, j2) for i, i2 in pairs for j, j2 in pairs
+                        if c[i][j] == c[i2][j2] and c[i][j2] == c[i2][j])
+    c[i][j], c[i][j2], c[i2][j], c[i2][j2] = c[i][j2], c[i][j], c[i2][j2], c[i2][j]
+    latin.write_latin_set([*squares, LatinSquare(last.n, c)], d / "bad.txt")
+
+
+def shift_entry(d, i, j):
+    """bad.json: bh.json with its 1-based entry (i, j) moved to the next root."""
+    doc = json.loads((d / "bh.json").read_text())
+    doc["exponents"][i - 1][j - 1] = (doc["exponents"][i - 1][j - 1] + 1) % doc["m"]
+    (d / "bad.json").write_text(json.dumps(doc))
+
+
+def copy_row(d, source, target):
+    """bad.json: bh.json with its 1-based row target overwritten by row source."""
+    doc = json.loads((d / "bh.json").read_text())
+    doc["exponents"][target - 1] = doc["exponents"][source - 1]
+    (d / "bad.json").write_text(json.dumps(doc))
+
+
+Q4 = "lsesc classical 4 {d}/family.txt"
+Q64 = "lsesc classical 64 {d}/family.txt"
+PSI18 = ["fourier 18 {d}/f.json", "construct psi {d}/f.json -o {d}/bh.json"]
+
+# Each case: the steps that make its input (commands that exit 0, or a
+# function (d, *args) that writes a file in d), the command under test, its
+# exit code, lines its stdout holds, and files in d that then hold the same
+# bytes.
+MADE_INPUT_CASES = {
+    "conjugate-in-place": (
+        [Q4, "lsesc conjugate {d}/family.txt {d}/mols.txt"],
+        "lsesc conjugate {d}/mols.txt {d}/mols.txt", 0, [], ["family.txt", "mols.txt"],
+    ),
+    "crlf-blank-separators": (
+        [Q4, (crlf_blank_lines,)], "lsesc check {d}/bad.txt", 0, ["pairwise LSESC: yes"], [],
+    ),
+    "classical-25": (
+        ["lsesc classical 25 {d}/family.txt"], "lsesc check {d}/family.txt", 0,
+        ["squares: 24, order 25", "pairwise LSESC: yes"], [],
+    ),
+    "classical-64": (
+        [Q64], "lsesc check {d}/family.txt", 0,
+        ["squares: 63, order 64", "pairwise LSESC: yes"], [],
+    ),
+    "classical-64-last-square-swapped": (
+        [Q64, (swap_last_intercalate,)], "lsesc check {d}/bad.txt", 1,
+        ["pairwise LSESC: no"], [],
+    ),
+    "psi-f10-family-file": (
+        [Q4, "fourier 10 {d}/f.json", "construct psi {d}/f.json -o {d}/c.txt --format text"],
+        "construct psi {d}/f.json -o {d}/out.txt --format text --lsesc {d}/family.txt", 0, [],
+        ["c.txt", "out.txt"],
+    ),
+    "bh18-entry-71-91": (
+        [*PSI18, (shift_entry, 71, 91)], "verify {d}/bad.json", 1, ["rows (1, 71)"], [],
+    ),
+    "bh18-row-100-is-row-60": (
+        [*PSI18, (copy_row, 60, 100)], "verify {d}/bad.json", 1, ["rows (60, 100)"], [],
+    ),
+    "bh18-entry-1-1": (
+        [*PSI18, (shift_entry, 1, 1)], "verify {d}/bad.json", 1,
+        ["rows (1, 2)", "columns (1, 2)"], [],
+    ),
+    "bh17-row-200-is-row-150": (
+        ["fourier 17 {d}/f.json", "construct phi {d}/f.json -o {d}/bh.json", (copy_row, 150, 200)],
+        "verify {d}/bad.json", 1, ["rows (150, 200)"], [],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MADE_INPUT_CASES)
+def test_command_on_made_input(tmp_path, capsys, case):
+    steps, command, code, lines, same = MADE_INPUT_CASES[case]
+
+    def argv(text):
+        return [arg.format(d=tmp_path) for arg in text.split()]
+
+    for step in steps:
+        if isinstance(step, str):
+            assert run(*argv(step)) == 0
+        else:
+            step[0](tmp_path, *step[1:])
+    capsys.readouterr()
+    assert run(*argv(command)) == code
+    out = capsys.readouterr().out
+    assert all(line in out for line in lines)
+    assert len({(tmp_path / name).read_bytes() for name in same}) <= 1
+
+
 # Tokens that int() would coerce to the digit d: an underscore, a sign and
 # an Arabic-Indic digit.
 COERCIBLE_TOKENS = {
@@ -547,18 +648,34 @@ def test_undecodable_file_exit_code(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_constructed_file_verifies_in_separate_process(tmp_path):
-    src = tmp_path / "f6.json"
-    out = tmp_path / "out.json"
-    assert run("fourier", 6, src) == 0
-    assert run("construct", "psi", src, "-o", out) == 0
-    result = subprocess.run(
-        [sys.executable, "-m", "bhmat", "verify", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0
-    assert "ok: BH(6,12)" in result.stdout
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+# python -m bhmat once for each exit code, then each example script.
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        ("-m bhmat verify {d}/psi.json", 0, "ok: BH(6,12)"),
+        ("-m bhmat verify {d}/flat.txt", 1, "FAIL: rows (1, 2)"),
+        ("-m bhmat fourier 0 {d}/out.json", 2, "error: order must be positive"),
+        ("-m bhmat verify {d}/bad.txt", 3, "error: bad matrix body"),
+        ("{scripts}/reproduce_examples.py", 0, "psi(F_6): BH(6,12), verified=True"),
+        ("{scripts}/scan_fourier_conditions.py", 0, "6    3          1         yes  (1,4)"),
+        ("{scripts}/build_family.py", 0, "r=3: BH(18,144)"),
+    ],
+    ids=["exit-0", "exit-1", "exit-2", "exit-3", "reproduce-examples",
+         "scan-fourier-conditions", "build-family"],
+)
+def test_separate_process(tmp_path, argv, code, line):
+    assert run("fourier", 6, tmp_path / "f6.json") == 0
+    assert run("construct", "psi", tmp_path / "f6.json", "-o", tmp_path / "psi.json") == 0
+    (tmp_path / "flat.txt").write_text("BH 2 2\n0 0\n0 0\n")
+    (tmp_path / "bad.txt").write_text("BH 2 2\n0 x\n")
+    argv = [arg.format(d=tmp_path, scripts=SCRIPTS) for arg in argv.split()]
+    result = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+    assert result.returncode == code
+    assert line in (result.stdout if code < 2 else result.stderr)
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_provenance_records_reproducible_plan(tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 
 from bhmat.galois import enumerate_elements, is_prime, make_field, prime_power
+from bhmat.latin import classical_lsesc_set
 
 from oracles import element_value, field_add, field_mul
 
@@ -19,6 +20,17 @@ def test_prime_power_decomposition():
 
 def test_is_prime_small():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+@pytest.mark.parametrize("q", [2.5, 7.5, 4.0, 7.0, True])
+def test_non_int_is_neither_prime_nor_prime_power(q):
+    assert not is_prime(q)
+    assert prime_power(q) is None
+    with pytest.raises(ValueError, match=f"{q} is not a prime power"):
+        classical_lsesc_set(q)
+    for p, r in [(q, 1), (2, q)]:
+        with pytest.raises(ValueError):
+            make_field(p, r)
 
 
 class TestMakeField:

@@ -20,10 +20,8 @@ from bhmat.latin import (
     are_lsesc,
     are_mols,
     classical_lsesc_set,
-    classical_tensor_set,
     conjugate_lsesc_mols,
     dump_latin_set,
-    encode,
 )
 
 from oracles import are_lsesc_oracle, are_mols_oracle, element_value, field_add, field_mul
@@ -101,12 +99,12 @@ def fresh(square):
     return copy
 
 
-def family_check_passes(tensors):
-    """phi/psi's family check on the slices, for a family of any order and size."""
-    shape = (tensors[0].n, len(tensors))
+def family_check_passes(squares):
+    """phi/psi's family check, for a family of any order and size."""
+    shape = (squares[0].n, len(squares))
     with mock.patch.object(scarpis, "family_shape", lambda kind, n: shape):
         try:
-            scarpis._checked_family(tensors, "phi", 0)
+            scarpis._checked_family(squares, "phi", 0)
         except PlanError as exc:
             assert str(exc) == "squares 1 and 2 are not LSESC"
             return False
@@ -116,7 +114,7 @@ def family_check_passes(tensors):
 def assert_agree(a, b):
     """are_lsesc and are_mols against their oracles in both argument orders,
     first on squares whose indexes are not built yet, then once they are,
-    and the family check on the slices in both orders."""
+    and the family check in both orders."""
     lsesc = {(0, 1): are_lsesc_oracle(a, b), (1, 0): are_lsesc_oracle(b, a)}
     mols = {(0, 1): are_mols_oracle(a, b), (1, 0): are_mols_oracle(b, a)}
     squares = (fresh(a), fresh(b))
@@ -125,9 +123,8 @@ def assert_agree(a, b):
             assert are_lsesc(squares[x], squares[y]) == lsesc[x, y]
             assert are_mols(squares[x], squares[y]) == mols[x, y]
     assert all(cached(square) == list(CACHES) for square in squares)
-    tensors = (encode(a), encode(b))
-    for x, y in lsesc:
-        assert family_check_passes([tensors[x], tensors[y]]) == lsesc[x, y]
+    assert family_check_passes([a, b]) == lsesc[0, 1]
+    assert family_check_passes([b, a]) == lsesc[1, 0]
     return lsesc[0, 1]
 
 
@@ -242,9 +239,8 @@ class TestCheckedFamily:
             squares[2] = swapped(squares[2], *intercalates(q, 2)[0])
         else:
             squares[5] = squares[4]
-        tensors = [encode(s) for s in squares]
         with pytest.raises(PlanError) as info:
-            scarpis._checked_family(tensors, "phi", q + 1)
+            scarpis._checked_family(squares, "phi", q + 1)
         assert str(info.value) == message
 
     def test_no_reconstruct(self, monkeypatch):
@@ -253,7 +249,7 @@ class TestCheckedFamily:
 
         monkeypatch.setattr(latin, "reconstruct", forbidden)
         monkeypatch.setattr(scarpis, "reconstruct", forbidden, raising=False)
-        scarpis._checked_family(classical_tensor_set(8), "phi", 9)
+        scarpis._checked_family(classical_lsesc_set(8), "phi", 9)
 
 
 def first_failing(check, squares):
@@ -281,7 +277,6 @@ def assert_family_agrees(squares, tile=None, oracle=True):
     if oracle:
         assert first_failing(are_lsesc_oracle, squares) == lsesc
         assert first_failing(are_mols_oracle, squares) == mols
-    tensors = [encode(s) for s in squares]
     shape = (n, len(squares))
     with mock.patch.object(latin, "_TILE_BYTES", budget), mock.patch.object(
         scarpis, "family_shape", lambda kind, k: shape
@@ -289,10 +284,10 @@ def assert_family_agrees(squares, tile=None, oracle=True):
         assert latin.first_non_lsesc_pair(squares) == lsesc
         assert latin.first_non_mols_pair(squares) == mols
         if lsesc is None:
-            scarpis._checked_family(tensors, "phi", 0)
+            scarpis._checked_family(squares, "phi", 0)
         else:
             with pytest.raises(PlanError) as info:
-                scarpis._checked_family(tensors, "phi", 0)
+                scarpis._checked_family(squares, "phi", 0)
             assert str(info.value) == "squares %d and %d are not LSESC" % lsesc
     return lsesc, mols
 
@@ -407,7 +402,7 @@ class TestFamilyKernel:
         latin.write_latin_set(family(8), path)
         assert cli.main(["lsesc", "check", str(path)]) == 0
         assert calls == [7, 7]  # LSESC, then MOLS, each one pass
-        scarpis._checked_family(classical_tensor_set(8), "phi", 9)
+        scarpis._checked_family(classical_lsesc_set(8), "phi", 9)
         assert calls == [7, 7, 7]
 
 

@@ -14,7 +14,7 @@ from bhmat.butson import (
 )
 from bhmat import latin, scarpis
 from bhmat.errors import PlanError, VerificationError
-from bhmat.latin import classical_lsesc_set, classical_tensor_set, encode, inflate
+from bhmat.latin import classical_lsesc_set, inflate
 from bhmat.scarpis import (
     PhiPlan,
     PsiPlan,
@@ -31,7 +31,7 @@ from oracles import exhaustive_complete_lsesc
 
 
 def plan_f3():
-    return PhiPlan(h=fourier(3), tensors=tuple(classical_tensor_set(2)))
+    return PhiPlan(h=fourier(3), tensors=classical_lsesc_set(2))
 
 
 class TestPhi:
@@ -48,45 +48,43 @@ class TestPhi:
         assert (out.m, out.n) == (3, 6)
 
     def test_f5_with_gf4_family(self):
-        out = phi(PhiPlan(h=fourier(5), tensors=tuple(classical_tensor_set(4))))
+        out = phi(PhiPlan(h=fourier(5), tensors=classical_lsesc_set(4)))
         assert (out.m, out.n) == (5, 20)
         assert verify(out).ok
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 9, 10])
     def test_every_deleted_row_verifies(self, n):
-        tensors = tuple(classical_tensor_set(n - 1))
+        family = classical_lsesc_set(n - 1)
         for t in range(1, n + 1):
-            out = phi(PhiPlan(h=fourier(n), tensors=tensors, deleted_row=t))
+            out = phi(PhiPlan(h=fourier(n), tensors=family, deleted_row=t))
             assert (out.m, out.n) == (n, n * (n - 1))
 
     def test_two_input_form_degenerates(self):
         h = fourier(4)
-        tensors = tuple(classical_tensor_set(3))
-        assert phi(PhiPlan(h=h, tensors=tensors, g=h)) == phi(
-            PhiPlan(h=h, tensors=tensors)
-        )
+        family = classical_lsesc_set(3)
+        assert phi(PhiPlan(h=h, tensors=family, g=h)) == phi(PhiPlan(h=h, tensors=family))
 
     def test_two_distinct_inputs(self):
         h = fourier(4)
         g = ButsonMatrix(4, 4, tuple(fourier(4).exponents[i] for i in (0, 2, 1, 3)))
-        out = phi(PhiPlan(h=h, tensors=tuple(classical_tensor_set(3)), g=g))
+        out = phi(PhiPlan(h=h, tensors=classical_lsesc_set(3), g=g))
         assert verify(out).ok
         # the top band comes from g, not h
         assert out.exponents[0] == tuple(v for v in g.exponents[1] for _ in range(3))
 
     def test_wrong_family_size(self):
         with pytest.raises(PlanError):
-            phi(PhiPlan(h=fourier(5), tensors=tuple(classical_tensor_set(2))))
+            phi(PhiPlan(h=fourier(5), tensors=classical_lsesc_set(2)))
 
     def test_family_not_lsesc(self):
         square = exhaustive_complete_lsesc(3)[0]
         with pytest.raises(PlanError):
-            phi(PhiPlan(h=fourier(4), tensors=(encode(square), encode(square))))
+            phi(PhiPlan(h=fourier(4), tensors=(square, square)))
 
     def test_unverified_input(self):
         broken = ButsonMatrix(3, 3, ((0, 0, 0), (0, 1, 1), (0, 2, 1)))
         with pytest.raises(VerificationError):
-            phi(PhiPlan(h=broken, tensors=tuple(classical_tensor_set(2))))
+            phi(PhiPlan(h=broken, tensors=classical_lsesc_set(2)))
 
     def test_input_verified_before_family_check(self):
         broken = ButsonMatrix(3, 3, ((0, 0, 0), (0, 1, 1), (0, 2, 1)))
@@ -97,7 +95,12 @@ class TestPhi:
 
     def test_deleted_row_out_of_range(self):
         with pytest.raises(PlanError):
-            phi(PhiPlan(h=fourier(3), tensors=tuple(classical_tensor_set(2)), deleted_row=4))
+            phi(PhiPlan(h=fourier(3), tensors=classical_lsesc_set(2), deleted_row=4))
+
+    @pytest.mark.parametrize("row", [True, 2.0])
+    def test_deleted_row_not_an_int(self, row):
+        with pytest.raises(PlanError, match=f"deleted row {row} is not an int"):
+            phi(PhiPlan(h=fourier(3), tensors=classical_lsesc_set(2), deleted_row=row))
 
     def test_order_too_small(self):
         with pytest.raises(PlanError):
@@ -106,7 +109,7 @@ class TestPhi:
 
 class TestPsi:
     def test_example2_full_matrix(self):
-        out = psi(PsiPlan(h=fourier(6), tensors=tuple(classical_tensor_set(2))))
+        out = psi(PsiPlan(h=fourier(6), tensors=classical_lsesc_set(2)))
         assert out.exponents == EXAMPLE2_PSI_F6
         assert out.exponents[0] == (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5)
 
@@ -116,58 +119,62 @@ class TestPsi:
 
         monkeypatch.setattr(latin, "inflate", forbidden)
         monkeypatch.setattr(scarpis, "inflate", forbidden, raising=False)
-        out = psi(PsiPlan(h=fourier(6), tensors=tuple(classical_tensor_set(2))))
+        out = psi(PsiPlan(h=fourier(6), tensors=classical_lsesc_set(2)))
         assert out.exponents == EXAMPLE2_PSI_F6
 
     def test_resolve_fills_first_choices(self):
-        resolved = resolve_psi(PsiPlan(h=fourier(6), tensors=tuple(classical_tensor_set(2))))
+        resolved = resolve_psi(PsiPlan(h=fourier(6), tensors=classical_lsesc_set(2)))
         assert resolved.c1_pair == (1, 4)
         assert resolved.c2_cell == (4, 4)
 
     @pytest.mark.parametrize("pair", [(1, 4), (2, 5), (3, 6)])
     def test_every_c1_pair_of_f6(self, pair):
-        out = psi(PsiPlan(h=fourier(6), tensors=tuple(classical_tensor_set(2)), c1_pair=pair))
+        out = psi(PsiPlan(h=fourier(6), tensors=classical_lsesc_set(2), c1_pair=pair))
         assert (out.m, out.n) == (6, 12)
 
     @pytest.mark.parametrize("d", [3, 5, 9])
     def test_every_c1_pair_verifies(self, d):
         n = 2 * d
         h = fourier(n)
-        tensors = tuple(classical_tensor_set(n // 2 - 1))
+        family = classical_lsesc_set(n // 2 - 1)
         for pair in find_c1_pairs(h):
-            out = psi(PsiPlan(h=h, tensors=tensors, c1_pair=pair))
+            out = psi(PsiPlan(h=h, tensors=family, c1_pair=pair))
             assert (out.m, out.n) == (n, n * (n // 2 - 1))
 
     def test_f10_with_gf4_family(self):
-        out = psi(PsiPlan(h=fourier(10), tensors=tuple(classical_tensor_set(4))))
+        out = psi(PsiPlan(h=fourier(10), tensors=classical_lsesc_set(4)))
         assert (out.m, out.n) == (10, 40)
 
     def test_f10_with_exhaustive_family(self):
         family = exhaustive_complete_lsesc(4)
-        out = psi(PsiPlan(h=fourier(10), tensors=tuple(encode(s) for s in family)))
+        out = psi(PsiPlan(h=fourier(10), tensors=family))
         assert (out.m, out.n) == (10, 40)
 
     def test_two_input_form_degenerates(self):
         h = fourier(6)
-        tensors = tuple(classical_tensor_set(2))
-        assert psi(PsiPlan(h=h, tensors=tensors, g=h)) == psi(PsiPlan(h=h, tensors=tensors))
+        family = classical_lsesc_set(2)
+        assert psi(PsiPlan(h=h, tensors=family, g=h)) == psi(PsiPlan(h=h, tensors=family))
 
     def test_two_distinct_inputs(self):
         h = fourier(6)
         g = ButsonMatrix(6, 6, tuple(fourier(6).exponents[i] for i in (5, 4, 3, 2, 1, 0)))
-        out = psi(PsiPlan(h=h, tensors=tuple(classical_tensor_set(2)), g=g))
+        out = psi(PsiPlan(h=h, tensors=classical_lsesc_set(2), g=g))
         assert verify(out).ok and (out.m, out.n) == (6, 12)
 
     def test_no_c2_cell(self):
         with pytest.raises(PlanError, match="C2"):
-            psi(PsiPlan(h=fourier(8), tensors=tuple(classical_tensor_set(3))))
+            psi(PsiPlan(h=fourier(8), tensors=classical_lsesc_set(3)))
 
     def test_invalid_explicit_choices(self):
-        tensors = tuple(classical_tensor_set(2))
+        family = classical_lsesc_set(2)
         with pytest.raises(PlanError):
-            psi(PsiPlan(h=fourier(6), tensors=tensors, c1_pair=(1, 2)))
+            psi(PsiPlan(h=fourier(6), tensors=family, c1_pair=(1, 2)))
         with pytest.raises(PlanError):
-            psi(PsiPlan(h=fourier(6), tensors=tensors, c2_cell=(1, 1)))
+            psi(PsiPlan(h=fourier(6), tensors=family, c2_cell=(1, 1)))
+        # each equals a valid choice on F_6, since 1.0 == True == 1
+        for choice in ({"c1_pair": (1.0, 4.0)}, {"c1_pair": (True, 4)}, {"c2_cell": (4.0, 4.0)}):
+            with pytest.raises(PlanError, match="is not a C[12]"):
+                psi(PsiPlan(h=fourier(6), tensors=family, **choice))
 
     def test_input_verified_before_c1_c2_search(self):
         rows = [list(r) for r in fourier(6).exponents]
@@ -190,7 +197,7 @@ class TestPsi:
         h = ButsonMatrix(6, 6, tuple(rows))
         assert verify(h).ok and find_c2_cells(h) == [(4, 4)]
         with pytest.raises(PlanError, match="of C"):
-            psi(PsiPlan(h=h, tensors=tuple(classical_tensor_set(2))))
+            psi(PsiPlan(h=h, tensors=classical_lsesc_set(2)))
 
 
 class TestOutputOrderCap:
@@ -218,7 +225,7 @@ class TestOutputOrderCap:
 
     def test_output_at_the_cap_is_built(self, monkeypatch):
         monkeypatch.setattr(scarpis, "OUTPUT_ORDER_CAP", 12)
-        assert psi(PsiPlan(h=fourier(6), tensors=tuple(classical_tensor_set(2)))).n == 12
+        assert psi(PsiPlan(h=fourier(6), tensors=classical_lsesc_set(2))).n == 12
 
 
 class TestHalvingFamily:
@@ -235,6 +242,11 @@ class TestHalvingFamily:
         with pytest.raises(ValueError):
             halving_family(0)
 
+    @pytest.mark.parametrize("r", [True, 1.0])
+    def test_rejects_non_int(self, r):
+        with pytest.raises(ValueError, match="r must be a positive int"):
+            halving_family(r)
+
 
 class TestAssemblyDigests:
     """Outputs pinned by digest, beyond the two worked examples: a permuted
@@ -246,7 +258,7 @@ class TestAssemblyDigests:
         f9 = fourier(9)
         h = permute_columns(f9, [1, 3, 2, 4, 5, 6, 7, 8, 9])
         g = ButsonMatrix(9, 9, tuple(reversed(f9.exponents)))
-        out = phi(PhiPlan(h=h, g=g, tensors=tuple(classical_tensor_set(8)), deleted_row=4))
+        out = phi(PhiPlan(h=h, g=g, tensors=classical_lsesc_set(8), deleted_row=4))
         assert (out.m, out.n) == (9, 72)
         assert matrix_digest(out) == (
             "sha256:4cbb187d8a150e6d6b470a541d2acbf300ae7dd6b0dd71a7e44747f406371a31"
@@ -257,15 +269,15 @@ class TestAssemblyDigests:
         g = ButsonMatrix(10, 10, tuple(reversed(f10.exponents)))
         pair = find_c1_pairs(g)[1]
         assert pair == (2, 7)
-        out = psi(PsiPlan(h=f10, g=g, c1_pair=pair, tensors=tuple(classical_tensor_set(4))))
+        out = psi(PsiPlan(h=f10, g=g, c1_pair=pair, tensors=classical_lsesc_set(4)))
         assert (out.m, out.n) == (10, 40)
         assert matrix_digest(out) == (
             "sha256:47d93b1b73abc2e5ddcc714b36e24face6b475f67c185f6b2d775931cdf18716"
         )
 
     def test_psi_reversed_family(self):
-        tensors = tuple(reversed(classical_tensor_set(4)))
-        out = psi(PsiPlan(h=fourier(10), tensors=tensors))
+        family = tuple(reversed(classical_lsesc_set(4)))
+        out = psi(PsiPlan(h=fourier(10), tensors=family))
         assert (out.m, out.n) == (10, 40)
         assert matrix_digest(out) == (
             "sha256:2b2c0861eaa396bbd70dba77028153753781bac22fe98fa281f543e3119544f5"
@@ -291,13 +303,13 @@ class TestHadamardSpecialisations:
         g = self.sylvester(2)
         h = ButsonMatrix(2, 4, tuple(g.exponents[i] for i in (0, 2, 3, 1)))
         assert g != h and verify(h).ok
-        out = phi(PhiPlan(h=h, tensors=tuple(classical_tensor_set(3)), g=g))
+        out = phi(PhiPlan(h=h, tensors=classical_lsesc_set(3), g=g))
         assert (out.m, out.n) == (2, 12)
         assert all(v in (0, 1) for row in out.exponents for v in row)
 
     def test_psi_on_order8_gives_order24_hadamard(self):
         h8 = self.sylvester(3)
-        out = psi(PsiPlan(h=h8, tensors=tuple(classical_tensor_set(3))))
+        out = psi(PsiPlan(h=h8, tensors=classical_lsesc_set(3)))
         assert (out.m, out.n) == (2, 24)
         assert all(v in (0, 1) for row in out.exponents for v in row)
 
@@ -314,21 +326,21 @@ class TestSquaresAreTheTensors:
         monkeypatch.setattr(latin.LatinTensor, "__post_init__", forbidden)
         out = halving_family(2)
         assert (out.m, out.n) == (10, 40)
-        assert phi(PhiPlan(fourier(5), classical_tensor_set(4))).n == 20
+        assert phi(PhiPlan(fourier(5), classical_lsesc_set(4))).n == 20
 
     @pytest.mark.parametrize("member", ["cubic tensor", "inflated tensor", "square of order 3"])
     def test_member_not_a_square_of_the_order(self, member):
         square = classical_lsesc_set(2)[0]
-        tensors = ({
+        family = ({
             "cubic tensor": inflate(square, 1),
             "inflated tensor": inflate(square, 2),
             "square of order 3": classical_lsesc_set(3)[0],
         }[member],)
         message = "family member 1 is not a Latin square of order 2"
         with pytest.raises(PlanError, match=message):
-            phi(PhiPlan(h=fourier(3), tensors=tensors))
+            phi(PhiPlan(h=fourier(3), tensors=family))
         with pytest.raises(PlanError, match=message):
-            psi(PsiPlan(h=fourier(6), tensors=tensors))
+            psi(PsiPlan(h=fourier(6), tensors=family))
 
     def test_index_built_once(self, monkeypatch):
         built = []

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from bhmat import butson
 from bhmat.butson import ButsonMatrix, fourier, verify
-from bhmat.latin import classical_tensor_set
+from bhmat.latin import classical_lsesc_set
 from bhmat.scarpis import PhiPlan, halving_family, phi
 
 from oracles import ExponentCountVector, cyclotomic_poly, sum_equals, verify_oracle
@@ -92,7 +92,7 @@ class TestAgainstOracle:
 def constructions():
     return {
         "fourier": fourier(13),
-        "phi": phi(PhiPlan(h=fourier(5), tensors=tuple(classical_tensor_set(4)))),
+        "phi": phi(PhiPlan(h=fourier(5), tensors=classical_lsesc_set(4))),
         "psi": halving_family(2),
     }
 
@@ -127,7 +127,7 @@ class TestCorruptions:
                     assert report == verify_oracle(bad), (kind, i, j, shift)
 
     def test_default_tiles(self):
-        b = phi(PhiPlan(h=fourier(17), tensors=tuple(classical_tensor_set(16))))
+        b = phi(PhiPlan(h=fourier(17), tensors=classical_lsesc_set(16)))
         tile = _tile_rows(b.m, b.n)
         assert 1 < tile < b.n - 1
         for i, j in _corruption_cells(b.n, tile):
@@ -176,7 +176,7 @@ class TestCyclicLayout:
         assert butson._layout(2, 64)[2:4] == (2, 1)
 
     def test_bh_17_272_default_tiles(self):
-        b = phi(PhiPlan(h=fourier(17), tensors=tuple(classical_tensor_set(16))))
+        b = phi(PhiPlan(h=fourier(17), tensors=classical_lsesc_set(16)))
         assert _tile_rows(b.m, b.n) == 96
         # dst on both sides of the boundaries at rows 96 and 192 (0-based);
         # src = 95 would make the oracle test 26000 pairs, so sources at a
