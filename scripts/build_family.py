@@ -6,6 +6,8 @@ output directory is given.
 """
 
 import argparse
+import os
+import sys
 import time
 from pathlib import Path
 
@@ -35,4 +37,9 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

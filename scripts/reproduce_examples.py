@@ -4,6 +4,9 @@ Output shows exponent arrays (entry e stands for the e-th power of the
 primitive m-th root of unity) together with the exact verification verdict.
 """
 
+import os
+import sys
+
 from bhmat import (
     PhiPlan,
     PsiPlan,
@@ -47,4 +50,9 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -7,6 +7,8 @@ complete LSESC family of order n/2 - 1).
 """
 
 import argparse
+import os
+import sys
 
 from bhmat import find_c1_pairs, find_c2_cells, fourier, prime_power
 
@@ -30,4 +32,9 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -23,15 +23,9 @@ from .butson import (
     write_matrix,
 )
 from .errors import FormatError, PlanError, VerificationError
-from .galois import (
+from .latin import (
     FieldElement,
     GaloisField,
-    enumerate_elements,
-    is_prime,
-    make_field,
-    prime_power,
-)
-from .latin import (
     LatinSquare,
     LatinTensor,
     are_lsesc,
@@ -40,8 +34,12 @@ from .latin import (
     classical_tensor_set,
     conjugate_lsesc_mols,
     encode,
+    enumerate_elements,
     inflate,
     is_latin,
+    is_prime,
+    make_field,
+    prime_power,
     read_latin_set,
     reconstruct,
     write_latin_set,

@@ -438,7 +438,7 @@ def _extract_t(b: ButsonMatrix, cell: tuple[int, int]) -> TExtraction:
 
 def permute_columns(b: ButsonMatrix, order: Sequence[int]) -> ButsonMatrix:
     """Reorder columns; order lists the 1-based original indices in their new order."""
-    if sorted(order) != list(range(1, b.n + 1)):
+    if any(type(c) is not int for c in order) or sorted(order) != list(range(1, b.n + 1)):
         raise ValueError(f"not a permutation of 1..{b.n}: {order}")
     rows = tuple(tuple(row[c - 1] for c in order) for row in b.exponents)
     return ButsonMatrix(b.m, b.n, rows)

@@ -1,5 +1,5 @@
 """Latin squares, which are also the paper's cubic tensors, the LSESC and
-MOLS predicates, and inflated tensors.
+MOLS predicates, GF(p^r), and the classical complete families over it.
 
 Two squares are eligible for the row-indexed construction ("LSESC") when
 every pair of rows, one from each square, agrees in exactly one column.
@@ -16,10 +16,14 @@ holds the largest such sum, n 2^(n-1), so one integer sum per row of A
 tests it against the whole tile.
 
 Squares always use the symbol set {1..n}.  The classical complete families
-come from GF(q): the square for a nonzero field element b has cell (i, j)
-equal to the enumeration index of x_i + b*x_j, plus one.  The field is held
-as integer tables on those indices: addition, and multiplication by X, from
-which each row of products b*x_j is built digit by digit.
+come from GF(q): the square for a nonzero element b has cell (i, j) equal
+to 1 plus the index of x_i + b*x_j.  The element of index v is the
+polynomial over F_p whose coefficients, lowest degree first, are the
+base-p digits of v, and GF(p^r) = F_p[X]/(f), where f is X^r plus the
+first element in index order that makes it irreducible.  The field is held
+as integer tables on those indices: addition, and multiplication by X,
+from which each row of products b*x_j is built digit by digit.  The tuple
+arithmetic that checks the tables lives with the tests.
 """
 
 from __future__ import annotations
@@ -33,11 +37,11 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, PlanError, parse_decimals, read_text, text_lines, write_text
-from .galois import make_field, prime_power
 
 # Largest classical family order, checked before any field table is built:
 # q = 256 is (q-1) q^2 = 1.7e7 cells.
 CLASSICAL_ORDER_CAP = 2**8
+FIELD_ORDER_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -92,41 +96,6 @@ class LatinSquare:
     def row_images(self, slice_index: int) -> tuple[int, ...]:
         """0-based map i -> j of slice slice_index (1-based)."""
         return self.slices[slice_index - 1]
-
-
-@dataclass(frozen=True)
-class LatinTensor:
-    """Stack of n disjoint permutations (the frontal slices), as row images.
-
-    slices[k][i] is the 0-based image of row i under slice k.  A cubic
-    tensor is a LatinSquare already; this class holds inflated and
-    hand-built ones.  Inflation keeps the slice count but blows each slice
-    up block-diagonally, so slices may permute more than n rows.
-    """
-
-    n: int
-    slices: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        slices = tuple(tuple(sl) for sl in self.slices)
-        object.__setattr__(self, "slices", slices)
-        if len(slices) != self.n:
-            raise ValueError(f"expected {self.n} frontal slices, got {len(slices)}")
-        if not slices:
-            return
-        rows = list(range(self.size))
-        if not set(map(type, chain.from_iterable(slices))) <= {int} or any(
-            sorted(sl) != rows for sl in slices
-        ):
-            raise ValueError(f"every frontal slice must permute 0..{len(rows) - 1}")
-        if any(len(set(images)) != self.n for images in zip(*slices)):
-            raise ValueError("frontal slices must be pairwise disjoint")
-
-    @property
-    def size(self) -> int:
-        return len(self.slices[0])
-
-    row_images = LatinSquare.row_images
 
 
 def is_latin(cells: Sequence[Sequence[int]]) -> bool:
@@ -297,6 +266,96 @@ def conjugate_lsesc_mols(square: LatinSquare) -> LatinSquare:
     return LatinSquare(n, tuple(rows[a : a + n] for a in range(0, n * n, n)))
 
 
+FieldElement = tuple[int, ...]
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is a prime int; a bool or a float never is."""
+    return prime_power(n) == (n, 1)
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """Decompose q as p^r with p prime, or None if q is not a prime power
+    (a bool or a float never is)."""
+    if type(q) is not int or q < 2:
+        return None
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            r = 0
+            rest = q
+            while rest % p == 0:
+                rest //= p
+                r += 1
+            return (p, r) if rest == 1 else None
+        p += 1
+    return (q, 1)
+
+
+@dataclass(frozen=True)
+class GaloisField:
+    """GF(p^r) presented as F_p[x] modulo a monic irreducible of degree r."""
+
+    p: int
+    r: int
+    modulus: tuple[int, ...]  # ascending degree, length r + 1, monic
+
+    @property
+    def order(self) -> int:
+        return self.p**self.r
+
+
+def _poly_mod(poly: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
+    """Reduce poly by the monic modulus, coefficients mod p."""
+    rem = [c % p for c in poly]
+    deg_m = len(modulus) - 1
+    for top in range(len(rem) - 1, deg_m - 1, -1):
+        factor = rem[top]
+        if factor == 0:
+            continue
+        shift = top - deg_m
+        for k, c in enumerate(modulus):
+            rem[shift + k] = (rem[shift + k] - factor * c) % p
+    return rem[:deg_m]
+
+
+def _is_irreducible(candidate: tuple[int, ...], p: int) -> bool:
+    """Trial division by every monic polynomial of degree 1..deg/2."""
+    deg = len(candidate) - 1
+    for d in range(1, deg // 2 + 1):
+        for value in range(p**d):
+            divisor = _element_from_value(value, d, p) + (1,)
+            if not any(_poly_mod(list(candidate), divisor, p)):
+                return False
+    return True
+
+
+def _element_from_value(value: int, length: int, p: int) -> tuple[int, ...]:
+    digits = []
+    for _ in range(length):
+        digits.append(value % p)
+        value //= p
+    return tuple(digits)
+
+
+def make_field(p: int, r: int) -> GaloisField:
+    """Build GF(p^r): the modulus is x^r plus the first element in index
+    order that makes it irreducible, so GF(4) gets x^2 + x + 1 and GF(8)
+    gets x^3 + x + 1 (before x^3 + x^2 + 1, whose index is higher).
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p!r} is not prime")
+    if type(r) is not int or r < 1:
+        raise ValueError(f"extension degree must be a positive int, got {r!r}")
+    if p**r > FIELD_ORDER_CAP:
+        raise ValueError(f"field order {p}^{r} exceeds cap {FIELD_ORDER_CAP}")
+    for value in range(p**r):
+        candidate = _element_from_value(value, r, p) + (1,)
+        if _is_irreducible(candidate, p):
+            return GaloisField(p=p, r=r, modulus=candidate)
+    raise AssertionError("no irreducible polynomial found; unreachable for prime p")
+
+
 def classical_lsesc_set(q: int) -> list[LatinSquare]:
     """The q-1 squares with cells x_i + b*x_j over GF(q), one per nonzero b."""
     decomposition = prime_power(q)
@@ -359,39 +418,6 @@ def _products(
         yield row
 
 
-def classical_tensor_set(q: int) -> list[LatinSquare]:
-    return classical_lsesc_set(q)
-
-
-def encode(square: LatinSquare) -> LatinSquare:
-    """The cubic tensor of square, which is the square itself (see
-    LatinSquare.slices); kept for callers of the tensor form."""
-    return square
-
-
-def inflate(tensor: LatinSquare | LatinTensor, m: int) -> LatinTensor:
-    """Blow each frontal slice X_k up to the block diagonal I_m (x) X_k."""
-    if m < 1:
-        raise ValueError(f"inflation factor must be positive, got {m}")
-    size = tensor.size
-    return LatinTensor(
-        tensor.n,
-        tuple(
-            tuple(block * size + j for block in range(m) for j in sl)
-            for sl in tensor.slices
-        ),
-    )
-
-
-def reconstruct(tensor: LatinSquare | LatinTensor) -> LatinSquare:
-    """Recover the square from a cubic tensor: cell (i, k) is the symbol slice k maps row i to."""
-    if tensor.size != tensor.n:
-        raise ValueError("only cubic (non-inflated) tensors encode a Latin square")
-    return LatinSquare(
-        tensor.n, tuple(tuple(j + 1 for j in row) for row in zip(*tensor.slices))
-    )
-
-
 def write_latin_set(squares: Sequence[LatinSquare], path: str | Path) -> None:
     write_text(path, dump_latin_set(squares))
 
@@ -436,3 +462,87 @@ def parse_latin_set(text: str) -> list[LatinSquare]:
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     return squares
+
+
+# ---------------------------------------------------------------------------
+# Names only perfbench and their own tests use; they move to tests/oracles.py
+# once perfbench reads the library's stages (ROADMAP items 2 and 4).
+
+
+@dataclass(frozen=True)
+class LatinTensor:
+    """Stack of n disjoint permutations (the frontal slices), as row images.
+
+    slices[k][i] is the 0-based image of row i under slice k.  A cubic
+    tensor is a LatinSquare already; this class holds inflated and
+    hand-built ones.  Inflation keeps the slice count but blows each slice
+    up block-diagonally, so slices may permute more than n rows.
+    """
+
+    n: int
+    slices: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        slices = tuple(tuple(sl) for sl in self.slices)
+        object.__setattr__(self, "slices", slices)
+        if type(self.n) is not int:
+            raise ValueError(f"order must be an int, got {self.n!r}")
+        if len(slices) != self.n:
+            raise ValueError(f"expected {self.n} frontal slices, got {len(slices)}")
+        if not slices:
+            return
+        rows = list(range(self.size))
+        if not set(map(type, chain.from_iterable(slices))) <= {int} or any(
+            sorted(sl) != rows for sl in slices
+        ):
+            raise ValueError(f"every frontal slice must permute 0..{len(rows) - 1}")
+        if any(len(set(images)) != self.n for images in zip(*slices)):
+            raise ValueError("frontal slices must be pairwise disjoint")
+
+    @property
+    def size(self) -> int:
+        return len(self.slices[0])
+
+    row_images = LatinSquare.row_images
+
+
+def encode(square: LatinSquare) -> LatinSquare:
+    """The cubic tensor of square, which is the square itself (see
+    LatinSquare.slices); kept for callers of the tensor form."""
+    return square
+
+
+def inflate(tensor: LatinSquare | LatinTensor, m: int) -> LatinTensor:
+    """Blow each frontal slice X_k up to the block diagonal I_m (x) X_k."""
+    if type(m) is not int:
+        raise ValueError(f"inflation factor must be an int, got {m!r}")
+    if m < 1:
+        raise ValueError(f"inflation factor must be positive, got {m}")
+    size = tensor.size
+    return LatinTensor(
+        tensor.n,
+        tuple(
+            tuple(block * size + j for block in range(m) for j in sl)
+            for sl in tensor.slices
+        ),
+    )
+
+
+def reconstruct(tensor: LatinSquare | LatinTensor) -> LatinSquare:
+    """Recover the square from a cubic tensor: cell (i, k) is the symbol slice k maps row i to."""
+    if tensor.size != tensor.n:
+        raise ValueError("only cubic (non-inflated) tensors encode a Latin square")
+    return LatinSquare(
+        tensor.n, tuple(tuple(j + 1 for j in row) for row in zip(*tensor.slices))
+    )
+
+
+def classical_tensor_set(q: int) -> list[LatinSquare]:
+    return classical_lsesc_set(q)
+
+
+def enumerate_elements(field: GaloisField) -> list[FieldElement]:
+    """All field elements in base-p digit order; the zero element comes first."""
+    return [
+        _element_from_value(value, field.r, field.p) for value in range(field.order)
+    ]

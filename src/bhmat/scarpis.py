@@ -290,8 +290,7 @@ def halving_family(r: int) -> ButsonMatrix:
 def count_phi_outputs(mols_count: int, bh_count: int, n: int) -> int:
     """Number of phi outputs: |MOLS(n-1)| * |BH(m,n)|^2 * n; cardinalities are
     caller-supplied, nothing is enumerated here."""
-    if mols_count < 0 or bh_count < 0 or n < 0:
-        raise ValueError("counts must be non-negative")
+    _check_counts(mols_count, bh_count, n)
     return mols_count * bh_count * bh_count * n
 
 
@@ -300,6 +299,13 @@ def count_psi_outputs(
 ) -> int:
     """Number of psi outputs: sum over x-sources of |MOLS(n/2-1)| * |A2| * d_H,
     where each d_H is that source's count of unordered C1 pairs."""
-    if mols_count < 0 or a2_count < 0 or any(d < 0 for d in dh_values):
-        raise ValueError("counts must be non-negative")
+    _check_counts(mols_count, a2_count, *dh_values)
     return sum(mols_count * a2_count * dh for dh in dh_values)
+
+
+def _check_counts(*counts: int) -> None:
+    for c in counts:
+        if type(c) is not int:
+            raise ValueError(f"count {c!r} is not an int")
+    if any(c < 0 for c in counts):
+        raise ValueError("counts must be non-negative")

@@ -22,7 +22,7 @@ from typing import Any, Iterator, Sequence
 
 from bhmat.butson import ButsonMatrix, TExtraction, VerifyReport
 from bhmat.errors import PlanError
-from bhmat.galois import FieldElement, GaloisField
+from bhmat.latin import FieldElement, GaloisField
 from bhmat.latin import LatinSquare, are_lsesc
 
 

@@ -678,6 +678,30 @@ def test_separate_process(tmp_path, argv, code, line):
     assert not (tmp_path / "out.json").exists()
 
 
+# Each script writes to a pipe whose reader is gone, as under `| head -1`
+# once head has exited: it ends with status 1 and writes nothing to stderr.
+@pytest.mark.parametrize(
+    "argv",
+    ["reproduce_examples.py", "scan_fourier_conditions.py --max-order 6",
+     "build_family.py --max-r 1"],
+    ids=["reproduce-examples", "scan-fourier-conditions", "build-family"],
+)
+def test_script_on_closed_stdout(argv):
+    script, *args = argv.split()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, SCRIPTS / script, *args],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
+
+
 def test_provenance_records_reproducible_plan(tmp_path):
     src = tmp_path / "f6.json"
     out = tmp_path / "out.json"

@@ -1,6 +1,6 @@
 import pytest
 
-from bhmat.galois import enumerate_elements, is_prime, make_field, prime_power
+from bhmat.latin import enumerate_elements, is_prime, make_field, prime_power
 from bhmat.latin import classical_lsesc_set
 
 from oracles import element_value, field_add, field_mul

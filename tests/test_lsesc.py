@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from bhmat import cli, latin, scarpis
 from bhmat.errors import PlanError
-from bhmat.galois import enumerate_elements, make_field, prime_power
+from bhmat.latin import enumerate_elements, make_field, prime_power
 from bhmat.latin import (
     LatinSquare,
     are_lsesc,

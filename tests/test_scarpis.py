@@ -395,3 +395,28 @@ class TestCounts:
             count_phi_outputs(-1, 1, 4)
         with pytest.raises(ValueError):
             count_psi_outputs(1, 1, [-2])
+
+
+# The last public functions that took a bool or a float for an int: each
+# returned a coerced answer or died with a TypeError.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_phi_outputs(1, 1, 2.5),
+        lambda: count_phi_outputs(True, 1, 3),
+        lambda: count_psi_outputs(1.5, 1, [2]),
+        lambda: count_psi_outputs(1, 1, [True]),
+        lambda: permute_columns(fourier(2), (True, 2)),
+        lambda: permute_columns(fourier(2), (1.0, 2.0)),
+        lambda: inflate(classical_lsesc_set(2)[0], True),
+        lambda: inflate(classical_lsesc_set(2)[0], 2.0),
+        lambda: latin.LatinTensor(True, ((0,),)),
+        lambda: latin.LatinTensor(1.0, ((0,),)),
+    ],
+    ids=["phi-count-float", "phi-count-bool", "psi-count-float", "psi-dh-bool",
+         "permute-bool", "permute-float", "inflate-bool", "inflate-float",
+         "tensor-bool", "tensor-float"],
+)
+def test_non_int_argument_is_refused(call):
+    with pytest.raises(ValueError):
+        call()
