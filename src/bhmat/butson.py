@@ -17,8 +17,11 @@ digits of W bits, the cyclic difference histogram) and F = w^(m/2) + 1
 at even m (m/2 digits and a bias, negacyclic).  Phi_m(w) divides F in
 both, so a slot is a multiple of Phi_m(w) exactly when its pair is
 orthogonal, and all slots of a row are tested by one division (see
-_layout and _first_packed_failure).  No floating point is involved in
-verification.
+_layout and _first_packed_failure).  Row i tests only the slots j > i;
+once the slots below them are worth dropping (_trim_pays), the pass
+shifts them out of the tile.  Slots are byte-aligned and never carry
+into one another, so the slots left are unchanged.  No floating point is
+involved in verification.
 
 Row and column indices in the public API are 1-based, matching the usual
 matrix convention.
@@ -158,8 +161,14 @@ def verify(b: ButsonMatrix) -> VerifyReport:
     return VerifyReport(ok=False, bad_row_pair=bad_rows, bad_col_pair=bad_cols)
 
 
-# Bytes of packed rows held at once by _first_packed_failure.
+# Bytes of packed rows held at once by _first_packed_failure.  As its rows
+# advance, a tile sheds the slots of the pairs already decided (see
+# _trim_pays), so a tile's diagonal adds few dead slots.
 _TILE_BYTES = 1 << 19
+
+# Bytes of each table int that a tile's dead slots must hold before
+# _first_packed_failure shifts them out (see _trim_pays).
+_TRIM_BYTES = 256
 
 
 def _embedding(m: int, n: int) -> tuple[int, int]:
@@ -229,6 +238,15 @@ def _slots_divisible(tail: int, modulus: int, over: int) -> bool:
     return not remainder and not quotient & over
 
 
+def _trim_pays(dead: int, live: int, slot: int) -> bool:
+    """Whether _first_packed_failure shifts a tile's dead slots out: dead
+    slots lie below the first slot a row tests, live ones from it to the
+    end of the tile, each slot bytes wide.  They go once they are at least
+    1/8 of the live slots and hold at least _TRIM_BYTES of each table int;
+    below that, the shift costs more than the additions it saves."""
+    return 8 * dead >= live and dead * slot >= _TRIM_BYTES
+
+
 def _first_non_orthogonal(
     vectors: Sequence[Sequence[int]], m: int
 ) -> tuple[int, int] | None:
@@ -277,6 +295,15 @@ def _first_packed_failure(
     a failing row is cut into slots, to name its first j.  Tiles run in
     order of j and each is packed at most once; a failure in row i leaves
     only the rows before i to later tiles.
+
+    Within the tile that holds row i, the slots j <= i are dead: no later
+    row tests them.  When _trim_pays says so, every table[k] and the bias
+    are shifted right by the dead slots, and base, the row of the lowest
+    slot left, moves up to i + 1; slot j then sits (j - base) slots up.
+    This is exact because slots are byte-aligned and every sum, fold and
+    rotation keeps each slot below its bound in _layout: no slot borrows
+    from or carries into another, so slot j >= base is the same number
+    with or without the slots below it.
     """
     n = len(vectors)
     width, modulus, slot, digits, bias, quotient = _layout(m, n)
@@ -299,7 +326,15 @@ def _first_packed_failure(
         ones = int.from_bytes(b"\1".ljust(slot, b"\0") * (j1 - j0), "little")
         low, high = ones * ((1 << top) - 1), ones * ((1 << 8 * slot - top) - 1)
         offset, over = ones * bias, ones * ((1 << 8 * slot) - (1 << quotient))
+        base = j0  # the row of the lowest slot left in table and offset
         for i in rows:
+            start = max(j0, i + 1)
+            if _trim_pays(start - base, j1 - start, slot):
+                shift = 8 * slot * (start - base)
+                for k, entry in enumerate(table):  # in place: no second table
+                    table[k] = entry >> shift
+                offset >>= shift
+                base = start
             sums = [offset] * digits + [0] * (m - digits)
             for entry, e in zip(table, vectors[i]):
                 sums[e] += entry
@@ -308,12 +343,11 @@ def _first_packed_failure(
             packed = sums[-1]
             for s in reversed(sums[:-1]):
                 packed = rotate_in(((packed & low) << width) + s, (packed >> top) & high)
-            start = max(j0, i + 1)
-            if _slots_divisible(packed >> 8 * slot * (start - j0), modulus, over):
+            if _slots_divisible(packed >> 8 * slot * (start - base), modulus, over):
                 continue
-            data = packed.to_bytes((j1 - j0) * slot, "little")
+            data = packed.to_bytes((j1 - base) * slot, "little")
             for j in range(start, j1):
-                at = (j - j0) * slot
+                at = (j - base) * slot
                 if int.from_bytes(data[at : at + slot], "little") % modulus:
                     best = (i, j)
                     break

@@ -642,3 +642,142 @@ class TestSmallRootOrders:
             assert report == verify_oracle(bad)
         assert verify(_with_row(b, 2, 6, 1)).bad_row_pair == (3, 7)
 
+
+def _never(dead, live, slot):
+    return False
+
+
+def _every(rows):
+    """A trim rule that shifts out the dead slots once there are rows of them."""
+    return lambda dead, live, slot: dead >= rows
+
+
+# Trim rules the kernel must agree under: every row, every 2nd and 4th row,
+# and the default rule without its byte floor (the 1/8 share alone).
+TRIM_RULES = {
+    "every row": {"_trim_pays": _every(1)},
+    "every 2nd row": {"_trim_pays": _every(2)},
+    "every 4th row": {"_trim_pays": _every(4)},
+    "no byte floor": {"_TRIM_BYTES": 0},
+}
+DEFAULT_RULE = {"_TRIM_BYTES": butson._TRIM_BYTES}
+
+
+def _trim_moves(n, tile):
+    """(src, dst) for a row dst replaced by a phase of row src: dst = src + 1,
+    the first slot left after a trim at row src; dst the last slot of src's
+    tile; and dst on both sides of the first two tile boundaries."""
+    moves = set(_row_moves(n, tile))
+    for j0 in sorted({0, tile, (n - 1) // tile * tile}):
+        end = min(j0 + tile, n) - 1
+        for src in {j0 + 1, (j0 + end) // 2, end - 1}:
+            if 1 <= src < end:
+                moves |= {(src, src + 1), (src, end)}
+    return sorted((src, dst) for src, dst in moves if 1 <= src < dst < n)
+
+
+def _trims(b):
+    """The (dead, live) rows of every trim the default rule makes on b's rows."""
+    seen, rule = [], butson._trim_pays
+
+    def spy(dead, live, slot):
+        if rule(dead, live, slot):
+            seen.append((dead, live))
+            return True
+        return False
+
+    with mock.patch.object(butson, "_trim_pays", spy):
+        butson._first_packed_failure(b.exponents, b.m)
+    return seen
+
+
+class TestTrimmedTiles:
+    """Row i of a tile tests only its slots j > i, and the kernel shifts the
+    dead slots below them out of the tile's table and bias (_trim_pays).
+    Under forced trims, at every tile size, a row replaced by a phase of
+    another must give the pair, and the report of the kernel that never
+    trims and of verify_oracle."""
+
+    MATRICES = {
+        9: lambda: phi(PhiPlan(h=fourier(9), tensors=classical_lsesc_set(8))),
+        17: lambda: fourier(17),
+        10: lambda: halving_family(2),
+        18: lambda: halving_family(3),
+        34: lambda: fourier(34),
+        2: lambda: _sylvester(6),
+    }
+
+    @staticmethod
+    def _agrees(b, moves, patches):
+        for src, dst in moves:
+            bad = _with_row(b, src, dst, b.m // 2 + 1)
+            with mock.patch.object(butson, "_trim_pays", _never):
+                untrimmed = verify(bad)
+            with mock.patch.multiple(butson, **patches):
+                report = verify(bad)
+            assert report.bad_row_pair == (src + 1, dst + 1), (src, dst)
+            assert report == untrimmed, (src, dst)
+            if src * b.n <= 4000:  # the oracle tests about src * n row pairs
+                assert report == verify_oracle(bad), (src, dst)
+
+    # BH(18,144) in small tiles is slow, and the other orders cover them
+    @pytest.mark.parametrize(
+        "m, tile",
+        [(m, tile) for m in sorted(MATRICES) for tile in (1, 3, 7, None) if m != 18 or tile is None],
+    )
+    def test_forced_trims(self, m, tile):
+        b = self.MATRICES[m]()
+        tile_bytes = butson._TILE_BYTES if tile is None else tile * b.n * _slot_bytes(b.m, b.n)
+        with mock.patch.object(butson, "_TILE_BYTES", tile_bytes):
+            rows = _tile_rows(b.m, b.n)
+            for name, patches in TRIM_RULES.items():
+                with mock.patch.multiple(butson, **patches):
+                    assert verify(b).ok, name
+                    assert butson._first_packed_failure(b.exponents, b.m) is None, name
+            # forced trims every row everywhere; the other rules where each
+            # is most likely to leave a trim just below a failure
+            self._agrees(b, _trim_moves(b.n, rows), TRIM_RULES["every row"])
+            for name in ("every 2nd row", "every 4th row", "no byte floor"):
+                self._agrees(b, _trim_moves(b.n, rows)[::3], TRIM_RULES[name])
+
+    @pytest.mark.parametrize("tile", [1, 3, 7, None])
+    def test_m1(self, tile):
+        # every pair fails at m = 1; under most rules row 2 sheds slots 1
+        # and 2 before its first slot, 3, is searched
+        b = ButsonMatrix(1, 12, ((0,) * 12,) * 12)
+        tile_bytes = butson._TILE_BYTES if tile is None else tile * b.n * _slot_bytes(b.m, b.n)
+        with mock.patch.object(butson, "_TILE_BYTES", tile_bytes):
+            for patches in TRIM_RULES.values():
+                with mock.patch.multiple(butson, **patches):
+                    assert butson._first_packed_failure(b.exponents, 1) == (2, 3)
+                    assert verify(b) == verify_oracle(b)
+
+    def test_default_rule_trims_bh_18_144(self):
+        # one tile of 144 rows and 11-byte slots: a trim each 24 rows, 264
+        # bytes, from row 24 on
+        b = halving_family(3)
+        assert _tile_rows(b.m, b.n) >= b.n and _slot_bytes(b.m, b.n) == 11
+        trims = _trims(b)
+        assert trims == [(24, 120), (24, 96), (24, 72), (24, 48), (24, 24)]
+        # failures at the first slot left after each trim and at the last slot
+        starts = [b.n - live for _, live in trims]
+        self._agrees(b, [(s - 1, t) for s in starts for t in (s, b.n - 1)], DEFAULT_RULE)
+
+    def test_default_rule_never_trims_small_matrices(self):
+        small = [fourier(6), fourier(10), halving_family(1), halving_family(2)]
+        small.append(phi(PhiPlan(h=fourier(5), tensors=classical_lsesc_set(4))))
+        for b in small:
+            assert _trims(b) == [], (b.m, b.n)
+
+    def test_default_rule_across_tiles(self):
+        # BH(17,272): tiles of 96, 96 and 80 rows, 20-byte slots; each tile
+        # trims 13 rows (260 bytes) at a time along its diagonal
+        b = phi(PhiPlan(h=fourier(17), tensors=classical_lsesc_set(16)))
+        assert _tile_rows(b.m, b.n) == 96 and _slot_bytes(b.m, b.n) == 20
+        assert _trims(b) == [(13, live) for top in (83, 83, 67) for live in range(top, 0, -13)]
+        # the first slot after the first trim of each tile, its tile's last
+        # slot, and both sides of the first boundary
+        moves = [(94, 95), (95, 96)]
+        for start, end in [(13, 96), (109, 192), (205, 272)]:
+            moves += [(start - 1, start), (start - 1, end - 1)]
+        self._agrees(b, moves, DEFAULT_RULE)
