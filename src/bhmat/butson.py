@@ -38,7 +38,7 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import FormatError, PlanError, parse_decimals, read_text, text_lines, write_text
+from .errors import FormatError, PlanError, parse_decimals, read_text, text_lines, tile_units, write_text
 
 
 # Largest Fourier order, checked before any row is built: n = 2048 is
@@ -161,14 +161,7 @@ def verify(b: ButsonMatrix) -> VerifyReport:
     return VerifyReport(ok=False, bad_row_pair=bad_rows, bad_col_pair=bad_cols)
 
 
-# Bytes of packed rows held at once by _first_packed_failure.  As its rows
-# advance, a tile sheds the slots of the pairs already decided (see
-# _trim_pays), so a tile's diagonal adds few dead slots.
-_TILE_BYTES = 1 << 19
-
-# Bytes of each table int that a tile's dead slots must hold before
-# _first_packed_failure shifts them out (see _trim_pays).
-_TRIM_BYTES = 256
+_TRIM_BYTES = 256  # see _trim_pays
 
 
 def _embedding(m: int, n: int) -> tuple[int, int]:
@@ -307,7 +300,7 @@ def _first_packed_failure(
     """
     n = len(vectors)
     width, modulus, slot, digits, bias, quotient = _layout(m, n)
-    tile = max(1, _TILE_BYTES // (n * slot))
+    tile = tile_units(n * slot)
     powers = [1 << width * t for t in range(digits)]
     powers += [(1 << width * digits) + 1 - p for p in powers]  # F - w^(t - L), t >= L
     unit = [powers[-e % m].to_bytes(slot, "little") for e in range(m)]

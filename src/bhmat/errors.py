@@ -1,6 +1,6 @@
 """Exception types shared across the library and the CLI, the line split
-and strict integer token check of the text parsers, and the one file
-reader and writer."""
+and strict integer token check of the text parsers, the one file reader
+and writer, and the tile rule of the two packed passes."""
 
 import os
 from pathlib import Path
@@ -55,3 +55,13 @@ def write_text(path: str | Path, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, str(target)) from exc
     finally:
         tmp.unlink(missing_ok=True)
+
+
+_TILE_BYTES, _TILE_FLOOR = 1 << 19, 32
+
+
+def tile_units(unit_bytes: int) -> int:
+    """Units in a tile of butson._first_packed_failure (rows of n slots) or
+    latin._first_unmet_pair (squares of n^2 slots): as many as fit _TILE_BYTES,
+    but at least _TILE_FLOOR, lest the largest inputs sum a few units at a time."""
+    return max(_TILE_FLOOR, _TILE_BYTES // unit_bytes)

@@ -36,7 +36,7 @@ from operator import add, getitem
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FormatError, PlanError, parse_decimals, read_text, text_lines, write_text
+from .errors import FormatError, PlanError, parse_decimals, read_text, text_lines, tile_units, write_text
 
 # Largest classical family order, checked before any field table is built:
 # q = 256 is (q-1) q^2 = 1.7e7 cells.
@@ -172,9 +172,6 @@ def _common_order(squares: Sequence[LatinSquare]) -> int:
     return n
 
 
-# Bytes of packed tables held at once by _first_unmet_pair.
-_TILE_BYTES = 1 << 19
-
 
 def _first_unmet_pair(
     keys: Sequence[Sequence[Sequence[int]]],
@@ -207,7 +204,7 @@ def _first_unmet_pair(
     assert n << (n - 1) < 1 << bits
     unit = [b""] + [(1 << e).to_bytes(slot, "little") for e in range(n)]
     full = ((1 << n) - 1).to_bytes(slot, "little")
-    tile = max(1, _TILE_BYTES // (n * n * slot))
+    tile = tile_units(n * n * slot)
     count = len(keys)
     best = None
     for b0 in range(0, count, tile):
@@ -466,7 +463,7 @@ def parse_latin_set(text: str) -> list[LatinSquare]:
 
 # ---------------------------------------------------------------------------
 # Names only perfbench and their own tests use; they move to tests/oracles.py
-# once perfbench reads the library's stages (ROADMAP items 2 and 4).
+# once perfbench reads the library's stages (ROADMAP items 4 and 5).
 
 
 @dataclass(frozen=True)

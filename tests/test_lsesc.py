@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from bhmat import cli, latin, scarpis
+from bhmat import cli, errors, latin, scarpis
 from bhmat.errors import PlanError
 from bhmat.latin import enumerate_elements, make_field, prime_power
 from bhmat.latin import (
@@ -25,6 +25,7 @@ from bhmat.latin import (
 )
 
 from oracles import are_lsesc_oracle, are_mols_oracle, element_value, field_add, field_mul
+from tiles import FLOOR, PackedTiles
 
 # The lazily built indexes a LatinSquare keeps beside its fields.
 CACHES = ("_symbol_rows", "_symbol_rows_times_n", "_cells_times_n")
@@ -259,26 +260,18 @@ def first_failing(check, squares):
     return next(((a + 1, b + 1) for a, b in pairs if not check(squares[a], squares[b])), None)
 
 
-def tile_budget(n, squares):
-    """A _TILE_BYTES that packs exactly that many order-n squares a tile."""
-    slot = (n + n.bit_length() + 7) // 8
-    assert n << (n - 1) < 1 << 8 * slot  # a square against itself fits
-    return squares * n * n * slot
-
-
 def assert_family_agrees(squares, tile=None, oracle=True):
     """The packed family checks, and phi/psi's check on the slices, name
-    the pair that are_lsesc and are_mols (and their oracles) reject first;
-    tile, if given, is the number of squares packed at a time."""
+    the pair that are_lsesc and are_mols (and their oracles) reject first,
+    packing squares in the tiles PackedTiles(latin, tile) sets."""
     n = squares[0].n
-    budget = latin._TILE_BYTES if tile is None else tile_budget(n, tile)
     lsesc = first_failing(are_lsesc, squares)
     mols = first_failing(are_mols, squares)
     if oracle:
         assert first_failing(are_lsesc_oracle, squares) == lsesc
         assert first_failing(are_mols_oracle, squares) == mols
     shape = (n, len(squares))
-    with mock.patch.object(latin, "_TILE_BYTES", budget), mock.patch.object(
+    with PackedTiles(latin, tile) as packed, mock.patch.object(
         scarpis, "family_shape", lambda kind, k: shape
     ):
         assert latin.first_non_lsesc_pair(squares) == lsesc
@@ -289,6 +282,7 @@ def assert_family_agrees(squares, tile=None, oracle=True):
             with pytest.raises(PlanError) as info:
                 scarpis._checked_family(squares, "phi", 0)
             assert str(info.value) == "squares %d and %d are not LSESC" % lsesc
+    assert packed.tiles or len(squares) == 1  # a lone square has no pair to pack
     return lsesc, mols
 
 
@@ -299,13 +293,14 @@ def exchange_columns(square, j, j2):
     return LatinSquare(square.n, tuple(map(tuple, cells)))
 
 
-TILES = [None, 1, 2]
+TILES = [None, 1, 2, FLOOR]
 
 
 class TestFamilyKernel:
     """first_non_lsesc_pair, first_non_mols_pair and _checked_family
     against are_lsesc, are_mols and the oracles taken pair by pair, at the
-    default tile and at tiles of one and of two squares."""
+    default tile, at tiles of one and of two squares, and at tiles the
+    floor sets."""
 
     @pytest.mark.parametrize("tile", TILES)
     @pytest.mark.parametrize("q", ORDERS)
@@ -360,13 +355,21 @@ class TestFamilyKernel:
                 copy = squares[:b] + [squares[a]] + squares[b + 1 :]
                 for tile in TILES:
                     assert assert_family_agrees(copy, tile) == ((a + 1, b + 1),) * 2
+        # b on both sides of the floor's first tile boundary: squares a + 1
+        # to b - 1 cycle through the rest of the family, and b repeats a
+        floor = errors._TILE_FLOOR
+        for a in (0, 3, 6):
+            for b in (floor - 1, floor, floor + 1):
+                rest = itertools.islice(itertools.cycle(squares[a + 1 :]), floor + 4)
+                copy = squares[: a + 1] + list(rest)
+                copy[b] = squares[a]
+                assert assert_family_agrees(copy, FLOOR) == ((a + 1, b + 1),) * 2
 
     def test_several_default_tiles(self):
-        # q = 64 packs 14 squares a tile; the swapped last square is
-        # reached in the fifth
+        # q = 64 packs the floor's 32 squares a tile; the swapped last
+        # square is reached in the second
         q = 64
         squares = classical_lsesc_set(q)
-        assert 1 < latin._TILE_BYTES // tile_budget(q, 1) < q - 2
         c = squares[-1].cells
         swap = next(
             (0, i2, j, j2)
@@ -377,6 +380,9 @@ class TestFamilyKernel:
         squares[-1] = swapped(squares[-1], *swap)
         lsesc, mols = assert_family_agrees(squares, oracle=False)
         assert lsesc is not None and lsesc[1] == q - 1
+        with PackedTiles(latin) as packed:
+            assert latin.first_non_lsesc_pair(squares) == lsesc
+        assert packed.tiles == [(0, 32), (32, q - 1)]
 
     def test_order_mismatch(self):
         for check in (latin.first_non_lsesc_pair, latin.first_non_mols_pair):

@@ -10,12 +10,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from bhmat import butson
+from bhmat import butson, errors
 from bhmat.butson import ButsonMatrix, fourier, verify
 from bhmat.latin import classical_lsesc_set
 from bhmat.scarpis import PhiPlan, halving_family, phi
 
 from oracles import ExponentCountVector, cyclotomic_poly, sum_equals, verify_oracle
+from tiles import FLOOR, PackedTiles
 
 # 1, 2, primes, prime powers and 30, then anything up to 40
 ROOT_ORDERS = st.one_of(
@@ -27,10 +28,6 @@ ROOT_ORDERS = st.one_of(
 def _slot_bytes(m, n):
     """Bytes per packed row in butson._first_non_orthogonal."""
     return butson._layout(m, n)[2]
-
-
-def _tile_rows(m, n):
-    return max(1, butson._TILE_BYTES // (n * _slot_bytes(m, n)))
 
 
 def _with_entry(b, i, j, e):
@@ -77,10 +74,10 @@ def random_matrix(draw):
 
 
 class TestAgainstOracle:
-    @given(st.one_of(near_butson(), random_matrix()), st.sampled_from([1, 64, 1 << 19]))
-    def test_random_small(self, b, tile_bytes):
-        # tile_bytes 1 puts every row in its own tile
-        with mock.patch.object(butson, "_TILE_BYTES", tile_bytes):
+    @given(st.one_of(near_butson(), random_matrix()), st.sampled_from([1, 2, 3, None]))
+    def test_random_small(self, b, tile):
+        # tile 1 puts every row in its own tile
+        with PackedTiles(butson, tile):
             assert verify(b) == verify_oracle(b)
 
     @pytest.mark.parametrize("n", range(1, 41))
@@ -111,15 +108,17 @@ def _corruption_cells(n, tile):
 
 
 class TestCorruptions:
-    @pytest.mark.parametrize("kind", ["fourier", "phi", "psi"])
-    @pytest.mark.parametrize("tile", [3, 7])
+    # psi's BH(10,40) is the one construction with rows past the floor
+    @pytest.mark.parametrize(
+        "tile, kind",
+        [(tile, kind) for tile in (3, 7) for kind in ("fourier", "phi", "psi")] + [(FLOOR, "psi")],
+    )
     def test_small_tiles(self, constructions, kind, tile):
         b = constructions[kind]
-        tile_bytes = tile * b.n * _slot_bytes(b.m, b.n)
-        with mock.patch.object(butson, "_TILE_BYTES", tile_bytes):
-            assert _tile_rows(b.m, b.n) == tile
+        with PackedTiles(butson, tile) as packed:
             assert verify(b).ok
-            for i, j in _corruption_cells(b.n, tile):
+            assert packed.unit < b.n
+            for i, j in _corruption_cells(b.n, packed.unit):
                 for shift in (1, b.m // 2):
                     bad = _with_entry(b, i, j, (b.exponents[i][j] + shift) % b.m)
                     report = verify(bad)
@@ -128,9 +127,10 @@ class TestCorruptions:
 
     def test_default_tiles(self):
         b = phi(PhiPlan(h=fourier(17), tensors=classical_lsesc_set(16)))
-        tile = _tile_rows(b.m, b.n)
-        assert 1 < tile < b.n - 1
-        for i, j in _corruption_cells(b.n, tile):
+        with PackedTiles(butson) as packed:
+            assert verify(b).ok
+        assert 1 < packed.unit < b.n - 1
+        for i, j in _corruption_cells(b.n, packed.unit):
             bad = _with_entry(b, i, j, (b.exponents[i][j] + 1) % b.m)
             assert verify(bad) == verify_oracle(bad), (i, j)
 
@@ -172,12 +172,11 @@ class TestCyclicLayout:
 
     def test_tile_sizes(self):
         assert butson._layout(17, 272)[2:5] == (20, 17, 0)
-        assert _tile_rows(17, 272) == 96
+        assert butson.tile_units(272 * 20) == 96
         assert butson._layout(2, 64)[2:4] == (2, 1)
 
     def test_bh_17_272_default_tiles(self):
         b = phi(PhiPlan(h=fourier(17), tensors=classical_lsesc_set(16)))
-        assert _tile_rows(b.m, b.n) == 96
         # dst on both sides of the boundaries at rows 96 and 192 (0-based);
         # src = 95 would make the oracle test 26000 pairs, so sources at a
         # boundary are left to the small tiles below
@@ -188,17 +187,18 @@ class TestCyclicLayout:
             assert report == verify_oracle(bad), (src, dst)
         # row 200 a copy of row 150 passes the row-1 scan and is met in
         # the third tile
-        seen = []
         bad = _with_row(b, 149, 199, 0)
-        assert butson._first_non_orthogonal(_Tiles(bad.exponents, seen), b.m) == (150, 200)
-        assert seen == [(0, 96), (96, 192), (192, 272)]
+        with PackedTiles(butson) as packed:
+            assert butson._first_non_orthogonal(bad.exponents, b.m) == (150, 200)
+        assert packed.tiles == [(0, 96), (96, 192), (192, 272)]
 
-    @pytest.mark.parametrize("tile", [3, 7])
+    @pytest.mark.parametrize("tile", [3, 7, FLOOR])
     def test_sylvester_small_tiles(self, tile):
         b = _sylvester(6)
-        with mock.patch.object(butson, "_TILE_BYTES", tile * b.n * _slot_bytes(b.m, b.n)):
-            assert _tile_rows(b.m, b.n) == tile
+        with PackedTiles(butson, tile) as packed:
             assert verify(b).ok
+            assert packed.unit < b.n
+            tile = packed.unit
             for src, dst in _row_moves(b.n, tile):
                 for phase in (0, 1):
                     bad = _with_row(b, src, dst, phase)
@@ -216,24 +216,11 @@ class TestCyclicLayout:
         # psi's BH(10,40) negacyclic slots of m/2
         b = constructions[kind]
         assert butson._layout(b.m, b.n)[3] == (b.m // 2 if kind == "psi" else b.m)
-        with mock.patch.object(butson, "_TILE_BYTES", tile * b.n * _slot_bytes(b.m, b.n)):
+        with PackedTiles(butson, tile) as packed:
             for src, dst in _row_moves(b.n, tile):
                 bad = _with_row(b, src, dst, 1)
                 assert verify(bad) == verify_oracle(bad), (src, dst)
-
-
-class _Tiles(tuple):
-    """Rows that record the tiles [j0, j1) the kernel packs from them."""
-
-    def __new__(cls, rows, seen):
-        self = super().__new__(cls, rows)
-        self.seen = seen
-        return self
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            self.seen.append((key.start, key.stop))
-        return super().__getitem__(key)
+        assert (0, tile) in packed.tiles
 
 
 class TestRowOnePass:
@@ -241,45 +228,43 @@ class TestRowOnePass:
     go through the packed pass, which packs each tile at most once, in
     order of j."""
 
-    def _tiles(self, rows, m):
-        seen = []
-        return butson._first_non_orthogonal(_Tiles(rows, seen), m), seen
+    def _tiles(self, rows, m, tile=None):
+        with PackedTiles(butson, tile) as packed:
+            pair = butson._first_non_orthogonal(rows, m)
+        return pair, packed.tiles
 
-    def test_broken_row_1_packs_no_tile(self, monkeypatch):
-        monkeypatch.setattr(butson, "_TILE_BYTES", 18 * 144 * _slot_bytes(18, 144))
-        for b in (halving_family(2), halving_family(3)):  # one tile, then 8
+    def test_broken_row_1_packs_no_tile(self):
+        # the packed pass is never reached, whatever its tile
+        for b in (halving_family(2), halving_family(3)):
             bad = _with_entry(b, 0, 0, (b.exponents[0][0] + 1) % b.m)
             assert self._tiles(bad.exponents, b.m) == ((1, 2), [])
             assert self._tiles(tuple(zip(*bad.exponents)), b.m) == ((1, 2), [])
 
-    def test_tile_sizes(self, monkeypatch):
+    def test_tile_sizes(self):
         b = halving_family(3)
         tile = 18
-        monkeypatch.setattr(butson, "_TILE_BYTES", tile * b.n * _slot_bytes(b.m, b.n))
         tiles = [(j, min(j + tile, b.n)) for j in range(0, b.n, tile)]
-        assert self._tiles(b.exponents, b.m) == (None, tiles)
+        assert self._tiles(b.exponents, b.m, tile) == (None, tiles)
         # a broken column 20 is found by the scan of column 1
         bad = _with_entry(b, 5, 19, (b.exponents[5][19] + 1) % b.m)
-        assert self._tiles(tuple(zip(*bad.exponents)), b.m) == ((1, 20), [])
+        assert self._tiles(tuple(zip(*bad.exponents)), b.m, tile) == ((1, 20), [])
 
     def test_one_tile_is_not_split(self):
         b = halving_family(2)
-        assert _tile_rows(b.m, b.n) >= b.n
         assert self._tiles(b.exponents, b.m) == (None, [(0, b.n)])
 
-    def test_failure_after_row_1_stops_in_its_tile(self, monkeypatch):
+    def test_failure_after_row_1_stops_in_its_tile(self):
         b = halving_family(3)
         tile = 18
-        monkeypatch.setattr(butson, "_TILE_BYTES", tile * b.n * _slot_bytes(b.m, b.n))
         tiles = [(j, min(j + tile, b.n)) for j in range(0, b.n, tile)]
         # row 40 copied from row 2 stays orthogonal to row 1
         rows = list(b.exponents)
         rows[39] = rows[1]
-        assert self._tiles(rows, b.m) == ((2, 40), tiles[:3])
+        assert self._tiles(rows, b.m, tile) == ((2, 40), tiles[:3])
         # from row 5, the later tiles still test rows 2..4
         rows = list(b.exponents)
         rows[39] = rows[4]
-        assert self._tiles(rows, b.m) == ((5, 40), tiles)
+        assert self._tiles(rows, b.m, tile) == ((5, 40), tiles)
 
     @pytest.mark.parametrize("tile", [1, 3, 7, None])
     def test_every_cell_of_first_and_last_row(self, constructions, tile):
@@ -287,8 +272,9 @@ class TestRowOnePass:
         b = constructions["phi"]
         cells = [(i, j) for i in (0, b.n - 1) for j in range(b.n)]
         cells += [(i, 0) for i in range(1, b.n - 1)]
-        tile_bytes = butson._TILE_BYTES if tile is None else tile * b.n * _slot_bytes(b.m, b.n)
-        with mock.patch.object(butson, "_TILE_BYTES", tile_bytes):
+        with PackedTiles(butson, tile) as packed:
+            assert verify(b).ok
+            assert packed.tiles  # each one tile units long, or the last
             for i, j in cells:
                 bad = _with_entry(b, i, j, (b.exponents[i][j] + 1) % b.m)
                 assert verify(bad) == verify_oracle(bad), (i, j)
@@ -579,14 +565,14 @@ class TestEvenOrders:
     }
 
     @pytest.mark.parametrize("m", sorted(MATRICES))
-    @pytest.mark.parametrize("tile", [3, 7])
+    @pytest.mark.parametrize("tile", [3, 7, FLOOR])
     def test_rows_moved_across_small_tiles(self, m, tile):
         b = self.MATRICES[m]()
         assert butson._layout(b.m, b.n)[3] == m // 2
-        with mock.patch.object(butson, "_TILE_BYTES", tile * b.n * _slot_bytes(b.m, b.n)):
-            assert _tile_rows(b.m, b.n) == tile
+        with PackedTiles(butson, tile) as packed:
             assert verify(b).ok
-            for src, dst in _row_moves(b.n, tile):
+            assert packed.unit < b.n
+            for src, dst in _row_moves(b.n, packed.unit):
                 bad = _with_row(b, src, dst, m // 2 + 1)
                 report = verify(bad)
                 assert report.bad_row_pair == (src + 1, dst + 1)
@@ -596,11 +582,12 @@ class TestEvenOrders:
         # halving_family(4), the r = 4 output, packs 41-row tiles; sources
         # past row 2 would make the oracle test thousands of pairs
         b = halving_family(4)
-        tile = _tile_rows(b.m, b.n)
-        assert tile == 41
+        tile = 41
         for dst in (tile - 1, tile, 2 * tile - 1, 2 * tile):
             bad = _with_row(b, 1, dst, 3)
-            report = verify(bad)
+            with PackedTiles(butson) as packed:
+                report = verify(bad)
+            assert packed.unit == tile
             assert report.bad_row_pair == (2, dst + 1)
             assert report == verify_oracle(bad), dst
 
@@ -608,8 +595,9 @@ class TestEvenOrders:
         # 34 rows in tiles of 5: the last tile holds 4, and row 34 a copy
         # of row 30 is met there
         b = fourier(34)
-        with mock.patch.object(butson, "_TILE_BYTES", 5 * b.n * _slot_bytes(b.m, b.n)):
+        with PackedTiles(butson, 5) as packed:
             assert verify(b).ok
+            assert packed.tiles[-1] == (30, 34)
             for src in (29, 30, 31):
                 bad = _with_row(b, src, 33, 0)
                 assert verify(bad) == verify_oracle(bad), src
@@ -727,13 +715,12 @@ class TestTrimmedTiles:
     )
     def test_forced_trims(self, m, tile):
         b = self.MATRICES[m]()
-        tile_bytes = butson._TILE_BYTES if tile is None else tile * b.n * _slot_bytes(b.m, b.n)
-        with mock.patch.object(butson, "_TILE_BYTES", tile_bytes):
-            rows = _tile_rows(b.m, b.n)
+        with PackedTiles(butson, tile) as packed:
             for name, patches in TRIM_RULES.items():
                 with mock.patch.multiple(butson, **patches):
                     assert verify(b).ok, name
                     assert butson._first_packed_failure(b.exponents, b.m) is None, name
+            rows = packed.unit
             # forced trims every row everywhere; the other rules where each
             # is most likely to leave a trim just below a failure
             self._agrees(b, _trim_moves(b.n, rows), TRIM_RULES["every row"])
@@ -745,19 +732,22 @@ class TestTrimmedTiles:
         # every pair fails at m = 1; under most rules row 2 sheds slots 1
         # and 2 before its first slot, 3, is searched
         b = ButsonMatrix(1, 12, ((0,) * 12,) * 12)
-        tile_bytes = butson._TILE_BYTES if tile is None else tile * b.n * _slot_bytes(b.m, b.n)
-        with mock.patch.object(butson, "_TILE_BYTES", tile_bytes):
+        with PackedTiles(butson, tile) as packed:
             for patches in TRIM_RULES.values():
                 with mock.patch.multiple(butson, **patches):
                     assert butson._first_packed_failure(b.exponents, 1) == (2, 3)
                     assert verify(b) == verify_oracle(b)
+        # a one-row tile is packed only once rows 2.. lie before it
+        assert packed.tiles[0] == ((2, 3) if tile == 1 else (0, min(tile or b.n, b.n)))
 
     def test_default_rule_trims_bh_18_144(self):
         # one tile of 144 rows and 11-byte slots: a trim each 24 rows, 264
         # bytes, from row 24 on
         b = halving_family(3)
-        assert _tile_rows(b.m, b.n) >= b.n and _slot_bytes(b.m, b.n) == 11
-        trims = _trims(b)
+        assert _slot_bytes(b.m, b.n) == 11
+        with PackedTiles(butson) as packed:
+            trims = _trims(b)
+        assert packed.tiles == [(0, b.n)]
         assert trims == [(24, 120), (24, 96), (24, 72), (24, 48), (24, 24)]
         # failures at the first slot left after each trim and at the last slot
         starts = [b.n - live for _, live in trims]
@@ -773,11 +763,38 @@ class TestTrimmedTiles:
         # BH(17,272): tiles of 96, 96 and 80 rows, 20-byte slots; each tile
         # trims 13 rows (260 bytes) at a time along its diagonal
         b = phi(PhiPlan(h=fourier(17), tensors=classical_lsesc_set(16)))
-        assert _tile_rows(b.m, b.n) == 96 and _slot_bytes(b.m, b.n) == 20
-        assert _trims(b) == [(13, live) for top in (83, 83, 67) for live in range(top, 0, -13)]
+        assert _slot_bytes(b.m, b.n) == 20
+        with PackedTiles(butson) as packed:
+            trims = _trims(b)
+        assert packed.tiles == [(0, 96), (96, 192), (192, 272)]
+        assert trims == [(13, live) for top in (83, 83, 67) for live in range(top, 0, -13)]
         # the first slot after the first trim of each tile, its tile's last
         # slot, and both sides of the first boundary
         moves = [(94, 95), (95, 96)]
         for start, end in [(13, 96), (109, 192), (205, 272)]:
             moves += [(start - 1, start), (start - 1, end - 1)]
         self._agrees(b, moves, DEFAULT_RULE)
+
+
+def test_tile_rule_at_the_caps_and_the_benchmark_sizes():
+    """Rows per tile of the verifier and squares per tile of the family
+    pass, from errors.tile_units, at the largest inputs each accepts and at
+    the sizes the benchmark runs: the floor lifts the caps, and leaves the
+    benchmark's tiles as the byte budget sets them."""
+    floor = errors._TILE_FLOOR
+
+    def rows(m, n):
+        return butson.tile_units(n * _slot_bytes(m, n))
+
+    def squares(q):
+        return butson.tile_units(q * q * ((q + q.bit_length() + 7) // 8))
+
+    assert rows(66, 2112) >= floor  # halving_family(5), 4 rows by the budget alone
+    assert rows(34, 544) == 41  # halving_family(4)
+    assert rows(17, 272) == 96  # phi(F_17)
+    for m, n in [(18, 144), (10, 40), (9, 72), (5, 20), (3, 6)]:
+        assert rows(m, n) >= n, (m, n)
+    for q in (128, 256):  # one square each by the budget alone
+        assert squares(q) >= min(floor, q - 1), q
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32):
+        assert squares(q) >= q - 1, q
