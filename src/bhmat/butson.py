@@ -38,7 +38,9 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import FormatError, PlanError, parse_decimals, read_text, text_lines, tile_units, write_text
+from .errors import (
+    FormatError, PlanError, parse_decimals, parse_rows, read_text, text_lines, tile_units, write_text
+)
 
 
 # Largest Fourier order, checked before any row is built: n = 2048 is
@@ -494,8 +496,10 @@ def dump_matrix(
             doc["provenance"] = provenance
         return _canonical_json(doc) + "\n"
     if fmt == "text":
+        values = set().union(*b.exponents)
+        names = dict(zip(values, map(str, values)))
         lines = [f"BH {b.m} {b.n}"]
-        lines.extend(" ".join(str(v) for v in row) for row in b.exponents)
+        lines.extend(" ".join(map(names.__getitem__, row)) for row in b.exponents)
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -544,7 +548,8 @@ def parse_matrix(text: str) -> tuple[ButsonMatrix, dict[str, Any] | None]:
         raise FormatError(f"expected 'BH m n' header, got {lines[0]!r}")
     try:
         m, n = parse_decimals(header[1:])
-        rows = tuple(parse_decimals(line.split()) for line in lines[1:])
+        # exponents past the root order cap are read by parse_decimals
+        rows = parse_rows(lines[1:], range(min(m, ROOT_ORDER_CAP)))
         return ButsonMatrix(m, n, rows), None
     except ValueError as exc:
         raise FormatError(f"bad matrix body: {exc}") from exc

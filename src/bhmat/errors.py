@@ -1,9 +1,17 @@
-"""Exception types shared across the library and the CLI, the line split
-and strict integer token check of the text parsers, the one file reader
-and writer, and the tile rule of the two packed passes."""
+"""Exception types shared across the library and the CLI, the line split,
+strict integer token check and symbol-table reader of the text parsers,
+the one file reader and writer, and the tile rule of the two packed passes.
+
+The text parsers read a block of rows through a table of the legal values
+(parse_rows): a token is looked up as the string str(v) of a legal v.  A
+block with any token not in the table, such as '01', '+1', '1_0', a
+non-ASCII digit or a value out of range, is read again by parse_decimals,
+so the checks after it see the same ints, or raise the same errors, as
+without the table."""
 
 import os
 from pathlib import Path
+from typing import Sequence
 
 
 class FormatError(ValueError):
@@ -34,6 +42,16 @@ def parse_decimals(tokens: list[str]) -> tuple[int, ...]:
     if not (joined.isascii() and joined.isdigit()):
         raise FormatError(f"not all ASCII decimal integers: {' '.join(tokens)!r}")
     return tuple(map(int, tokens))
+
+
+def parse_rows(lines: Sequence[str], legal: range) -> tuple[tuple[int, ...], ...]:
+    """The tokens of each line as ints, through the table of the legal
+    values (a range of ints >= 0), or else parse_decimals (see above)."""
+    table = dict(zip(map(str, legal), legal))
+    try:
+        return tuple(tuple(map(table.__getitem__, line.split())) for line in lines)
+    except KeyError:
+        return tuple(parse_decimals(line.split()) for line in lines)
 
 
 def read_text(path: str | Path, what: str) -> str:

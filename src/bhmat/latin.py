@@ -24,6 +24,13 @@ first element in index order that makes it irreducible.  The field is held
 as integer tables on those indices: addition, and multiplication by X,
 from which each row of products b*x_j is built digit by digit.  The tuple
 arithmetic that checks the tables lives with the tests.
+
+A square is validated once, where it enters: LatinSquare(...) checks its
+cells, and so parse_latin_set, read_latin_set and reconstruct do.  Only
+the squares of classical_lsesc_set and the images of conjugate_lsesc_mols
+are built without a check, by LatinSquare._unchecked, since they are Latin
+by construction.  Text is written and read through symbol tables: the
+strings of 1..n, and errors.parse_rows for the cells of a block.
 """
 
 from __future__ import annotations
@@ -36,7 +43,9 @@ from operator import add, getitem
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FormatError, PlanError, parse_decimals, read_text, text_lines, tile_units, write_text
+from .errors import (
+    FormatError, PlanError, parse_decimals, parse_rows, read_text, text_lines, tile_units, write_text
+)
 
 # Largest classical family order, checked before any field table is built:
 # q = 256 is (q-1) q^2 = 1.7e7 cells.
@@ -56,16 +65,24 @@ class LatinSquare:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(tuple(row) for row in self.cells)
+        cells = tuple(map(tuple, self.cells))
         object.__setattr__(self, "cells", cells)
         if type(self.n) is not int or self.n < 1:
             raise ValueError(f"order must be a positive int, got {self.n!r}")
-        if len(cells) != self.n or any(len(row) != self.n for row in cells):
+        if len(cells) != self.n or not all(map(self.n.__eq__, map(len, cells))):
             raise ValueError(f"cells must form an {self.n}x{self.n} array")
         if not set(map(type, chain.from_iterable(cells))) <= {int}:
             raise ValueError("cells must be ints")
         if not is_latin(cells):
             raise ValueError("not a Latin square")
+
+    @classmethod
+    def _unchecked(cls, n: int, cells: tuple[tuple[int, ...], ...]) -> LatinSquare:
+        """The square of n tuples of n ints that are Latin by construction,
+        not validated again: for the library's own squares only."""
+        square = object.__new__(cls)
+        square.__dict__.update(n=n, cells=cells)
+        return square
 
     @cached_property
     def _symbol_rows(self) -> tuple[int, ...]:
@@ -102,9 +119,17 @@ def is_latin(cells: Sequence[Sequence[int]]) -> bool:
     """True iff every symbol 1..n occurs exactly once per row and per column.
 
     Rows are taken in order; a ragged row, or a failing row with an entry
-    outside 1..n, raises ValueError."""
+    outside 1..n, raises ValueError.  A Latin square passes one test of
+    its row and column sets, with n^2 cells in all; only a square that
+    fails it is walked row by row, for the error or the False."""
     n = len(cells)
     symbols = set(range(1, n + 1))
+    if (
+        all(map(symbols.__eq__, map(set, cells)))
+        and sum(map(len, cells)) == n * n
+        and all(map(symbols.__eq__, map(set, zip(*cells))))
+    ):
+        return True
     for row in cells:
         if len(row) != n:
             raise ValueError("ragged array")
@@ -260,7 +285,7 @@ def conjugate_lsesc_mols(square: LatinSquare) -> LatinSquare:
     """
     n = square.n
     rows = square._symbol_rows
-    return LatinSquare(n, tuple(rows[a : a + n] for a in range(0, n * n, n)))
+    return LatinSquare._unchecked(n, tuple(rows[a : a + n] for a in range(0, n * n, n)))
 
 
 FieldElement = tuple[int, ...]
@@ -368,7 +393,7 @@ def classical_lsesc_set(q: int) -> list[LatinSquare]:
     # sums[i][k] is the symbol of x_i + x_k
     sums = [[v + 1 for v in row] for row in plus]
     return [
-        LatinSquare(q, tuple(tuple(map(row.__getitem__, scaled)) for row in sums))
+        LatinSquare._unchecked(q, tuple(tuple(map(row.__getitem__, scaled)) for row in sums))
         for scaled in _products(plus, times_x, p, r)
     ]
 
@@ -420,10 +445,11 @@ def write_latin_set(squares: Sequence[LatinSquare], path: str | Path) -> None:
 
 
 def dump_latin_set(squares: Sequence[LatinSquare]) -> str:
+    names = list(map(str, range(max((s.n for s in squares), default=0) + 1)))
     blocks = []
     for square in squares:
         lines = [f"L {square.n}"]
-        lines.extend(" ".join(str(v) for v in row) for row in square.cells)
+        lines.extend(" ".join(map(names.__getitem__, row)) for row in square.cells)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
@@ -448,7 +474,7 @@ def parse_latin_set(text: str) -> list[LatinSquare]:
         if len(lines) != n + 1:
             raise FormatError(f"square of order {n} needs {n} rows, got {len(lines) - 1}")
         try:
-            cells = tuple(parse_decimals(line.split()) for line in lines[1 : n + 1])
+            cells = parse_rows(lines[1:], range(1, n + 1))
             squares.append(LatinSquare(n, cells))
         except ValueError as exc:
             raise FormatError(f"bad square block: {exc}") from exc

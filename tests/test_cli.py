@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from bhmat import butson, latin, scarpis
 from bhmat.butson import ButsonMatrix, fourier, permute_columns, read_matrix, write_matrix
 from bhmat.cli import _parse_permutation, main
-from bhmat.errors import PlanError
+from bhmat.errors import FormatError, PlanError
 from bhmat.latin import LatinSquare, classical_lsesc_set, dump_latin_set, read_latin_set
 
 from golden import EXAMPLE1_DEPHASED, EXAMPLE2_PSI_F6
@@ -998,3 +998,117 @@ class TestParserFuzz:
         code, out, err, _ = run_on_text("verify", text, lambda path: None)
         assert (code, out) == (3, "")
         assert err.startswith("error: bad JSON: ")
+
+
+# One token, put into the first cell of the first block or the last cell
+# of the last block, of the classical q = 8 family (`lsesc check`) and of
+# F_8 in the text format (`verify`).  The texts read through symbol
+# tables, with the strict decimal check for any block that misses them
+# (errors.parse_rows); each outcome below was recorded from the reader
+# that called parse_decimals on every line.  SAME: the untouched family
+# or matrix; an int v: F_8 with that cell set to v; a str: the
+# FormatError text, printed after "error: ".
+SAME = None
+FAMILY8_TEXT = dump_latin_set(classical_lsesc_set(8))
+F8_TEXT = butson.dump_matrix(fourier(8), "text")
+NOT_DECIMAL = "not all ASCII decimal integers: "
+LATIN_TOKEN_CASES = [
+    ("01", "first", 0, SAME),
+    ("01", "last", 3, "bad square block: not a Latin square"),
+    ("007", "first", 3, "bad square block: not a Latin square"),
+    ("007", "last", 3, "bad square block: not a Latin square"),
+    ("+1", "first", 3, f"bad square block: {NOT_DECIMAL}'+1 2 3 4 5 6 7 8'"),
+    ("+1", "last", 3, f"bad square block: {NOT_DECIMAL}'8 1 3 6 7 2 4 +1'"),
+    ("1_0", "first", 3, f"bad square block: {NOT_DECIMAL}'1_0 2 3 4 5 6 7 8'"),
+    ("1_0", "last", 3, f"bad square block: {NOT_DECIMAL}'8 1 3 6 7 2 4 1_0'"),
+    ("١", "first", 3, f"bad square block: {NOT_DECIMAL}'١ 2 3 4 5 6 7 8'"),
+    ("١", "last", 3, f"bad square block: {NOT_DECIMAL}'8 1 3 6 7 2 4 ١'"),
+    ("0", "first", 3, "bad square block: entries must lie in 1..8"),
+    ("0", "last", 3, "bad square block: entries must lie in 1..8"),
+    ("9", "first", 3, "bad square block: entries must lie in 1..8"),
+    ("9", "last", 3, "bad square block: entries must lie in 1..8"),
+    ("1" * 30, "first", 3, "bad square block: entries must lie in 1..8"),
+    ("1" * 30, "last", 3, "bad square block: entries must lie in 1..8"),
+]
+MATRIX_TOKEN_CASES = [
+    ("01", "first", 1, 1),
+    ("01", "last", 0, SAME),
+    ("007", "first", 1, 7),
+    ("007", "last", 1, 7),
+    ("+1", "first", 3, f"bad matrix body: {NOT_DECIMAL}'+1 0 0 0 0 0 0 0'"),
+    ("+1", "last", 3, f"bad matrix body: {NOT_DECIMAL}'0 7 6 5 4 3 2 +1'"),
+    ("1_0", "first", 3, f"bad matrix body: {NOT_DECIMAL}'1_0 0 0 0 0 0 0 0'"),
+    ("1_0", "last", 3, f"bad matrix body: {NOT_DECIMAL}'0 7 6 5 4 3 2 1_0'"),
+    ("١", "first", 3, f"bad matrix body: {NOT_DECIMAL}'١ 0 0 0 0 0 0 0'"),
+    ("١", "last", 3, f"bad matrix body: {NOT_DECIMAL}'0 7 6 5 4 3 2 ١'"),
+    ("0", "first", 0, SAME),
+    ("0", "last", 1, 0),
+    ("8", "first", 3, "bad matrix body: exponent 8 out of range [0, 8)"),
+    ("8", "last", 3, "bad matrix body: exponent 8 out of range [0, 8)"),
+    ("1" * 30, "first", 3, f"bad matrix body: exponent {'1' * 30} out of range [0, 8)"),
+    ("1" * 30, "last", 3, f"bad matrix body: exponent {'1' * 30} out of range [0, 8)"),
+]
+WHITESPACE = {
+    "tabs": lambda text: text.replace(" ", "\t"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "trailing-blanks": lambda text: text.replace("\n", " \t \n"),
+}
+
+
+def with_token(text, where, token):
+    """text with the first cell of its first row, or the last cell of its
+    last row, replaced by token."""
+    lines = text.split("\n")
+    k = 1 if where == "first" else len(lines) - 2
+    cells = lines[k].split(" ")
+    cells[0 if where == "first" else -1] = token
+    lines[k] = " ".join(cells)
+    return "\n".join(lines)
+
+
+def outcome_of(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestTokenTables:
+    @pytest.mark.parametrize("token, where, code, expected", LATIN_TOKEN_CASES)
+    def test_family_token(self, token, where, code, expected):
+        text = with_token(FAMILY8_TEXT, where, token)
+        got, out, err, parsed = run_on_text(
+            "lsesc check", text, lambda path: outcome_of(read_latin_set, path)
+        )
+        assert (got, err) == (code, "" if code == 0 else f"error: {expected}\n")
+        assert parsed == (classical_lsesc_set(8) if expected is SAME else expected)
+
+    @pytest.mark.parametrize("token, where, code, expected", MATRIX_TOKEN_CASES)
+    def test_matrix_token(self, token, where, code, expected):
+        text = with_token(F8_TEXT, where, token)
+        got, out, err, parsed = run_on_text(
+            "verify", text, lambda path: outcome_of(lambda p: read_matrix(p)[0], path)
+        )
+        assert (got, err) == (code, f"error: {expected}\n" if code == 3 else "")
+        if isinstance(expected, int):
+            rows = [list(row) for row in fourier(8).exponents]
+            rows[0 if where == "first" else 7][0 if where == "first" else 7] = expected
+            expected = ButsonMatrix(8, 8, tuple(map(tuple, rows)))
+        assert parsed == (fourier(8) if expected is SAME else expected)
+
+    @pytest.mark.parametrize("space", WHITESPACE)
+    def test_whitespace(self, space):
+        for command, text, read, value in (
+            ("lsesc check", FAMILY8_TEXT, read_latin_set, classical_lsesc_set(8)),
+            ("verify", F8_TEXT, lambda p: read_matrix(p)[0], fourier(8)),
+        ):
+            code, out, err, parsed = run_on_text(command, WHITESPACE[space](text), read)
+            assert (code, err, parsed) == (0, "", value)
+
+    def test_exponents_past_the_root_order_cap(self):
+        # the table stops at the cap; tokens past it are read by parse_decimals
+        m = butson.ROOT_ORDER_CAP + 2
+        text = f"BH {m} 2\n0 {m - 1}\n{m - 2} 4095\n"
+        assert butson.parse_matrix(text)[0] == ButsonMatrix(m, 2, ((0, m - 1), (m - 2, 4095)))
+        code, out, err, _ = run_on_text("verify", text, lambda path: None)
+        assert (code, out) == (2, "")

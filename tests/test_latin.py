@@ -86,6 +86,9 @@ class TestIsLatin:
         with pytest.raises(ValueError, match="1..3"):
             is_latin(((1, 2, 3), (1, 2, 4), (1, 2)))
         assert is_latin(((1.0, 2), (2, True)))
+        # every row and column set is {1, 2}, but a row holds three cells
+        with pytest.raises(ValueError, match="ragged"):
+            is_latin(((1, 2), (2, 1, 1)))
 
 
 # a few values that equal a symbol without being an int, and values out of range

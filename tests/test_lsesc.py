@@ -24,7 +24,9 @@ from bhmat.latin import (
     dump_latin_set,
 )
 
-from oracles import are_lsesc_oracle, are_mols_oracle, element_value, field_add, field_mul
+from oracles import (
+    are_lsesc_oracle, are_mols_oracle, element_value, field_add, field_mul, is_latin_oracle
+)
 from tiles import FLOOR, PackedTiles
 
 # The lazily built indexes a LatinSquare keeps beside its fields.
@@ -35,7 +37,9 @@ ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
 # sha256 of dump_latin_set(classical_lsesc_set(q)).  Orders up to 32 were
 # pinned from the per-cell tuple arithmetic, 25, 49, 64 and 81 from the
 # log/antilog tables that replaced it; the digit-by-digit tables of
-# latin._field_tables give the same texts.
+# latin._field_tables give the same texts.  128 and 256 were pinned from
+# the validated squares and the per-cell str() writer, before the
+# unchecked constructor and the symbol tables.
 FAMILY_SHA256 = {
     2: "426253437d6d3b5204bcb0af44efee9f4cd0a944915a6047eeda6cc3da9d3843",
     3: "098e50d236cbb6ac0868618823e0a69e935f0ac5daf114ddec65116c49f22025",
@@ -51,6 +55,8 @@ FAMILY_SHA256 = {
     49: "2d47819f1e3902d178384b5a786b7591910efe52f0470ce2f36cc6acb4f415cf",
     64: "b34b7e9c386353b752173b9aead2f654c38fd763b3e8b72577d203ecce3c83c0",
     81: "5bd08c5c84c64d167c53ca119f7e24010d55c55c9154dad269a0ac2e7672743e",
+    128: "e36adc75a778e118d676f60a84a377ba0158f168cb5c9e47889bfa75ec06abf1",
+    256: "af7e99335442f438bd0135c06ec25d207624efcd4d19932dca5cea8fab5051e5",
 }
 
 
@@ -410,6 +416,81 @@ class TestFamilyKernel:
         assert calls == [7, 7]  # LSESC, then MOLS, each one pass
         scarpis._checked_family(classical_lsesc_set(8), "phi", 9)
         assert calls == [7, 7, 7]
+
+
+def count_is_latin(monkeypatch):
+    """Record the order of every square latin.is_latin is called on."""
+    calls = []
+    real = latin.is_latin
+
+    def counting(cells):
+        calls.append(len(cells))
+        return real(cells)
+
+    monkeypatch.setattr(latin, "is_latin", counting)
+    return calls
+
+
+class TestValidatedOnce:
+    """A square is validated where it enters: once per square read or
+    built from cells, never for the library's own classical squares and
+    conjugates, which are Latin by construction."""
+
+    @pytest.mark.parametrize("q", [2, 7, 9, 16])
+    def test_library_squares_are_not_validated(self, q, monkeypatch):
+        calls = count_is_latin(monkeypatch)
+        conjugates = [conjugate_lsesc_mols(s) for s in classical_lsesc_set(q)]
+        [conjugate_lsesc_mols(c) for c in conjugates]
+        assert calls == []
+
+    def test_squares_read_or_built_from_cells_once_each(self, monkeypatch):
+        text = dump_latin_set(family(9))
+        calls = count_is_latin(monkeypatch)
+        squares = latin.parse_latin_set(text)
+        assert calls == [9] * 8
+        LatinSquare(9, squares[0].cells)
+        latin.reconstruct(squares[0])
+        assert calls == [9] * 10
+
+    def test_cli(self, monkeypatch, tmp_path):
+        calls = count_is_latin(monkeypatch)
+        path, mols, f10 = (tmp_path / name for name in ("q9.txt", "mols9.txt", "f10.json"))
+        assert cli.main(["lsesc", "classical", "9", str(path)]) == 0
+        assert calls == []
+        assert cli.main(["lsesc", "check", str(path)]) == 0
+        assert calls == [9] * 8
+        assert cli.main(["lsesc", "conjugate", str(path), str(mols)]) == 0
+        assert calls == [9] * 16
+        assert cli.main(["fourier", "10", str(f10)]) == 0
+        out = str(tmp_path / "phi.json")
+        assert cli.main(["construct", "phi", str(f10), "-o", out, "--lsesc", str(path)]) == 0
+        assert calls == [9] * 24
+
+
+class TestLibrarySquaresAreLatin:
+    """The squares built without validation are Latin: each classical
+    square and its conjugate passes the cell-by-cell oracle, equals the
+    square that LatinSquare builds from its cells, with the same hash, and
+    conjugates back.  At q = 128 and 256, where that takes seconds, both
+    pass is_latin only."""
+
+    @pytest.mark.parametrize("q", [q for q in sorted(FAMILY_SHA256) if q < 128])
+    def test_classical_and_conjugate(self, q):
+        for square in classical_lsesc_set(q):
+            conjugate = conjugate_lsesc_mols(square)
+            for s in (square, conjugate):
+                assert is_latin_oracle(s.cells)
+                validated = LatinSquare(s.n, s.cells)
+                assert validated == s and hash(validated) == hash(s)
+            assert conjugate_lsesc_mols(conjugate) == square
+
+    @pytest.mark.parametrize("q", [128, 256])
+    def test_classical_and_conjugate_at_the_caps(self, q):
+        squares = classical_lsesc_set(q)
+        while squares:  # one square and its index alive at a time
+            square = squares.pop()
+            assert latin.is_latin(square.cells)
+            assert latin.is_latin(conjugate_lsesc_mols(square).cells)
 
 
 class TestClassicalTables:
