@@ -20,10 +20,13 @@ come from GF(q): the square for a nonzero element b has cell (i, j) equal
 to 1 plus the index of x_i + b*x_j.  The element of index v is the
 polynomial over F_p whose coefficients, lowest degree first, are the
 base-p digits of v, and GF(p^r) = F_p[X]/(f), where f is X^r plus the
-first element in index order that makes it irreducible.  The field is held
-as integer tables on those indices: addition, and multiplication by X,
-from which each row of products b*x_j is built digit by digit.  The tuple
-arithmetic that checks the tables lives with the tests.
+first element in index order that makes it irreducible.  The field has one
+form, integer tables on those indices: addition, and the row of products
+b*x_j for each nonzero b.  F_p[X]/(f) is a field exactly when f is
+irreducible, and a finite commutative ring is one exactly when it has no
+zero divisors, so f is the first candidate whose rows hold 0 only at x_0.
+make_field's tuple field is a view of f; the tuple arithmetic that checks
+the tables lives with the tests.
 
 A square is validated once, where it enters: LatinSquare(...) checks its
 cells, and so parse_latin_set, read_latin_set and reconstruct do.  Only
@@ -38,10 +41,10 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain, groupby, product
 from operator import add, getitem
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     FormatError, PlanError, parse_decimals, parse_rows, read_text, text_lines, tile_units, write_text
@@ -50,7 +53,6 @@ from .errors import (
 # Largest classical family order, checked before any field table is built:
 # q = 256 is (q-1) q^2 = 1.7e7 cells.
 CLASSICAL_ORDER_CAP = 2**8
-FIELD_ORDER_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -181,9 +183,11 @@ def first_non_mols_pair(squares: Sequence[LatinSquare]) -> tuple[int, int] | Non
     squares that are not MOLS, or None: the cells of A holding symbol x,
     one per column, must hold distinct symbols in B, for every x."""
     n = _common_order(squares)
+    # each square's exponents are read once, in its one tile, so iterators
+    # over the cells do where a flat copy of every square would be held
     return _first_unmet_pair(
         [[s._symbol_rows[x : x + n] for x in range(0, n * n, n)] for s in squares],
-        [tuple(chain.from_iterable(s.cells)) for s in squares],
+        [chain.from_iterable(s.cells) for s in squares],
         n,
     )
 
@@ -200,7 +204,7 @@ def _common_order(squares: Sequence[LatinSquare]) -> int:
 
 def _first_unmet_pair(
     keys: Sequence[Sequence[Sequence[int]]],
-    exponents: Sequence[Sequence[int]],
+    exponents: Sequence[Iterable[int]],
     n: int,
 ) -> tuple[int, int] | None:
     """The first pair (a, b), a < b, 1-based in lexicographic order, of a
@@ -208,7 +212,8 @@ def _first_unmet_pair(
     b, or None.
 
     keys[a] holds n rows of n keys in 1..n, and square b holds the
-    exponent exponents[b][(v - 1) n + k], in 1..n, for key v in column k.
+    exponent exponents[b][(v - 1) n + k], in 1..n, for key v in column k;
+    exponents[b] is read once, in order, when b's tile is packed.
     A row of keys meets b when the n exponents e_k it picks out of b are
     distinct, that is when sum_k 2^(e_k - 1) = 2^n - 1: distinct powers
     below 2^n add up to that number, and a repeat leaves fewer set bits.
@@ -288,9 +293,6 @@ def conjugate_lsesc_mols(square: LatinSquare) -> LatinSquare:
     return LatinSquare._unchecked(n, tuple(rows[a : a + n] for a in range(0, n * n, n)))
 
 
-FieldElement = tuple[int, ...]
-
-
 def is_prime(n: int) -> bool:
     """Whether n is a prime int; a bool or a float never is."""
     return prime_power(n) == (n, 1)
@@ -314,70 +316,6 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return (q, 1)
 
 
-@dataclass(frozen=True)
-class GaloisField:
-    """GF(p^r) presented as F_p[x] modulo a monic irreducible of degree r."""
-
-    p: int
-    r: int
-    modulus: tuple[int, ...]  # ascending degree, length r + 1, monic
-
-    @property
-    def order(self) -> int:
-        return self.p**self.r
-
-
-def _poly_mod(poly: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    """Reduce poly by the monic modulus, coefficients mod p."""
-    rem = [c % p for c in poly]
-    deg_m = len(modulus) - 1
-    for top in range(len(rem) - 1, deg_m - 1, -1):
-        factor = rem[top]
-        if factor == 0:
-            continue
-        shift = top - deg_m
-        for k, c in enumerate(modulus):
-            rem[shift + k] = (rem[shift + k] - factor * c) % p
-    return rem[:deg_m]
-
-
-def _is_irreducible(candidate: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    deg = len(candidate) - 1
-    for d in range(1, deg // 2 + 1):
-        for value in range(p**d):
-            divisor = _element_from_value(value, d, p) + (1,)
-            if not any(_poly_mod(list(candidate), divisor, p)):
-                return False
-    return True
-
-
-def _element_from_value(value: int, length: int, p: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(length):
-        digits.append(value % p)
-        value //= p
-    return tuple(digits)
-
-
-def make_field(p: int, r: int) -> GaloisField:
-    """Build GF(p^r): the modulus is x^r plus the first element in index
-    order that makes it irreducible, so GF(4) gets x^2 + x + 1 and GF(8)
-    gets x^3 + x + 1 (before x^3 + x^2 + 1, whose index is higher).
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p!r} is not prime")
-    if type(r) is not int or r < 1:
-        raise ValueError(f"extension degree must be a positive int, got {r!r}")
-    if p**r > FIELD_ORDER_CAP:
-        raise ValueError(f"field order {p}^{r} exceeds cap {FIELD_ORDER_CAP}")
-    for value in range(p**r):
-        candidate = _element_from_value(value, r, p) + (1,)
-        if _is_irreducible(candidate, p):
-            return GaloisField(p=p, r=r, modulus=candidate)
-    raise AssertionError("no irreducible polynomial found; unreachable for prime p")
-
-
 def classical_lsesc_set(q: int) -> list[LatinSquare]:
     """The q-1 squares with cells x_i + b*x_j over GF(q), one per nonzero b."""
     decomposition = prime_power(q)
@@ -388,26 +326,27 @@ def classical_lsesc_set(q: int) -> list[LatinSquare]:
             f"LSESC family of order {q} has {(q - 1) * q * q} cells; "
             f"the order cap is {CLASSICAL_ORDER_CAP}"
         )
-    p, r = decomposition
-    plus, times_x = _field_tables(p, r, make_field(p, r).modulus)
+    _, plus, products = _field_tables(*decomposition)
     # sums[i][k] is the symbol of x_i + x_k
     sums = [[v + 1 for v in row] for row in plus]
     return [
         LatinSquare._unchecked(q, tuple(tuple(map(row.__getitem__, scaled)) for row in sums))
-        for scaled in _products(plus, times_x, p, r)
+        for scaled in products
     ]
 
 
-def _field_tables(
-    p: int, r: int, modulus: Sequence[int]
-) -> tuple[list[list[int]], list[int]]:
-    """The addition table and the multiply-by-X table of F_p[X]/(modulus),
-    on the indices of the base-p digit enumeration.
+def _field_tables(p: int, r: int) -> tuple[int, list[list[int]], list[list[int]]]:
+    """GF(p^r) on the indices of the base-p digit enumeration: the v of its
+    modulus X^r + x_v, the addition table, and for b = 1..q-1 in order the
+    row whose entry j is the index of b*x_j.
 
     plus[x][y] adds digit by digit mod p; it is built one digit at a time,
-    the table for p^(k+1) from the one for p^k.  times_x[v] shifts v's
-    digits up one place, and a top digit t comes back as t copies of
-    X^r = -(modulus less its leading term).
+    the table for p^(k+1) from the one for p^k.  For each candidate v in
+    index order, multiplying by X shifts the digits up one place, and a top
+    digit t comes back as t copies of X^r = -x_v.  b*x is linear over F_p,
+    so b's row grows one digit at a time: with j = low + d p^k,
+    b*x_j = b*x_low + d (b X^k).  A second 0 in b's row makes b a zero
+    divisor, and the next v is tried (see the module docstring).
     """
     plus = [[0]]
     for s in (p**k for k in range(r)):
@@ -415,29 +354,32 @@ def _field_tables(
             [plus[x % s][y % s] + (x // s + y // s) % p * s for y in range(s * p)]
             for x in range(s * p)
         ]
-    top = p ** (r - 1)
-    wrap = [sum((-t * c) % p * p**k for k, c in enumerate(modulus[:r])) for t in range(p)]
-    times_x = [plus[v % top * p][wrap[v // top]] for v in range(top * p)]
-    return plus, times_x
+    q = len(plus)
+    top = q // p
 
+    def multiples(x: int) -> list[int]:
+        """The indices of 0, x, 2x, ..., (p-1)x."""
+        out = [0]
+        for _ in range(p - 1):
+            out.append(plus[out[-1]][x])
+        return out
 
-def _products(
-    plus: list[list[int]], times_x: list[int], p: int, r: int
-) -> Iterator[list[int]]:
-    """For b = 1..q-1 in order, the row whose entry j is the index of b*x_j.
-
-    b*x is linear over F_p, so b's row grows one digit at a time: with
-    j = low + d p^k, b*x_j = b*x_low + d (b X^k)."""
-    for b in range(1, len(plus)):
-        row = [0]
-        power = b  # b X^k
-        for _ in range(r):
-            multiples = [0]
-            for _ in range(p - 1):
-                multiples.append(plus[multiples[-1]][power])
-            row = [plus[v][w] for w in multiples for v in row]
-            power = times_x[power]
-        yield row
+    for v in range(q):
+        wrap = multiples(plus[v].index(0))  # t copies of -x_v
+        times_x = [plus[u % top * p][wrap[u // top]] for u in range(q)]
+        products = []
+        for b in range(1, q):
+            row = [0]
+            power = b  # b X^k
+            for _ in range(r):
+                row = [plus[u][w] for w in multiples(power) for u in row]
+                power = times_x[power]
+            if row.count(0) > 1:
+                break  # b is a zero divisor, so f is reducible
+            products.append(row)
+        else:
+            return v, plus, products
+    raise AssertionError("no irreducible modulus found; unreachable for prime p")
 
 
 def write_latin_set(squares: Sequence[LatinSquare], path: str | Path) -> None:
@@ -489,7 +431,8 @@ def parse_latin_set(text: str) -> list[LatinSquare]:
 
 # ---------------------------------------------------------------------------
 # Names only perfbench and their own tests use; they move to tests/oracles.py
-# once perfbench reads the library's stages (ROADMAP items 4 and 5).
+# once perfbench reads the library's stages (ROADMAP items 4 and 5).  No
+# family is built from the tuple field.
 
 
 @dataclass(frozen=True)
@@ -564,8 +507,35 @@ def classical_tensor_set(q: int) -> list[LatinSquare]:
     return classical_lsesc_set(q)
 
 
+FieldElement = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class GaloisField:
+    """GF(p^r) presented as F_p[x] modulo a monic irreducible of degree r."""
+
+    p: int
+    r: int
+    modulus: tuple[int, ...]  # ascending degree, length r + 1, monic
+
+
+def make_field(p: int, r: int) -> GaloisField:
+    """GF(p^r) with the modulus of _field_tables: GF(4) gets x^2 + x + 1, and
+    GF(8) gets x^3 + x + 1, whose index is below that of x^3 + x^2 + 1.
+    Orders past CLASSICAL_ORDER_CAP are refused before p^r is computed or p
+    is tested.
+    """
+    cap = CLASSICAL_ORDER_CAP
+    if type(p) is type(r) is int and p > 1 and (p > cap or r >= cap.bit_length() or p**r > cap):
+        raise ValueError(f"field order {p}^{r} exceeds cap {cap}")
+    if not is_prime(p):
+        raise ValueError(f"{p!r} is not prime")
+    if type(r) is not int or r < 1:
+        raise ValueError(f"extension degree must be a positive int, got {r!r}")
+    v = _field_tables(p, r)[0]
+    return GaloisField(p=p, r=r, modulus=tuple(v // p**k % p for k in range(r)) + (1,))
+
+
 def enumerate_elements(field: GaloisField) -> list[FieldElement]:
     """All field elements in base-p digit order; the zero element comes first."""
-    return [
-        _element_from_value(value, field.r, field.p) for value in range(field.order)
-    ]
+    return [digits[::-1] for digits in product(range(field.p), repeat=field.r)]

@@ -2,8 +2,9 @@
 pair-by-pair verifier, the pair-by-pair T check, the cell-by-cell exponent
 and Latin tests, the row-pair LSESC check, the symbol-pair MOLS check,
 brute-force Latin-square search, polynomial products, the reference
-GF(p^r) arithmetic on coefficient tuples, the floating-point value of a
-root-of-unity sum, and reference parsers of the two file kinds.
+GF(p^r) arithmetic on coefficient tuples and irreducibility test by trial
+division, the floating-point value of a root-of-unity sum, and reference
+parsers of the two file kinds.
 
 None of these is used by the library; they give the tests independent
 expected values.
@@ -291,9 +292,24 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 # Reference GF(p^r) arithmetic on coefficient tuples.
 #
-# The library builds its classical families from integer tables on the
-# digit enumeration (latin._field_tables); these tuple operations are the
-# field those tables are checked against.
+# The library builds its classical families, and finds their modulus, on
+# integer tables of the digit enumeration (latin._field_tables), where a
+# candidate modulus is ruled out by a zero divisor.  These tuple operations
+# are the field those tables are checked against, and trial division is the
+# irreducibility test its modulus is checked against.
+
+
+def is_irreducible_oracle(f: IntPolynomial, p: int) -> bool:
+    """Whether the monic f is irreducible over F_p: no monic polynomial of
+    degree 1..deg(f)/2 divides it.  A monic divisor keeps the integer
+    remainder integral, and taken mod p it is the remainder over F_p."""
+    for d in range(1, f.degree // 2 + 1):
+        for value in range(p**d):
+            divisor = IntPolynomial(tuple(value // p**k % p for k in range(d)) + (1,))
+            _, rem = divmod(f, divisor)
+            if all(c % p == 0 for c in rem.coefficients):
+                return False
+    return True
 
 
 def element_value(field: GaloisField, a: FieldElement) -> int:

@@ -1,13 +1,14 @@
 import pytest
 
-from bhmat.latin import enumerate_elements, is_prime, make_field, prime_power
+from bhmat.latin import CLASSICAL_ORDER_CAP, enumerate_elements, is_prime, make_field, prime_power
 from bhmat.latin import classical_lsesc_set
 
-from oracles import element_value, field_add, field_mul
+from oracles import IntPolynomial, element_value, field_add, field_mul, is_irreducible_oracle
 
 PRIME_POWERS_UP_TO_64 = [
     q for q in range(2, 65) if prime_power(q) is not None
 ]
+PRIME_POWERS_UP_TO_256 = [q for q in range(2, 257) if prime_power(q) is not None]
 
 
 def test_prime_power_decomposition():
@@ -52,6 +53,23 @@ class TestMakeField:
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
             make_field(2, 21)
+
+    @pytest.mark.parametrize(
+        "p, r", [(2, 10**9), (3, 10**8), (257, 1), (2, 9), ((10**9 + 7) * (10**9 + 9), 1)]
+    )
+    def test_past_the_cap_fails_fast(self, p, r):
+        # before p^r is computed or p, prime or not, is trial-divided
+        with pytest.raises(ValueError, match=f"exceeds cap {CLASSICAL_ORDER_CAP}$"):
+            make_field(p, r)
+
+    @pytest.mark.parametrize("q", PRIME_POWERS_UP_TO_256)
+    def test_modulus_is_the_first_irreducible(self, q):
+        p, r = prime_power(q)
+        candidates = (
+            IntPolynomial(tuple(v // p**k % p for k in range(r)) + (1,)) for v in range(q)
+        )
+        first = next(f for f in candidates if is_irreducible_oracle(f, p))
+        assert make_field(p, r).modulus == first.coefficients
 
 
 class TestEnumeration:

@@ -39,7 +39,9 @@ ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
 # log/antilog tables that replaced it; the digit-by-digit tables of
 # latin._field_tables give the same texts.  128 and 256 were pinned from
 # the validated squares and the per-cell str() writer, before the
-# unchecked constructor and the symbol tables.
+# unchecked constructor and the symbol tables.  121, 125, 169 and 243, the
+# odd-p orders past 81, were pinned while the modulus still came from the
+# tuple field's trial division, before _field_tables searched for it.
 FAMILY_SHA256 = {
     2: "426253437d6d3b5204bcb0af44efee9f4cd0a944915a6047eeda6cc3da9d3843",
     3: "098e50d236cbb6ac0868618823e0a69e935f0ac5daf114ddec65116c49f22025",
@@ -55,7 +57,11 @@ FAMILY_SHA256 = {
     49: "2d47819f1e3902d178384b5a786b7591910efe52f0470ce2f36cc6acb4f415cf",
     64: "b34b7e9c386353b752173b9aead2f654c38fd763b3e8b72577d203ecce3c83c0",
     81: "5bd08c5c84c64d167c53ca119f7e24010d55c55c9154dad269a0ac2e7672743e",
+    121: "93c1b4a882d43ff77d29621613782830f7279102f5b9a6340cd9ff09ed937c42",
+    125: "2d3787a9a0292bbfbce01f4d0e146f516b2142ac85b94180d651884e582b63b6",
     128: "e36adc75a778e118d676f60a84a377ba0158f168cb5c9e47889bfa75ec06abf1",
+    169: "d7ca887b6610b1b37d55d46fb0082cc07b6fceecb63a8722c5baed8366cadf2a",
+    243: "6f00d4ab05defd9444e966a1c1b58d6a4f55ae19b2ea663252cecc40aa61a4a5",
     256: "af7e99335442f438bd0135c06ec25d207624efcd4d19932dca5cea8fab5051e5",
 }
 
@@ -504,14 +510,25 @@ class TestClassicalTables:
         p, r = prime_power(q)
         field = make_field(p, r)
         elements = enumerate_elements(field)
-        plus, times_x = latin._field_tables(p, r, field.modulus)
-        # X is elements[p]; in GF(p) = F_p[X]/(X) it is zero
-        x = elements[p] if r > 1 else elements[0]
+        _, plus, products = latin._field_tables(p, r)
         assert plus == [
             [element_value(field, field_add(field, a, b)) for b in elements]
             for a in elements
         ]
-        assert times_x == [element_value(field, field_mul(field, a, x)) for a in elements]
+        assert products == [
+            [element_value(field, field_mul(field, b, x)) for x in elements]
+            for b in elements[1:]
+        ]
+
+    def test_family_needs_no_tuple_field(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tuple field built")
+
+        monkeypatch.setattr(latin, "make_field", forbidden)
+        monkeypatch.setattr(latin, "GaloisField", forbidden)
+        for q in (9, 27):
+            text = dump_latin_set(classical_lsesc_set(q))
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FAMILY_SHA256[q]
 
 
 class TestOrderCap:
@@ -523,7 +540,7 @@ class TestOrderCap:
             raise AssertionError("field built past the cap")
 
         monkeypatch.setattr(latin, "CLASSICAL_ORDER_CAP", 4)
-        monkeypatch.setattr(latin, "make_field", forbidden)
+        monkeypatch.setattr(latin, "_field_tables", forbidden)
         with pytest.raises(PlanError) as info:
             classical_lsesc_set(5)
         message = str(info.value)
