@@ -6,14 +6,17 @@ every pair of rows, one from each square, agrees in exactly one column.
 Conjugating every square (swap symbol and row index) turns such a family
 into mutually orthogonal Latin squares and back, so both notions are
 decided by one test: two squares are MOLS when the n^2 cell pairs are
-distinct, and LSESC when their conjugates are MOLS.
+distinct, and LSESC when their conjugates are MOLS.  Each square keeps its
+conjugate, built once on first use (LatinSquare._conjugate), and every
+predicate below reads that one form.
 
 A whole family is decided in one packed pass (first_non_lsesc_pair,
 first_non_mols_pair): row r of A meets every row of B exactly once iff
-sum_k 2^(row of B holding A[r][k] in column k) = 2^n - 1.  Every square B
-of a tile gets its own byte-aligned slot of n + n.bit_length() bits, which
-holds the largest such sum, n 2^(n-1), so one integer sum per row of A
-tests it against the whole tile.
+sum_k 2^(row of B holding A[r][k] in column k) = 2^n - 1, and those rows
+are cells of B's conjugate; the MOLS pass swaps the roles of a square and
+its conjugate.  Every square B of a tile gets its own byte-aligned slot
+of n + n.bit_length() bits, which holds the largest such sum, n 2^(n-1),
+so one integer sum per row of A tests it against the whole tile.
 
 Squares always use the symbol set {1..n}.  The classical complete families
 come from GF(q): the square for a nonzero element b has cell (i, j) equal
@@ -30,9 +33,9 @@ the tables lives with the tests.
 
 A square is validated once, where it enters: LatinSquare(...) checks its
 cells, and so parse_latin_set, read_latin_set and reconstruct do.  Only
-the squares of classical_lsesc_set and the images of conjugate_lsesc_mols
-are built without a check, by LatinSquare._unchecked, since they are Latin
-by construction.  Text is written and read through symbol tables: the
+the squares of classical_lsesc_set and the cached conjugates are built
+without a check, by LatinSquare._unchecked, since they are Latin by
+construction.  Text is written and read through symbol tables: the
 strings of 1..n, and errors.parse_rows for the cells of a block.
 """
 
@@ -87,21 +90,24 @@ class LatinSquare:
         return square
 
     @cached_property
-    def _symbol_rows(self) -> tuple[int, ...]:
-        """The 1-based row holding symbol s in column k, at (s-1)*n + k:
-        the cells of the conjugate square, row by row.  Built on first use
-        and kept; it is not a field, so == and hash ignore it."""
-        return _symbol_row_index(zip(*self.cells), self.n)
-
-    @cached_property
-    def _symbol_rows_times_n(self) -> array:
-        """_symbol_rows, each multiplied by n."""
-        return _times(self.n, self._symbol_rows)
+    def _conjugate(self) -> LatinSquare:
+        """The conjugate square (swap symbol and row index): row s holds, in
+        column k, the 1-based row where column k holds symbol s.  Built on
+        first use, unvalidated, and kept; it is not a field, so == and hash
+        ignore it, and it holds no reference back to this square."""
+        inverses = []  # column k's inverse permutation, at 1..n
+        for column in zip(*self.cells):
+            inverse = [0] * (self.n + 1)
+            for i, s in enumerate(column, 1):
+                inverse[s] = i
+            inverses.append(inverse)
+        return LatinSquare._unchecked(self.n, tuple(zip(*inverses))[1:])
 
     @cached_property
     def _cells_times_n(self) -> array:
-        """The cells row by row, each multiplied by n."""
-        return _times(self.n, chain.from_iterable(self.cells))
+        """The cells row by row, each multiplied by n, 4 bytes each: most of
+        these ints are past the small-int cache."""
+        return array("I", map(self.n.__mul__, chain.from_iterable(self.cells)))
 
     @cached_property
     def slices(self) -> tuple[tuple[int, ...], ...]:
@@ -151,22 +157,16 @@ def are_lsesc(first: LatinSquare, second: LatinSquare) -> bool:
     square paired with itself always fails: identical rows agree in every
     column.
     """
-    n = _common_order((first, second))
-    return _pairs_distinct(n, first._symbol_rows_times_n, second._symbol_rows)
+    _common_order((first, second))
+    return are_mols(first._conjugate, second._conjugate)
 
 
 def are_mols(first: LatinSquare, second: LatinSquare) -> bool:
-    """True iff superimposing the squares yields all n^2 ordered symbol pairs."""
+    """True iff superimposing the squares yields all n^2 ordered symbol
+    pairs (x, y), that is n^2 distinct codes x*n + y: x and y each run over
+    n consecutive ints, so the codes are distinct exactly when the pairs are."""
     n = _common_order((first, second))
-    return _pairs_distinct(n, first._cells_times_n, chain.from_iterable(second.cells))
-
-
-def _pairs_distinct(n: int, scaled: Iterable[int], plain: Iterable[int]) -> bool:
-    """True iff the n^2 codes x*n + y are distinct, with x*n read from
-    scaled and y from plain, position by position.  Both x and y run over
-    n consecutive ints, so the codes are distinct exactly when the pairs
-    (x, y) are."""
-    return len(set(map(add, scaled, plain))) == n * n
+    return len(set(map(add, first._cells_times_n, chain.from_iterable(second.cells)))) == n * n
 
 
 def first_non_lsesc_pair(squares: Sequence[LatinSquare]) -> tuple[int, int] | None:
@@ -175,7 +175,9 @@ def first_non_lsesc_pair(squares: Sequence[LatinSquare]) -> tuple[int, int] | No
     once iff the rows of B holding A's symbols, column by column, are
     distinct (see _first_unmet_pair)."""
     n = _common_order(squares)
-    return _first_unmet_pair([s.cells for s in squares], [s._symbol_rows for s in squares], n)
+    return _first_unmet_pair(
+        [s.cells for s in squares], [chain.from_iterable(s._conjugate.cells) for s in squares], n
+    )
 
 
 def first_non_mols_pair(squares: Sequence[LatinSquare]) -> tuple[int, int] | None:
@@ -183,23 +185,18 @@ def first_non_mols_pair(squares: Sequence[LatinSquare]) -> tuple[int, int] | Non
     squares that are not MOLS, or None: the cells of A holding symbol x,
     one per column, must hold distinct symbols in B, for every x."""
     n = _common_order(squares)
-    # each square's exponents are read once, in its one tile, so iterators
-    # over the cells do where a flat copy of every square would be held
     return _first_unmet_pair(
-        [[s._symbol_rows[x : x + n] for x in range(0, n * n, n)] for s in squares],
-        [chain.from_iterable(s.cells) for s in squares],
-        n,
+        [s._conjugate.cells for s in squares], [chain.from_iterable(s.cells) for s in squares], n
     )
 
 
 def _common_order(squares: Sequence[LatinSquare]) -> int:
     """The order all squares share (1 when there are none), else ValueError."""
     n = squares[0].n if squares else 1
-    other = next((s.n for s in squares if s.n != n), None)
-    if other is not None:
-        raise ValueError(f"squares of orders {n} and {other} in one family")
+    for square in squares:
+        if square.n != n:
+            raise ValueError(f"squares of orders {n} and {square.n} in one family")
     return n
-
 
 
 def _first_unmet_pair(
@@ -261,36 +258,15 @@ def _first_unmet_pair(
     return None if best is None else (best[0] + 1, best[1] + 1)
 
 
-def _times(n: int, values: Iterable[int]) -> array:
-    """values multiplied by n, 4 bytes each: the scaled side of
-    _pairs_distinct, kept compact since most of its ints are past the
-    small-int cache."""
-    return array("I", map(n.__mul__, values))
-
-
-def _symbol_row_index(columns: Iterable[Sequence[int]], n: int) -> tuple[int, ...]:
-    """The 1-based row i holding symbol s in column k, at (s - 1)*n + k,
-    for n columns that each permute the symbols 1..n: column k's inverse
-    permutation fills positions k, k + n, k + 2n, ..."""
-    index = [0] * (n * n)
-    inverse = [0] * (n + 1)
-    for k, column in enumerate(columns):
-        for i, s in enumerate(column, 1):
-            inverse[s] = i
-        index[k::n] = inverse[1:]
-    return tuple(index)
-
-
 def conjugate_lsesc_mols(square: LatinSquare) -> LatinSquare:
     """Swap the roles of symbol and row index; an involution.
 
     The image square has cell (a, j) = i exactly when the input has cell
-    (i, j) = a, i.e. each column is replaced by its inverse permutation:
-    row a of the image is the input's symbol-row index for symbol a.
+    (i, j) = a, i.e. each column is replaced by its inverse permutation.
+    It is the square's cached conjugate, the same frozen object on every
+    call (see LatinSquare._conjugate).
     """
-    n = square.n
-    rows = square._symbol_rows
-    return LatinSquare._unchecked(n, tuple(rows[a : a + n] for a in range(0, n * n, n)))
+    return square._conjugate
 
 
 def is_prime(n: int) -> bool:
@@ -387,7 +363,11 @@ def write_latin_set(squares: Sequence[LatinSquare], path: str | Path) -> None:
 
 
 def dump_latin_set(squares: Sequence[LatinSquare]) -> str:
-    names = list(map(str, range(max((s.n for s in squares), default=0) + 1)))
+    """The text of squares, which parse_latin_set reads back; ValueError for
+    no squares, whose text it would refuse."""
+    if not squares:
+        raise ValueError("no Latin squares to write")
+    names = list(map(str, range(max(s.n for s in squares) + 1)))
     blocks = []
     for square in squares:
         lines = [f"L {square.n}"]

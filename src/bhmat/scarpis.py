@@ -118,8 +118,8 @@ def _checked_family(squares: Sequence[LatinSquare], kind: str, n: int) -> None:
     """PlanError if phi's or psi's output on an order-n input, of order n
     times the family order, is past OUTPUT_ORDER_CAP, or unless squares
     is a complete LSESC family for it: that many LatinSquares of the
-    family order, of which one packed pass on their cached symbol-row
-    indexes names the first failing pair."""
+    family order, of which one packed pass on their cells and cached
+    conjugates names the first failing pair."""
     order, count = family_shape(kind, n)
     if n * order > OUTPUT_ORDER_CAP:
         raise PlanError(

@@ -399,6 +399,22 @@ class TestFiles:
         text = dump_latin_set([L2])
         assert text == "L 2\n1 2\n2 1\n"
 
+    def test_empty_family_is_refused(self, tmp_path):
+        # its text would be one newline, which parse_latin_set refuses
+        with pytest.raises(FormatError, match="no Latin squares in file"):
+            parse_latin_set("\n")
+        with pytest.raises(ValueError, match="no Latin squares to write"):
+            dump_latin_set([])
+        path = tmp_path / "set.txt"
+        with pytest.raises(ValueError, match="no Latin squares to write"):
+            write_latin_set([], path)
+        assert list(tmp_path.iterdir()) == []
+        write_latin_set([L2], path)
+        with pytest.raises(ValueError, match="no Latin squares to write"):
+            write_latin_set([], path)
+        assert [p.name for p in tmp_path.iterdir()] == ["set.txt"]
+        assert path.read_text() == dump_latin_set([L2])
+
     def test_parse_errors(self):
         with pytest.raises(FormatError):
             parse_latin_set("Q 2\n1 2\n2 1\n")

@@ -1,11 +1,14 @@
-"""The LSESC and MOLS checks (one distinct-pairs test on cached symbol-row
-indexes or on cells, and one packed power-sum pass per family) against
-the row-pair and symbol-pair oracles, the table-built classical families
-against their pinned texts, and the family order cap.
+"""The LSESC and MOLS checks (one distinct-pairs test on the cells, which
+are_lsesc runs on the cached conjugates, and one packed power-sum pass per
+family on the cells and the conjugates' cells) against the row-pair and
+symbol-pair oracles, the cached conjugate itself, the table-built
+classical families against their pinned texts, and the family order cap.
 """
 
+import gc
 import hashlib
 import itertools
+import weakref
 from functools import lru_cache
 from unittest import mock
 
@@ -27,10 +30,10 @@ from bhmat.latin import (
 from oracles import (
     are_lsesc_oracle, are_mols_oracle, element_value, field_add, field_mul, is_latin_oracle
 )
-from tiles import FLOOR, PackedTiles
+from tiles import FLOOR, PackedTiles, count_conjugates
 
-# The lazily built indexes a LatinSquare keeps beside its fields.
-CACHES = ("_symbol_rows", "_symbol_rows_times_n", "_cells_times_n")
+# The lazily built caches a LatinSquare keeps beside its fields.
+CACHES = ("_conjugate", "_cells_times_n")
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
 
@@ -106,7 +109,7 @@ def cached(square):
 
 
 def fresh(square):
-    """An equal square whose indexes are not built yet."""
+    """An equal square whose caches are not built yet."""
     copy = LatinSquare(square.n, square.cells)
     assert cached(copy) == []
     return copy
@@ -126,8 +129,9 @@ def family_check_passes(squares):
 
 def assert_agree(a, b):
     """are_lsesc and are_mols against their oracles in both argument orders,
-    first on squares whose indexes are not built yet, then once they are,
-    and the family check in both orders."""
+    first on squares whose caches are not built yet, then once they are,
+    and the family check in both orders.  The conjugates' own conjugates
+    are never built."""
     lsesc = {(0, 1): are_lsesc_oracle(a, b), (1, 0): are_lsesc_oracle(b, a)}
     mols = {(0, 1): are_mols_oracle(a, b), (1, 0): are_mols_oracle(b, a)}
     squares = (fresh(a), fresh(b))
@@ -136,6 +140,7 @@ def assert_agree(a, b):
             assert are_lsesc(squares[x], squares[y]) == lsesc[x, y]
             assert are_mols(squares[x], squares[y]) == mols[x, y]
     assert all(cached(square) == list(CACHES) for square in squares)
+    assert all(cached(square._conjugate) == ["_cells_times_n"] for square in squares)
     assert family_check_passes([a, b]) == lsesc[0, 1]
     assert family_check_passes([b, a]) == lsesc[1, 0]
     return lsesc[0, 1]
@@ -183,19 +188,19 @@ class TestAgainstOracle:
 
 
 class TestIndexCache:
-    """The symbol-row index is built once per square, on first use, and is
-    invisible to == and hash."""
+    """The conjugate is built once per square, on first use, holds no
+    reference back to it, and is invisible to == and hash."""
 
     @pytest.mark.parametrize("q", [5, 8, 9])
     def test_symbol_rows_are_the_conjugate_cells(self, q):
         for square in family(q):
-            rows = square._symbol_rows
+            conjugate = square._conjugate
             for i, row in enumerate(square.cells):
                 for k, s in enumerate(row):
-                    assert rows[(s - 1) * q + k] == i + 1
-            conjugate = conjugate_lsesc_mols(square)
-            assert rows == tuple(v for row in conjugate.cells for v in row)
-            assert list(square._symbol_rows_times_n) == [q * v for v in rows]
+                    assert conjugate.cells[s - 1][k] == i + 1
+            assert conjugate_lsesc_mols(square) is conjugate
+            assert conjugate == LatinSquare(q, conjugate.cells)
+            assert list(conjugate._cells_times_n) == [q * v for row in conjugate.cells for v in row]
 
     def test_filled_cache_keeps_eq_and_hash(self):
         a, b = family(7)[:2]
@@ -216,20 +221,33 @@ class TestIndexCache:
         assert cached(small) == cached(large) == []
 
     def test_conjugate_then_check_builds_each_index_once(self, monkeypatch):
-        built = []
-        real = latin._symbol_row_index
-
-        def counting(*args):
-            built.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(latin, "_symbol_row_index", counting)
+        built = count_conjugates(monkeypatch)
         squares = [fresh(s) for s in family(8)]
         conjugates = [conjugate_lsesc_mols(s) for s in squares]
         assert len(built) == 7
         assert all(are_lsesc(a, b) for a, b in itertools.combinations(squares, 2))
+        assert latin.first_non_lsesc_pair(squares) is None
+        latin.first_non_mols_pair(squares)
         assert len(built) == 7
+        assert all(conjugate_lsesc_mols(s) is c for s, c in zip(squares, conjugates))
         assert [conjugate_lsesc_mols(c) for c in conjugates] == squares
+        assert len(built) == 14
+
+    def test_no_reference_cycle(self):
+        # with the collector off, only reference counts free the family
+        gc.disable()
+        try:
+            squares = [fresh(s) for s in family(8)]
+            conjugates = [conjugate_lsesc_mols(s) for s in squares]
+            assert latin.first_non_lsesc_pair(squares) is None
+            latin.first_non_mols_pair(squares)
+            assert are_lsesc(*squares[:2]) and are_mols(*conjugates[:2])
+            conjugate_lsesc_mols(conjugates[0])
+            refs = [weakref.ref(x) for x in squares + conjugates]
+            del squares, conjugates
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
 
 class TestCheckedFamily:
@@ -414,7 +432,8 @@ class TestFamilyKernel:
             calls.append(len(args[0]))
             return kernel(*args)
 
-        monkeypatch.setattr(latin, "_pairs_distinct", refuse)
+        monkeypatch.setattr(latin, "are_lsesc", refuse)
+        monkeypatch.setattr(latin, "are_mols", refuse)
         monkeypatch.setattr(latin, "_first_unmet_pair", counting)
         path = tmp_path / "q8.txt"
         latin.write_latin_set(family(8), path)
@@ -422,6 +441,27 @@ class TestFamilyKernel:
         assert calls == [7, 7]  # LSESC, then MOLS, each one pass
         scarpis._checked_family(classical_lsesc_set(8), "phi", 9)
         assert calls == [7, 7, 7]
+
+    def test_passes_read_the_cells_and_conjugates_themselves(self, monkeypatch):
+        calls = []
+        kernel = latin._first_unmet_pair
+
+        def spy(keys, exponents, n):
+            exponents = [list(e) for e in exponents]
+            calls.append((keys, exponents))
+            return kernel(keys, exponents, n)
+
+        monkeypatch.setattr(latin, "_first_unmet_pair", spy)
+        squares = [fresh(s) for s in family(9)]
+        assert latin.first_non_lsesc_pair(squares) is None
+        latin.first_non_mols_pair(squares)
+        (lsesc_keys, lsesc_exponents), (mols_keys, mols_exponents) = calls
+        assert len(lsesc_keys) == len(mols_keys) == len(squares)
+        for a, s in enumerate(squares):
+            conjugate = s._conjugate
+            assert lsesc_keys[a] is s.cells and mols_keys[a] is conjugate.cells
+            assert lsesc_exponents[a] == list(itertools.chain.from_iterable(conjugate.cells))
+            assert mols_exponents[a] == list(itertools.chain.from_iterable(s.cells))
 
 
 def count_is_latin(monkeypatch):

@@ -28,6 +28,7 @@ from bhmat.scarpis import (
 
 from golden import EXAMPLE1_DEPHASED, EXAMPLE1_RAW, EXAMPLE2_PSI_F6
 from oracles import exhaustive_complete_lsesc
+from tiles import count_conjugates
 
 
 def plan_f3():
@@ -317,7 +318,7 @@ class TestHadamardSpecialisations:
 class TestSquaresAreTheTensors:
     """phi and psi take the squares of the family themselves: they build
     no LatinTensor, refuse one with a PlanError, and build each square's
-    symbol-row index at most once."""
+    conjugate at most once."""
 
     def test_no_tensor_built(self, monkeypatch):
         def forbidden(self):
@@ -343,18 +344,13 @@ class TestSquaresAreTheTensors:
             psi(PsiPlan(h=fourier(6), tensors=family))
 
     def test_index_built_once(self, monkeypatch):
-        built = []
-        real = latin._symbol_row_index
-
-        def counting(*args):
-            built.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(latin, "_symbol_row_index", counting)
+        built = count_conjugates(monkeypatch)
         squares = classical_lsesc_set(4)
         assert latin.first_non_lsesc_pair(squares) is None
         assert len(built) == 3
         assert phi(PhiPlan(h=fourier(5), tensors=tuple(squares))).n == 20
+        # conjugating after the checks hands back the conjugates they built
+        assert all(latin.conjugate_lsesc_mols(s) is s._conjugate for s in squares)
         assert len(built) == 3
 
 

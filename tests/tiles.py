@@ -1,13 +1,16 @@
-"""The tile spy of the packed-pass tests: PackedTiles records the tiles
+"""The spies of the packed-pass tests: PackedTiles records the tiles
 that butson._first_packed_failure or latin._first_unmet_pair slices, and
 the units bhmat.errors.tile_units gave it, and can force that rule, so a
 test that sets a tile also checks that the kernel used it.
+count_conjugates counts the conjugates that LatinSquare builds.
 """
 
 from contextlib import ExitStack
+from functools import cached_property
 from unittest import mock
 
 from bhmat import errors
+from bhmat.latin import LatinSquare
 
 # The tile of PackedTiles that keeps the rule under a one-byte budget, so
 # the floor decides every tile.
@@ -68,3 +71,19 @@ class PackedTiles(ExitStack):
         """The one unit count every call was given."""
         (units,) = set(self.units)
         return units
+
+
+def count_conjugates(monkeypatch):
+    """Within the test, LatinSquare._conjugate appends 1 to the returned
+    list each time it builds a square's conjugate, and caches it as before."""
+    built = []
+    build = LatinSquare._conjugate.func
+
+    def counting(square):
+        built.append(1)
+        return build(square)
+
+    prop = cached_property(counting)
+    prop.__set_name__(LatinSquare, "_conjugate")
+    monkeypatch.setattr(LatinSquare, "_conjugate", prop)
+    return built
