@@ -3,11 +3,15 @@
 Exit codes: 0 success / verified, 1 verification failure, 2 plan error
 (missing C1/C2, unavailable LSESC family, bad arguments), 3 I/O or parse
 failure.
+
+main builds the argument parser on its first call and reuses it for every
+later call in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -184,7 +188,18 @@ def cmd_lsesc(args: argparse.Namespace) -> int:
     return 0 if lsesc_ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The bhmat parser, built on the first call and shared after that, so
+    callers must not change it.
+
+    Sharing is safe: parse_args returns a fresh Namespace on each call and
+    leaves the parser as it was; argparse looks up sys.stdout and sys.stderr
+    when it prints, so redirected output still reaches the redirect; and
+    the func defaults are the cmd_* functions of this module, which look up
+    butson, latin and scarpis names when they run, so patches to those
+    modules still take effect.
+    """
     parser = argparse.ArgumentParser(
         prog="bhmat",
         description="Construct and verify Butson-Hadamard matrices with exact arithmetic.",

@@ -364,13 +364,14 @@ def write_latin_set(squares: Sequence[LatinSquare], path: str | Path) -> None:
 
 def dump_latin_set(squares: Sequence[LatinSquare]) -> str:
     """The text of squares, which parse_latin_set reads back; ValueError for
-    no squares, whose text it would refuse."""
+    no squares or squares of two orders, whose text it would refuse."""
     if not squares:
         raise ValueError("no Latin squares to write")
-    names = list(map(str, range(max(s.n for s in squares) + 1)))
+    n = _common_order(squares)
+    names = list(map(str, range(n + 1)))
     blocks = []
     for square in squares:
-        lines = [f"L {square.n}"]
+        lines = [f"L {n}"]
         lines.extend(" ".join(map(names.__getitem__, row)) for row in square.cells)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bhmat import butson, latin, scarpis
 from bhmat.butson import ButsonMatrix, fourier, permute_columns, read_matrix, write_matrix
-from bhmat.cli import _parse_permutation, main
+from bhmat.cli import _parse_permutation, build_parser, main
 from bhmat.errors import FormatError, PlanError
 from bhmat.latin import LatinSquare, classical_lsesc_set, dump_latin_set, read_latin_set
 
@@ -784,6 +785,124 @@ def run_captured(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_until_exit(*argv):
+    """main() on argv, which must raise SystemExit, as argparse does for
+    --help and a bad argument: (exit status, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def run_fresh(*argv):
+    """python -m bhmat on argv in a new process: (exit status, stdout, stderr)."""
+    result = subprocess.run(
+        [sys.executable, "-m", "bhmat", *map(str, argv)], capture_output=True, text=True
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and no call leaves state
+    behind that changes a later one: each call answers as a fresh
+    process does."""
+
+    def test_every_subcommand_on_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        f3, f6, out = tmp_path / "f3.json", tmp_path / "f6.json", tmp_path / "out.json"
+        fam, mols = tmp_path / "fam.txt", tmp_path / "mols.txt"
+        calls = [
+            ("fourier", 3, f3),
+            ("fourier", 6, f6),
+            ("verify", f6),
+            ("verify", "--analyze", f6),
+            ("construct", "phi", f3, "-o", out),
+            ("construct", "psi", f6, "-o", out),
+            ("count", "phi", "--mols", 1, "--card", 1, "--n", 4),
+            ("count", "psi", "--mols", 1, "--card2", 1, "--dh", 3, 2),
+            ("lsesc", "classical", 4, fam),
+            ("lsesc", "check", fam),
+            ("lsesc", "conjugate", fam, mols),
+        ]
+        assert run_captured(*calls[0])[0] == 0
+        first = len(built)
+        assert first > 0
+        for argv in calls[1:]:
+            assert run_captured(*argv)[0] == 0, argv
+        assert len(built) == first
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, len(calls) - 1, 1)
+
+    def test_verify_after_analyze_prints_no_analysis(self, tmp_path):
+        f6 = tmp_path / "f6.json"
+        run_captured("fourier", 6, f6)
+        code, out, err = run_captured("verify", "--analyze", f6)
+        assert (code, err) == (0, "") and "C1 pairs:" in out and "C2 cells:" in out
+        assert run_captured("verify", f6) == (0, "ok: BH(6,6)\n", "")
+
+    def test_plain_construct_after_a_chosen_pair_matches_a_fresh_process(self, tmp_path):
+        f6 = tmp_path / "f6.json"
+        chosen, plain, fresh = (tmp_path / f"{name}.json" for name in ("chosen", "plain", "fresh"))
+        run_captured("fourier", 6, f6)
+        assert run_captured("construct", "psi", f6, "-o", chosen, "--c1-pair", 2, 5)[0] == 0
+        code, out, err = run_captured("construct", "psi", f6, "-o", plain)
+        assert (code, err) == (0, "") and "C1 pair (1, 4)" in out
+        fresh_out = out.replace(str(plain), str(fresh))
+        assert run_fresh("construct", "psi", f6, "-o", fresh) == (0, fresh_out, "")
+        assert plain.read_bytes() == fresh.read_bytes() != chosen.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "fourier x {d}/out.json",
+            "construct psi {d}/f6.json",
+            "construct psi {d}/f6.json -o {d}/out.json --c1-pair 1",
+            "count psi --mols 1 --dh",
+            "lsesc",
+            "nosuch",
+        ],
+        ids=["bad-type", "missing-option", "short-nargs", "empty-nargs", "no-action",
+             "no-command"],
+    )
+    def test_argument_error_then_valid_call(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        f6 = tmp_path / "f6.json"
+        run_captured("fourier", 6, f6)
+        argv = argv.format(d=tmp_path).split()
+        error = run_until_exit(*argv)
+        assert error[0] == 2 and error[1] == "" and "error:" in error[2]
+        assert run_until_exit(*argv) == error == run_fresh(*argv)
+        assert run_captured("verify", f6) == (0, "ok: BH(6,6)\n", "")
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        ["", "fourier", "verify", "construct", "count", "lsesc", "lsesc classical",
+         "lsesc check", "lsesc conjugate"],
+    )
+    def test_help_twice_matches_a_fresh_process(self, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [*command.split(), "--help"]
+        first = run_until_exit(*argv)
+        assert first[0] == 0 and first[1].startswith("usage: bhmat") and first[2] == ""
+        assert run_until_exit(*argv) == first == run_fresh(*argv)
+
+
+def test_import_builds_no_parser():
+    code = "import bhmat.cli; print(bhmat.cli.build_parser.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")
+
+
 def run_on_text(command, text, expect):
     """Write text to a file, run the command on it, and return
     (exit code, stdout, stderr) with expect(path), the test's own reading
@@ -917,6 +1036,12 @@ MATRIX_TEXTS = st.builds(
 FAMILY_TEXTS = lsesc_families().map(dump_latin_set)
 
 
+def family_text(squares):
+    """The text dump_latin_set writes for squares of one order, also for
+    squares of mixed orders, which it refuses to write."""
+    return "\n".join(dump_latin_set([square]) for square in squares)
+
+
 class TestParserFuzz:
     """Both parsers through the CLI: valid texts exit 0, garbage exits 0, 1
     or 3 as the oracles decide, and nothing escapes main.  A family whose
@@ -954,7 +1079,7 @@ class TestParserFuzz:
 
     @settings(deadline=None)
     @given(st.one_of(
-        token_soup(), one_edit(FAMILY_TEXTS), latin_square_lists().map(dump_latin_set)
+        token_soup(), one_edit(FAMILY_TEXTS), latin_square_lists().map(family_text)
     ))
     @example("L 1\n+1\n")
     @example("L 1\n\u0661\n")

@@ -415,6 +415,16 @@ class TestFiles:
         assert [p.name for p in tmp_path.iterdir()] == ["set.txt"]
         assert path.read_text() == dump_latin_set([L2])
 
+    def test_mixed_orders_are_refused(self, tmp_path):
+        # its text would hold squares of two orders, which parse_latin_set refuses
+        mixed = classical_lsesc_set(2) + classical_lsesc_set(3)
+        with pytest.raises(ValueError, match="squares of orders 2 and 3 in one family"):
+            dump_latin_set(mixed)
+        path = tmp_path / "set.txt"
+        with pytest.raises(ValueError, match="squares of orders 2 and 3 in one family"):
+            write_latin_set(mixed, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_parse_errors(self):
         with pytest.raises(FormatError):
             parse_latin_set("Q 2\n1 2\n2 1\n")
