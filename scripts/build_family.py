@@ -6,17 +6,17 @@ output directory is given.
 """
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
 
 from bhmat import halving_family, write_matrix
+from bhmat.cli import decimal_int, exit_status
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-r", type=int, default=3)
+    parser.add_argument("--max-r", type=decimal_int, default=3)
     parser.add_argument("--outdir", type=Path, default=None)
     args = parser.parse_args()
 
@@ -37,9 +37,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader left; devnull takes the exit flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    sys.exit(exit_status(main))

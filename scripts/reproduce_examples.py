@@ -4,7 +4,6 @@ Output shows exponent arrays (entry e stands for the e-th power of the
 primitive m-th root of unity) together with the exact verification verdict.
 """
 
-import os
 import sys
 
 from bhmat import (
@@ -20,6 +19,7 @@ from bhmat import (
     psi,
     verify,
 )
+from bhmat.cli import exit_status
 
 
 def show(label, matrix):
@@ -50,9 +50,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader left; devnull takes the exit flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    sys.exit(exit_status(main))

@@ -7,15 +7,15 @@ complete LSESC family of order n/2 - 1).
 """
 
 import argparse
-import os
 import sys
 
 from bhmat import find_c1_pairs, find_c2_cells, fourier, prime_power
+from bhmat.cli import decimal_int, exit_status
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-order", type=int, default=32)
+    parser.add_argument("--max-order", type=decimal_int, default=32)
     args = parser.parse_args()
 
     print(f"{'n':>4} {'d_H':>4} {'C2 cells':>10} {'psi input?':>11}  first C1 pairs")
@@ -32,9 +32,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader left; devnull takes the exit flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    sys.exit(exit_status(main))

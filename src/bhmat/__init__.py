@@ -37,7 +37,6 @@ from .latin import (
     enumerate_elements,
     inflate,
     is_latin,
-    is_prime,
     make_field,
     prime_power,
     read_latin_set,

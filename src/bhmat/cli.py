@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success / verified, 1 verification failure, 2 plan error
-(missing C1/C2, unavailable LSESC family, bad arguments), 3 I/O or parse
-failure.
+Exit codes: 0 success / verified, 1 verification failure or a closed
+stdout (nothing is printed on stderr then), 2 plan error (missing C1/C2,
+unavailable LSESC family, bad arguments), 3 I/O or parse failure.
+
+exit_status is the one place that turns an outcome into an exit code: main
+and the example scripts under scripts/ exit through it, and the scripts read
+their integer options with decimal_int, as main does.
 
 main builds the argument parser on its first call and reuses it for every
 later call in the same process.
@@ -12,15 +16,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import butson, latin, scarpis
 from .errors import FormatError, PlanError, VerificationError, parse_decimals
 
 
-def _decimal(token: str) -> int:
+def decimal_int(token: str) -> int:
     """argparse type for integer arguments: one ASCII decimal token, as
     in the text files, so '+6', '0_6' and non-ASCII digits exit 2."""
     try:
@@ -207,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fourier = sub.add_parser("fourier", help="write the order-n Fourier matrix")
-    p_fourier.add_argument("n", type=_decimal)
+    p_fourier.add_argument("n", type=decimal_int)
     p_fourier.add_argument("output", type=Path)
     p_fourier.add_argument("--format", choices=("json", "text"), default="json")
     p_fourier.set_defaults(func=cmd_fourier)
@@ -224,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("inputs", nargs="+", type=Path, metavar="INPUT")
     p_construct.add_argument("-o", "--output", required=True, type=Path)
     p_construct.add_argument("--format", choices=("json", "text"), default="json")
-    p_construct.add_argument("--delete-row", type=_decimal, default=None, metavar="T")
+    p_construct.add_argument("--delete-row", type=decimal_int, default=None, metavar="T")
     p_construct.add_argument(
-        "--c1-pair", type=_decimal, nargs=2, metavar=("T", "S"), default=None
+        "--c1-pair", type=decimal_int, nargs=2, metavar=("T", "S"), default=None
     )
     p_construct.add_argument(
-        "--c2-cell", type=_decimal, nargs=2, metavar=("I", "J"), default=None
+        "--c2-cell", type=decimal_int, nargs=2, metavar=("I", "J"), default=None
     )
     p_construct.add_argument(
         "--lsesc",
@@ -247,17 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="evaluate the output-count formulas")
     p_count.add_argument("kind", choices=("phi", "psi"))
-    p_count.add_argument("--mols", type=_decimal, required=True)
-    p_count.add_argument("--card", type=_decimal, default=None)
-    p_count.add_argument("--card2", type=_decimal, default=None)
-    p_count.add_argument("--n", type=_decimal, default=None)
-    p_count.add_argument("--dh", type=_decimal, nargs="+", default=None)
+    p_count.add_argument("--mols", type=decimal_int, required=True)
+    p_count.add_argument("--card", type=decimal_int, default=None)
+    p_count.add_argument("--card2", type=decimal_int, default=None)
+    p_count.add_argument("--n", type=decimal_int, default=None)
+    p_count.add_argument("--dh", type=decimal_int, nargs="+", default=None)
     p_count.set_defaults(func=cmd_count)
 
     p_lsesc = sub.add_parser("lsesc", help="emit, check or conjugate LSESC families")
     lsesc_sub = p_lsesc.add_subparsers(dest="action", required=True)
     p_classical = lsesc_sub.add_parser("classical")
-    p_classical.add_argument("q", type=_decimal)
+    p_classical.add_argument("q", type=decimal_int)
     p_classical.add_argument("output", type=Path)
     p_classical.set_defaults(func=cmd_lsesc)
     p_check = lsesc_sub.add_parser("check")
@@ -271,19 +276,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error exit_status catches, the first match winning:
+# FormatError and PlanError are ValueErrors.
+_ERROR_CODES = {VerificationError: 1, FormatError: 3, ValueError: 2, OSError: 3}
+
+
+def exit_status(program: Callable[[], int | None]) -> int:
+    """The exit code of program(), a None status read as 0, with stdout
+    flushed before it is returned; an error of _ERROR_CODES is printed as
+    one 'error:' line on stderr.  A BrokenPipeError means stdout's reader
+    has gone: stdout is pointed at devnull, so the exit flush cannot fail
+    again, and the code is 1 with nothing on stderr."""
+    try:
+        status = program()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except tuple(_ERROR_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _ERROR_CODES.items() if isinstance(exc, kind))
+    return 0 if status is None else status
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (PlanError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    return exit_status(lambda: args.func(args))

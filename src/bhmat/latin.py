@@ -269,11 +269,6 @@ def conjugate_lsesc_mols(square: LatinSquare) -> LatinSquare:
     return square._conjugate
 
 
-def is_prime(n: int) -> bool:
-    """Whether n is a prime int; a bool or a float never is."""
-    return prime_power(n) == (n, 1)
-
-
 def prime_power(q: int) -> tuple[int, int] | None:
     """Decompose q as p^r with p prime, or None if q is not a prime power
     (a bool or a float never is)."""
@@ -509,7 +504,7 @@ def make_field(p: int, r: int) -> GaloisField:
     cap = CLASSICAL_ORDER_CAP
     if type(p) is type(r) is int and p > 1 and (p > cap or r >= cap.bit_length() or p**r > cap):
         raise ValueError(f"field order {p}^{r} exceeds cap {cap}")
-    if not is_prime(p):
+    if prime_power(p) != (p, 1):
         raise ValueError(f"{p!r} is not prime")
     if type(r) is not int or r < 1:
         raise ValueError(f"extension degree must be a positive int, got {r!r}")

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from bhmat import butson, latin, scarpis
 from bhmat.butson import ButsonMatrix, fourier, permute_columns, read_matrix, write_matrix
-from bhmat.cli import _parse_permutation, build_parser, main
-from bhmat.errors import FormatError, PlanError
+from bhmat.cli import _parse_permutation, build_parser, exit_status, main
+from bhmat.errors import FormatError, PlanError, VerificationError
 from bhmat.latin import LatinSquare, classical_lsesc_set, dump_latin_set, read_latin_set
 
 from golden import EXAMPLE1_DEPHASED, EXAMPLE2_PSI_F6
@@ -663,9 +663,14 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ("{scripts}/reproduce_examples.py", 0, "psi(F_6): BH(6,12), verified=True"),
         ("{scripts}/scan_fourier_conditions.py", 0, "6    3          1         yes  (1,4)"),
         ("{scripts}/build_family.py", 0, "r=3: BH(18,144)"),
+        ("{scripts}/build_family.py --max-r +1", 2, "not an ASCII decimal integer: '+1'"),
+        ("{scripts}/build_family.py --max-r 1_0", 2, "not an ASCII decimal integer: '1_0'"),
+        ("{scripts}/scan_fourier_conditions.py --max-order \u0663\u0662", 2,
+         "not an ASCII decimal integer: '\u0663\u0662'"),
     ],
     ids=["exit-0", "exit-1", "exit-2", "exit-3", "reproduce-examples",
-         "scan-fourier-conditions", "build-family"],
+         "scan-fourier-conditions", "build-family", "build-family-plus",
+         "build-family-underscore", "scan-fourier-conditions-arabic-indic"],
 )
 def test_separate_process(tmp_path, argv, code, line):
     assert run("fourier", 6, tmp_path / "f6.json") == 0
@@ -679,28 +684,59 @@ def test_separate_process(tmp_path, argv, code, line):
     assert not (tmp_path / "out.json").exists()
 
 
-# Each script writes to a pipe whose reader is gone, as under `| head -1`
-# once head has exited: it ends with status 1 and writes nothing to stderr.
+# Each command writes to a pipe whose reader is gone, as under `| head -1`
+# once head has exited: it ends with status 1, writes nothing to stderr, and
+# writes the same {out} file as a run on an open stdout.
 @pytest.mark.parametrize(
     "argv",
-    ["reproduce_examples.py", "scan_fourier_conditions.py --max-order 6",
-     "build_family.py --max-r 1"],
-    ids=["reproduce-examples", "scan-fourier-conditions", "build-family"],
+    ["{scripts}/reproduce_examples.py",
+     "{scripts}/scan_fourier_conditions.py --max-order 6",
+     "{scripts}/build_family.py --max-r 1",
+     "-m bhmat fourier 6 {out}",
+     "-m bhmat verify {d}/f6.json",
+     "-m bhmat verify {d}/flat.txt",
+     "-m bhmat verify --analyze {d}/f6.json",
+     "-m bhmat construct phi {d}/f3.json -o {out}",
+     "-m bhmat construct psi {d}/f6.json -o {out}",
+     "-m bhmat count phi --mols 1 --card 6 --n 4",
+     "-m bhmat count psi --mols 1 --card2 1 --dh 3",
+     "-m bhmat lsesc classical 4 {out}",
+     "-m bhmat lsesc check {d}/family.txt",
+     "-m bhmat lsesc conjugate {d}/family.txt {out}"],
+    ids=["reproduce-examples", "scan-fourier-conditions", "build-family",
+         "fourier", "verify-pass", "verify-fail", "verify-analyze", "construct-phi",
+         "construct-psi", "count-phi", "count-psi", "lsesc-classical", "lsesc-check",
+         "lsesc-conjugate"],
 )
-def test_script_on_closed_stdout(argv):
-    script, *args = argv.split()
+def test_script_on_closed_stdout(tmp_path, argv):
+    assert run("fourier", 3, tmp_path / "f3.json") == 0
+    assert run("fourier", 6, tmp_path / "f6.json") == 0
+    assert run("lsesc", "classical", 4, tmp_path / "family.txt") == 0
+    (tmp_path / "flat.txt").write_text("BH 2 2\n0 0\n0 0\n")
+
+    def run_to(out, **streams):
+        args = [arg.format(d=tmp_path, scripts=SCRIPTS, out=out) for arg in argv.split()]
+        return subprocess.run([sys.executable, *args], text=True, **streams)
+
+    normal = run_to(tmp_path / "normal", capture_output=True)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = subprocess.run(
-            [sys.executable, SCRIPTS / script, *args],
-            stdout=write_end, stderr=subprocess.PIPE, text=True,
-        )
+        result = run_to(tmp_path / "closed", stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
+    assert normal.returncode in (0, 1) and normal.stdout and normal.stderr == ""
     assert result.returncode == 1
-    assert "Traceback" not in result.stderr
-    assert "Exception ignored" not in result.stderr
+    assert result.stderr == ""
+    assert written(tmp_path / "closed") == written(tmp_path / "normal")
+
+
+def written(path):
+    """The bytes of the file at path, of each file in it if it is a
+    directory, or None if there is nothing there."""
+    if path.is_dir():
+        return {child.name: child.read_bytes() for child in path.iterdir()}
+    return path.read_bytes() if path.exists() else None
 
 
 def test_provenance_records_reproducible_plan(tmp_path):
@@ -757,6 +793,42 @@ def test_coercible_argument_exit_code(tmp_path, capsys, form, argv):
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+def raising(exc):
+    def program():
+        raise exc
+    return program
+
+
+# A BrokenPipeError repoints the caller's fd 1 at devnull, so it is tested
+# only in a separate process (test_script_on_closed_stdout).
+@pytest.mark.parametrize(
+    "program, code, err",
+    [
+        (lambda: None, 0, ""),
+        (lambda: 0, 0, ""),
+        (lambda: 1, 1, ""),
+        (raising(VerificationError("rows (1, 2)")), 1, "error: rows (1, 2)\n"),
+        (raising(FormatError("bad matrix body")), 3, "error: bad matrix body\n"),
+        (raising(PlanError("no C2 cell")), 2, "error: no C2 cell\n"),
+        (raising(ValueError("order must be positive")), 2, "error: order must be positive\n"),
+        (raising(FileNotFoundError(2, "No such file", "x.json")), 3,
+         "error: [Errno 2] No such file: 'x.json'\n"),
+        (raising(OSError("disk full")), 3, "error: disk full\n"),
+    ],
+    ids=["none", "zero", "one", "verification", "format", "plan", "value",
+         "file-not-found", "os"],
+)
+def test_exit_status(capsys, program, code, err):
+    assert exit_status(program) == code
+    assert capsys.readouterr() == ("", err)
+
+
+def test_exit_status_passes_other_exceptions():
+    for exc in (SystemExit(2), KeyError("k"), RuntimeError("r")):
+        with pytest.raises(type(exc)):
+            exit_status(raising(exc))
 
 
 def test_parse_permutation_is_strict():

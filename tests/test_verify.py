@@ -582,6 +582,9 @@ class TestEvenOrders:
         # halving_family(4), the r = 4 output, packs 41-row tiles; sources
         # past row 2 would make the oracle test thousands of pairs
         b = halving_family(4)
+        assert butson.matrix_digest(b) == (
+            "sha256:8db6ec00d3dc09e7cb8d26740437dfe116f3e731b3071a1f1272450789e37834"
+        )
         tile = 41
         for dst in (tile - 1, tile, 2 * tile - 1, 2 * tile):
             bad = _with_row(b, 1, dst, 3)
