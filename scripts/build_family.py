@@ -24,7 +24,9 @@ def main():
         start = time.monotonic()
         matrix = halving_family(r)
         built = time.monotonic() - start
-        print(f"r={r}: BH({matrix.m},{matrix.n}) built and verified in {built:.2f}s")
+        report = f"r={r}: BH({matrix.m},{matrix.n}) built and verified in {built:.2f}s"
+        # the file is written before the report is printed, so it is still
+        # written when stdout's reader has gone
         if args.outdir is not None:
             args.outdir.mkdir(parents=True, exist_ok=True)
             path = args.outdir / f"bh_{matrix.m}_{matrix.n}.json"
@@ -33,7 +35,8 @@ def main():
                 path,
                 provenance={"construction": "halving_family", "plan": {"r": r}},
             )
-            print(f"  wrote {path}")
+            report += f"\n  wrote {path}"
+        print(report)
 
 
 if __name__ == "__main__":

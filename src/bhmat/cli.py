@@ -10,6 +10,11 @@ their integer options with decimal_int, as main does.
 
 main builds the argument parser on its first call and reuses it for every
 later call in the same process.
+
+construct and count take the kind, phi or psi, as a subcommand with only
+its own options, so an option of the other kind or a missing one is an
+argparse error: exit 2, the option named on stderr, no file written, and
+SystemExit(2) from an in-process main, as for every argparse error.
 """
 
 from __future__ import annotations
@@ -81,26 +86,15 @@ def _load_family(source: str, order: int) -> tuple[list[latin.LatinSquare], dict
     return latin.read_latin_set(source), {"source": "file", "path": source}
 
 
-def _refuse_foreign(args: argparse.Namespace, foreign: dict[str, tuple[str, ...]]) -> None:
-    """PlanError naming the first option of foreign[args.kind], the options
-    of the other kind, that was given."""
-    for name in foreign[args.kind]:
-        if getattr(args, name) is not None:
-            raise PlanError(f"--{name.replace('_', '-')} does not apply to {args.kind}")
-
-
-def _parse_permutation(text: str, n: int) -> list[int]:
+def _parse_permutation(text: str) -> list[int]:
+    """The decimals of text, split at commas and whitespace."""
     try:
-        order = list(parse_decimals(text.replace(",", " ").split()))
+        return list(parse_decimals(text.replace(",", " ").split()))
     except FormatError as exc:
         raise PlanError(f"bad permutation {text!r}") from exc
-    if sorted(order) != list(range(1, n + 1)):
-        raise PlanError(f"{text!r} is not a permutation of 1..{n}")
-    return order
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    _refuse_foreign(args, {"phi": ("c1_pair", "c2_cell"), "psi": ("delete_row",)})
     inputs = [str(p) for p in args.inputs]
     if not 1 <= len(inputs) <= 2:
         raise PlanError("construct takes one or two input matrices")
@@ -112,7 +106,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
     pre_permuted = None
     if args.pre_permute_cols:
-        order = _parse_permutation(args.pre_permute_cols, h.n)
+        order = _parse_permutation(args.pre_permute_cols)
         if g is not None:
             g = butson.permute_columns(g, order)
         else:
@@ -127,7 +121,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         plan_info["pre_permuted_cols"] = pre_permuted
 
     if args.kind == "phi":
-        row = 1 if args.delete_row is None else args.delete_row
+        row = args.delete_row
         result = scarpis.phi(scarpis.PhiPlan(h=h, tensors=tuple(squares), g=g, deleted_row=row))
         plan_info["deleted_row"] = row
         plan_text = f"deleted row {row}"
@@ -159,14 +153,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    _refuse_foreign(args, {"phi": ("card2", "dh"), "psi": ("card", "n")})
     if args.kind == "phi":
-        if args.card is None or args.n is None:
-            raise PlanError("count phi needs --mols, --card and --n")
         print(scarpis.count_phi_outputs(args.mols, args.card, args.n))
     else:
-        if args.card2 is None or not args.dh:
-            raise PlanError("count psi needs --mols, --card2 and --dh")
         print(scarpis.count_psi_outputs(args.mols, args.card2, args.dh))
     return 0
 
@@ -224,40 +213,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(func=cmd_verify)
 
-    p_construct = sub.add_parser("construct", help="run a construction on input files")
-    p_construct.add_argument("kind", choices=("phi", "psi"))
-    p_construct.add_argument("inputs", nargs="+", type=Path, metavar="INPUT")
-    p_construct.add_argument("-o", "--output", required=True, type=Path)
-    p_construct.add_argument("--format", choices=("json", "text"), default="json")
-    p_construct.add_argument("--delete-row", type=decimal_int, default=None, metavar="T")
-    p_construct.add_argument(
-        "--c1-pair", type=decimal_int, nargs=2, metavar=("T", "S"), default=None
+    # the options of both constructions; each kind adds its own
+    construct_common = argparse.ArgumentParser(add_help=False)
+    construct_common.add_argument("inputs", nargs="+", type=Path, metavar="INPUT")
+    construct_common.add_argument("-o", "--output", required=True, type=Path)
+    construct_common.add_argument("--format", choices=("json", "text"), default="json")
+    construct_common.add_argument(
+        "--lsesc", default="classical", help="'classical' or a path to a Latin-square set file"
     )
-    p_construct.add_argument(
-        "--c2-cell", type=decimal_int, nargs=2, metavar=("I", "J"), default=None
-    )
-    p_construct.add_argument(
-        "--lsesc",
-        default="classical",
-        help="'classical' or a path to a Latin-square set file",
-    )
-    p_construct.add_argument(
+    construct_common.add_argument(
         "--pre-permute-cols",
-        default=None,
         metavar="PERM",
         help="column permutation applied to the x-source first, e.g. '1,4,3,5,2,6'",
     )
-    p_construct.add_argument("--dephase", action="store_true")
+    construct_common.add_argument("--dephase", action="store_true")
+
+    p_construct = sub.add_parser("construct", help="run a construction on input files")
     p_construct.set_defaults(func=cmd_construct)
+    construct_kinds = p_construct.add_subparsers(dest="kind", required=True)
+    p_phi = construct_kinds.add_parser("phi", parents=[construct_common])
+    p_phi.add_argument("--delete-row", type=decimal_int, default=1, metavar="T")
+    p_psi = construct_kinds.add_parser("psi", parents=[construct_common])
+    p_psi.add_argument("--c1-pair", type=decimal_int, nargs=2, metavar=("T", "S"))
+    p_psi.add_argument("--c2-cell", type=decimal_int, nargs=2, metavar=("I", "J"))
 
     p_count = sub.add_parser("count", help="evaluate the output-count formulas")
-    p_count.add_argument("kind", choices=("phi", "psi"))
-    p_count.add_argument("--mols", type=decimal_int, required=True)
-    p_count.add_argument("--card", type=decimal_int, default=None)
-    p_count.add_argument("--card2", type=decimal_int, default=None)
-    p_count.add_argument("--n", type=decimal_int, default=None)
-    p_count.add_argument("--dh", type=decimal_int, nargs="+", default=None)
     p_count.set_defaults(func=cmd_count)
+    count_kinds = p_count.add_subparsers(dest="kind", required=True)
+    p_count_phi = count_kinds.add_parser("phi")
+    p_count_phi.add_argument("--mols", type=decimal_int, required=True)
+    p_count_phi.add_argument("--card", type=decimal_int, required=True)
+    p_count_phi.add_argument("--n", type=decimal_int, required=True)
+    # no abbreviations here, or phi's --card would be read as --card2
+    p_count_psi = count_kinds.add_parser("psi", allow_abbrev=False)
+    p_count_psi.add_argument("--mols", type=decimal_int, required=True)
+    p_count_psi.add_argument("--card2", type=decimal_int, required=True)
+    p_count_psi.add_argument("--dh", type=decimal_int, nargs="+", required=True)
 
     p_lsesc = sub.add_parser("lsesc", help="emit, check or conjugate LSESC families")
     lsesc_sub = p_lsesc.add_subparsers(dest="action", required=True)
@@ -291,7 +282,8 @@ def exit_status(program: Callable[[], int | None]) -> int:
         status = program()
         sys.stdout.flush()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     except tuple(_ERROR_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

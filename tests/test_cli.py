@@ -243,12 +243,15 @@ class TestConstructCommand:
         ],
         ids=["phi-c1-pair", "phi-c2-cell", "psi-delete-row", "psi-delete-row-1"],
     )
-    def test_option_of_the_other_construction(self, tmp_path, capsys, kind, option):
+    def test_option_of_the_other_construction(self, tmp_path, kind, option):
+        # each kind's parser knows only its own options, so argparse refuses
+        # the other kind's, with the top-level usage line
         src, out = tmp_path / "f.json", tmp_path / "o.json"
         run("fourier", 5 if kind == "phi" else 6, src)
-        capsys.readouterr()
-        assert run("construct", kind, src, "-o", out, *option) == 2
-        assert capsys.readouterr() == ("", f"error: {option[0]} does not apply to {kind}\n")
+        code, stdout, stderr = run_until_exit("construct", kind, src, "-o", out, *option)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("usage: bhmat [-h]")
+        assert stderr.endswith(f"bhmat: error: unrecognized arguments: {' '.join(option)}\n")
         assert not out.exists()
 
     def test_lsesc_file_wrong_order(self, tmp_path):
@@ -278,6 +281,14 @@ class TestConstructCommand:
         run("fourier", 7, src)
         # order 6 is not a prime power, so no classical family exists
         assert run("construct", "phi", src, "-o", tmp_path / "x.json") == 2
+
+    def test_pre_permute_short_of_the_order(self, tmp_path, capsys):
+        src, out = tmp_path / "f6.json", tmp_path / "out.json"
+        run("fourier", 6, src)
+        capsys.readouterr()
+        assert run("construct", "phi", src, "-o", out, "--pre-permute-cols", "1,2") == 2
+        assert capsys.readouterr() == ("", "error: not a permutation of 1..6: [1, 2]\n")
+        assert not out.exists()
 
     def test_pre_permute_restores_c1(self, tmp_path):
         # swapping columns 2 and 3 of F_6 kills C1 but keeps C2;
@@ -414,9 +425,17 @@ class TestCountCommand:
         assert run("count", "phi", "--mols", 0, "--card", 9, "--n", 5) == 0
         assert capsys.readouterr().out.strip() == "0"
 
-    def test_missing_arguments(self):
-        assert run("count", "phi", "--mols", 1) == 2
-        assert run("count", "psi", "--mols", 1, "--card2", 2) == 2
+    def test_missing_arguments(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv, missing in [
+            (("count", "phi", "--mols", 1), "--card, --n"),
+            (("count", "psi", "--mols", 1, "--card2", 2), "--dh"),
+        ]:
+            code, stdout, stderr = run_until_exit(*argv)
+            assert (code, stdout) == (2, "")
+            assert stderr.startswith(f"usage: bhmat count {argv[1]} [-h]")
+            assert stderr.endswith(f"error: the following arguments are required: {missing}\n")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "kind, given, option",
@@ -428,9 +447,14 @@ class TestCountCommand:
         ],
         ids=["phi-card2", "phi-dh", "psi-card", "psi-n"],
     )
-    def test_option_of_the_other_kind(self, capsys, kind, given, option):
-        assert run("count", kind, "--mols", 1, *given, *option) == 2
-        assert capsys.readouterr() == ("", f"error: {option[0]} does not apply to {kind}\n")
+    def test_option_of_the_other_kind(self, tmp_path, monkeypatch, kind, given, option):
+        # psi's --card is not read as an abbreviation of --card2
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run_until_exit("count", kind, "--mols", 1, *given, *option)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("usage: bhmat [-h]")
+        assert stderr.endswith(f"bhmat: error: unrecognized arguments: {' '.join(option)}\n")
+        assert not any(tmp_path.iterdir())
 
 
 class TestLsescCommand:
@@ -692,6 +716,7 @@ def test_separate_process(tmp_path, argv, code, line):
     ["{scripts}/reproduce_examples.py",
      "{scripts}/scan_fourier_conditions.py --max-order 6",
      "{scripts}/build_family.py --max-r 1",
+     "{scripts}/build_family.py --max-r 1 --outdir {out}",
      "-m bhmat fourier 6 {out}",
      "-m bhmat verify {d}/f6.json",
      "-m bhmat verify {d}/flat.txt",
@@ -704,9 +729,9 @@ def test_separate_process(tmp_path, argv, code, line):
      "-m bhmat lsesc check {d}/family.txt",
      "-m bhmat lsesc conjugate {d}/family.txt {out}"],
     ids=["reproduce-examples", "scan-fourier-conditions", "build-family",
-         "fourier", "verify-pass", "verify-fail", "verify-analyze", "construct-phi",
-         "construct-psi", "count-phi", "count-psi", "lsesc-classical", "lsesc-check",
-         "lsesc-conjugate"],
+         "build-family-outdir", "fourier", "verify-pass", "verify-fail", "verify-analyze",
+         "construct-phi", "construct-psi", "count-phi", "count-psi", "lsesc-classical",
+         "lsesc-check", "lsesc-conjugate"],
 )
 def test_script_on_closed_stdout(tmp_path, argv):
     assert run("fourier", 3, tmp_path / "f3.json") == 0
@@ -825,6 +850,22 @@ def test_exit_status(capsys, program, code, err):
     assert capsys.readouterr() == ("", err)
 
 
+def test_broken_pipe_leaves_no_descriptor_open():
+    # in a separate process, since each BrokenPipeError repoints fd 1
+    code = (
+        "import os, sys\n"
+        "from bhmat.cli import exit_status\n"
+        "def program():\n"
+        "    raise BrokenPipeError\n"
+        "free = os.open(os.devnull, os.O_RDONLY)\n"
+        "os.close(free)\n"
+        "codes = [exit_status(program), exit_status(program)]\n"
+        "print(codes, os.open(os.devnull, os.O_RDONLY) == free, file=sys.stderr)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "[1, 1] True\n")
+
+
 def test_exit_status_passes_other_exceptions():
     for exc in (SystemExit(2), KeyError("k"), RuntimeError("r")):
         with pytest.raises(type(exc)):
@@ -832,10 +873,12 @@ def test_exit_status_passes_other_exceptions():
 
 
 def test_parse_permutation_is_strict():
-    assert _parse_permutation("1, 3 2", 3) == [1, 3, 2]
+    # it only parses: butson.permute_columns checks the order
+    assert _parse_permutation("1, 3 2") == [1, 3, 2]
+    assert _parse_permutation("2,2") == [2, 2]
     for text in ("+1, 0_2, \u0663", "1 2 -3", "1,,2,3x", ""):
         with pytest.raises(PlanError, match="bad permutation"):
-            _parse_permutation(text, 3)
+            _parse_permutation(text)
 
 
 def test_output_order_cap(tmp_path, capsys, monkeypatch):
@@ -958,8 +1001,9 @@ class TestParserReuse:
 
     @pytest.mark.parametrize(
         "command",
-        ["", "fourier", "verify", "construct", "count", "lsesc", "lsesc classical",
-         "lsesc check", "lsesc conjugate"],
+        ["", "fourier", "verify", "construct", "construct phi", "construct psi", "count",
+         "count phi", "count psi", "lsesc", "lsesc classical", "lsesc check",
+         "lsesc conjugate"],
     )
     def test_help_twice_matches_a_fresh_process(self, monkeypatch, command):
         monkeypatch.setenv("COLUMNS", "80")
