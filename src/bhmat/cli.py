@@ -12,8 +12,8 @@ main builds the argument parser on its first call and reuses it for every
 later call in the same process.
 
 construct and count take the kind, phi or psi, as a subcommand with only
-its own options, so an option of the other kind or a missing one is an
-argparse error: exit 2, the option named on stderr, no file written, and
+its own options, each spelled in full, so an option of the other kind, a
+prefix of an option or a missing option is an argparse error: exit 2, the option named on stderr, no file written, and
 SystemExit(2) from an in-process main, as for every argparse error.
 """
 
@@ -231,20 +231,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct = sub.add_parser("construct", help="run a construction on input files")
     p_construct.set_defaults(func=cmd_construct)
     construct_kinds = p_construct.add_subparsers(dest="kind", required=True)
-    p_phi = construct_kinds.add_parser("phi", parents=[construct_common])
+    # whole option names only: a prefix of one kind's option is refused,
+    # not resolved against the options of that kind alone
+    p_phi = construct_kinds.add_parser("phi", parents=[construct_common], allow_abbrev=False)
     p_phi.add_argument("--delete-row", type=decimal_int, default=1, metavar="T")
-    p_psi = construct_kinds.add_parser("psi", parents=[construct_common])
+    p_psi = construct_kinds.add_parser("psi", parents=[construct_common], allow_abbrev=False)
     p_psi.add_argument("--c1-pair", type=decimal_int, nargs=2, metavar=("T", "S"))
     p_psi.add_argument("--c2-cell", type=decimal_int, nargs=2, metavar=("I", "J"))
 
     p_count = sub.add_parser("count", help="evaluate the output-count formulas")
     p_count.set_defaults(func=cmd_count)
     count_kinds = p_count.add_subparsers(dest="kind", required=True)
-    p_count_phi = count_kinds.add_parser("phi")
+    p_count_phi = count_kinds.add_parser("phi", allow_abbrev=False)
     p_count_phi.add_argument("--mols", type=decimal_int, required=True)
     p_count_phi.add_argument("--card", type=decimal_int, required=True)
     p_count_phi.add_argument("--n", type=decimal_int, required=True)
-    # no abbreviations here, or phi's --card would be read as --card2
     p_count_psi = count_kinds.add_parser("psi", allow_abbrev=False)
     p_count_psi.add_argument("--mols", type=decimal_int, required=True)
     p_count_psi.add_argument("--card2", type=decimal_int, required=True)

@@ -240,12 +240,20 @@ class TestConstructCommand:
             ("phi", ["--c2-cell", "3", "3"]),
             ("psi", ["--delete-row", "9"]),
             ("psi", ["--delete-row", "1"]),
+            ("psi", ["--d"]),
+            ("psi", ["--de"]),
+            ("phi", ["--c", "1", "2"]),
+            ("phi", ["--del", "2"]),
         ],
-        ids=["phi-c1-pair", "phi-c2-cell", "psi-delete-row", "psi-delete-row-1"],
+        ids=[
+            "phi-c1-pair", "phi-c2-cell", "psi-delete-row", "psi-delete-row-1",
+            "psi-d", "psi-de", "phi-c", "phi-del",
+        ],
     )
     def test_option_of_the_other_construction(self, tmp_path, kind, option):
-        # each kind's parser knows only its own options, so argparse refuses
-        # the other kind's, with the top-level usage line
+        # each kind's parser knows only its own options, and whole names
+        # only, so argparse refuses the other kind's and every prefix, with
+        # the top-level usage line
         src, out = tmp_path / "f.json", tmp_path / "o.json"
         run("fourier", 5 if kind == "phi" else 6, src)
         code, stdout, stderr = run_until_exit("construct", kind, src, "-o", out, *option)
@@ -430,6 +438,9 @@ class TestCountCommand:
         for argv, missing in [
             (("count", "phi", "--mols", 1), "--card, --n"),
             (("count", "psi", "--mols", 1, "--card2", 2), "--dh"),
+            # a prefix is not the option it begins
+            (("count", "phi", "--mols", 1, "--car", 2, "--n", 3), "--card"),
+            (("count", "psi", "--mo", 1, "--card2", 1, "--dh", 3), "--mols"),
         ]:
             code, stdout, stderr = run_until_exit(*argv)
             assert (code, stdout) == (2, "")
@@ -444,11 +455,14 @@ class TestCountCommand:
             ("phi", ["--card", "1", "--n", "3"], ["--dh", "2"]),
             ("psi", ["--card2", "1", "--dh", "3"], ["--card", "1"]),
             ("psi", ["--card2", "1", "--dh", "3"], ["--n", "4"]),
+            ("phi", ["--card", "1", "--n", "3"], ["--car", "2"]),
+            ("phi", ["--card", "1", "--n", "3"], ["--c", "2"]),
         ],
-        ids=["phi-card2", "phi-dh", "psi-card", "psi-n"],
+        ids=["phi-card2", "phi-dh", "psi-card", "psi-n", "phi-car", "phi-c"],
     )
     def test_option_of_the_other_kind(self, tmp_path, monkeypatch, kind, given, option):
-        # psi's --card is not read as an abbreviation of --card2
+        # psi's --card is not read as an abbreviation of --card2, nor phi's
+        # --car as one of --card
         monkeypatch.chdir(tmp_path)
         code, stdout, stderr = run_until_exit("count", kind, "--mols", 1, *given, *option)
         assert (code, stdout) == (2, "")
