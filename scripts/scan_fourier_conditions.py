@@ -2,15 +2,27 @@
 
 For each even order up to the limit, report the C1 row pairs, d_H (the
 number of unordered pairs), the C2 witness cells, and whether the halving
-construction applies directly (it needs a C2 cell plus an available
-complete LSESC family of order n/2 - 1).
+construction applies directly (it needs a C2 cell, an order that psi's
+family_shape accepts, and an available complete LSESC family of the
+order it names).
 """
 
 import argparse
 import sys
 
-from bhmat import find_c1_pairs, find_c2_cells, fourier, prime_power
+from bhmat import PlanError, find_c1_pairs, find_c2_cells, fourier, prime_power
 from bhmat.cli import decimal_int, exit_status
+from bhmat.scarpis import family_shape
+
+
+def family_available(n):
+    """Whether family_shape accepts psi on an order-n input, output cap
+    included, and a classical family of the order it names exists."""
+    try:
+        order, _ = family_shape("psi", n)
+    except PlanError:
+        return False
+    return prime_power(order) is not None
 
 
 def main():
@@ -23,8 +35,7 @@ def main():
         f = fourier(n)
         pairs = find_c1_pairs(f)
         cells = find_c2_cells(f)
-        family_ok = n // 2 - 1 >= 2 and prime_power(n // 2 - 1) is not None
-        usable = "yes" if cells and family_ok else "no"
+        usable = "yes" if cells and family_available(n) else "no"
         head = " ".join(f"({t},{s})" for t, s in pairs[:4])
         if len(pairs) > 4:
             head += " ..."

@@ -52,7 +52,6 @@ from .scarpis import (
     count_psi_outputs,
     phi,
     psi,
-    resolve_psi,
 )
 
 __version__ = "0.1.0"

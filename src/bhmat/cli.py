@@ -13,8 +13,9 @@ later call in the same process.
 
 construct and count take the kind, phi or psi, as a subcommand with only
 its own options, each spelled in full, so an option of the other kind, a
-prefix of an option or a missing option is an argparse error: exit 2, the option named on stderr, no file written, and
-SystemExit(2) from an in-process main, as for every argparse error.
+prefix of an option or a missing option is an argparse error: exit 2, the
+option named on stderr, no file written, and SystemExit(2) from an
+in-process main, as for every argparse error.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ def decimal_int(token: str) -> int:
         raise argparse.ArgumentTypeError(
             f"not an ASCII decimal integer: {token!r}"
         ) from None
+
+
+def decimal_ints(text: str) -> list[int]:
+    """argparse type for a list of integers: text split at commas and
+    whitespace, each token read by decimal_int."""
+    return [decimal_int(token) for token in text.replace(",", " ").split()]
 
 
 def cmd_fourier(args: argparse.Namespace) -> int:
@@ -86,39 +93,27 @@ def _load_family(source: str, order: int) -> tuple[list[latin.LatinSquare], dict
     return latin.read_latin_set(source), {"source": "file", "path": source}
 
 
-def _parse_permutation(text: str) -> list[int]:
-    """The decimals of text, split at commas and whitespace."""
-    try:
-        return list(parse_decimals(text.replace(",", " ").split()))
-    except FormatError as exc:
-        raise PlanError(f"bad permutation {text!r}") from exc
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
-    inputs = [str(p) for p in args.inputs]
-    if not 1 <= len(inputs) <= 2:
+    if not 1 <= len(args.inputs) <= 2:
         raise PlanError("construct takes one or two input matrices")
-    matrices = [butson.read_matrix(p)[0] for p in inputs]
+    matrices = [butson.read_matrix(p)[0] for p in args.inputs]
     if len(matrices) == 2:
         g, h = matrices
     else:
         g, h = None, matrices[0]
 
-    pre_permuted = None
-    if args.pre_permute_cols:
-        order = _parse_permutation(args.pre_permute_cols)
+    if args.pre_permute_cols is not None:
         if g is not None:
-            g = butson.permute_columns(g, order)
+            g = butson.permute_columns(g, args.pre_permute_cols)
         else:
-            h = butson.permute_columns(h, order)
-        pre_permuted = order
+            h = butson.permute_columns(h, args.pre_permute_cols)
 
     family_order, _ = scarpis.family_shape(args.kind, h.n)
     squares, family_info = _load_family(args.lsesc, family_order)
 
     plan_info: dict[str, Any] = {"lsesc": family_info}
-    if pre_permuted is not None:
-        plan_info["pre_permuted_cols"] = pre_permuted
+    if args.pre_permute_cols is not None:
+        plan_info["pre_permuted_cols"] = args.pre_permute_cols
 
     if args.kind == "phi":
         row = args.delete_row
@@ -223,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     construct_common.add_argument(
         "--pre-permute-cols",
+        type=decimal_ints,
         metavar="PERM",
         help="column permutation applied to the x-source first, e.g. '1,4,3,5,2,6'",
     )

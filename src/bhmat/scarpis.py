@@ -41,8 +41,8 @@ from .butson import (
 from .errors import PlanError, VerificationError
 from .latin import LatinSquare, classical_lsesc_set, first_non_lsesc_pair
 
-# Largest phi or psi output order, checked once the inputs are verified and
-# before any block is built: psi on F_66 (r = 5) makes n = 2112.
+# Largest phi or psi output order, checked by family_shape, so before any
+# family or block is built: psi on F_66 (r = 5) makes n = 2112.
 OUTPUT_ORDER_CAP = 2**12
 
 
@@ -78,18 +78,24 @@ def family_shape(kind: str, n: int) -> tuple[int, int]:
     """Order and size of the complete LSESC family that phi or psi needs
     for an order-n input: (n-1, n-2) for phi, (n/2-1, n/2-2) for psi.
 
-    This is also the one home of the minimum input orders: phi needs
-    n >= 3 and psi an even n >= 6, else PlanError.
+    This is also the one home of the minimum input orders, phi needing
+    n >= 3 and psi an even n >= 6, and of the output order cap: PlanError
+    unless n times the family order is at most OUTPUT_ORDER_CAP.
     """
     if kind == "phi":
         if n < 3:
             raise PlanError(f"phi needs order >= 3, got {n}")
-        return n - 1, n - 2
-    if n % 2:
+    elif n % 2:
         raise PlanError(f"psi needs an even order, got {n}")
-    if n < 6:
+    elif n < 6:
         raise PlanError(f"psi needs order >= 6, got {n}")
-    return n // 2 - 1, n // 2 - 2
+    order = n - 1 if kind == "phi" else n // 2 - 1
+    if n * order > OUTPUT_ORDER_CAP:
+        raise PlanError(
+            f"{kind} output of order {n * order} has {(n * order) ** 2} cells; "
+            f"the output order cap is {OUTPUT_ORDER_CAP}"
+        )
+    return order, order - 1
 
 
 def _require_verified(b: ButsonMatrix, label: str) -> None:
@@ -115,17 +121,11 @@ def _x_source(h: ButsonMatrix, g: ButsonMatrix | None) -> ButsonMatrix:
 
 
 def _checked_family(squares: Sequence[LatinSquare], kind: str, n: int) -> None:
-    """PlanError if phi's or psi's output on an order-n input, of order n
-    times the family order, is past OUTPUT_ORDER_CAP, or unless squares
-    is a complete LSESC family for it: that many LatinSquares of the
-    family order, of which one packed pass on their cells and cached
-    conjugates names the first failing pair."""
+    """family_shape's PlanError for phi or psi on an order-n input, or
+    PlanError unless squares is a complete LSESC family for it: that many
+    LatinSquares of the family order, of which one packed pass on their
+    cells and cached conjugates names the first failing pair."""
     order, count = family_shape(kind, n)
-    if n * order > OUTPUT_ORDER_CAP:
-        raise PlanError(
-            f"{kind} output of order {n * order} has {(n * order) ** 2} cells; "
-            f"the output order cap is {OUTPUT_ORDER_CAP}"
-        )
     if len(squares) != count:
         raise PlanError(
             f"need a complete LSESC set of order {order} ({count} squares), "
@@ -225,33 +225,20 @@ def check_t_properties(ext: TExtraction, m: int) -> None:
         raise PlanError(f"row {ri + 1} of C vs row {rj + 1} of D is not orthogonal")
 
 
-def resolve_psi(plan: PsiPlan) -> PsiPlan:
-    """Fill in defaulted choices: first C1 pair of the x-source, first C2 cell of H."""
-    h = plan.h
-    src = plan.g if plan.g is not None else plan.h
-    if h.m % 2:
-        raise PlanError(f"psi needs an even root order, got m={h.m}")
-
-    cells = find_c2_cells(h)
-    if plan.c2_cell is None:
-        if not cells:
-            raise PlanError("input has no C2 cell (no +-1 row and column meeting at -1)")
-        cell = cells[0]
-    else:
-        cell = plan.c2_cell
-        if cell not in cells or set(map(type, cell)) != {int}:
-            raise PlanError(f"cell {cell} is not a C2 witness of the input")
-
-    pairs = find_c1_pairs(src)
-    if plan.c1_pair is None:
-        if not pairs:
-            raise PlanError("x-source has no C1 row pair")
-        pair = pairs[0]
-    else:
-        pair = plan.c1_pair
-        if pair not in pairs or set(map(type, pair)) != {int}:
-            raise PlanError(f"pair {pair} is not a C1 pair of the x-source")
-    return replace(plan, c1_pair=pair, c2_cell=cell)
+def _chosen(
+    choice: tuple[int, int] | None, found: Sequence[tuple[int, int]], missing: str, wrong: str
+) -> tuple[int, int]:
+    """psi's C2 cell or C1 pair: choice, or the first of found when choice
+    is None.  PlanError missing when nothing is found, and wrong, formatted
+    with choice, when choice is not one of found or its entries are not all
+    ints."""
+    if choice is None:
+        if not found:
+            raise PlanError(missing)
+        return found[0]
+    if choice not in found or set(map(type, choice)) != {int}:
+        raise PlanError(wrong.format(choice))
+    return choice
 
 
 def psi(plan: PsiPlan) -> ButsonMatrix:
@@ -267,14 +254,26 @@ def psi(plan: PsiPlan) -> ButsonMatrix:
 
 
 def psi_with_plan(plan: PsiPlan) -> tuple[ButsonMatrix, PsiPlan]:
-    """psi's output and the plan it used (resolve_psi's): the C1 rows and
-    the C2 cells are each scanned once."""
+    """psi's output and the plan it used, its defaults filled in: the
+    first C2 cell of H and the first C1 pair of the x-source, from one
+    scan of each."""
     src = _x_source(plan.h, plan.g)
     _checked_family(plan.tensors, "psi", src.n)
-    resolved = resolve_psi(plan)
-    ext = _extract_t(plan.h, resolved.c2_cell)
+    if src.m % 2:
+        raise PlanError(f"psi needs an even root order, got m={src.m}")
+    cell = _chosen(
+        plan.c2_cell, find_c2_cells(plan.h),
+        "input has no C2 cell (no +-1 row and column meeting at -1)",
+        "cell {} is not a C2 witness of the input",
+    )
+    pair = _chosen(
+        plan.c1_pair, find_c1_pairs(src),
+        "x-source has no C1 row pair", "pair {} is not a C1 pair of the x-source",
+    )
+    ext = _extract_t(plan.h, cell)
     check_t_properties(ext, src.m)
-    return _assemble("psi", src, resolved.c1_pair, ext.t, plan.tensors), resolved
+    used = replace(plan, c1_pair=pair, c2_cell=cell)
+    return _assemble("psi", src, pair, ext.t, plan.tensors), used
 
 
 def halving_family(r: int) -> ButsonMatrix:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bhmat import butson, latin, scarpis
 from bhmat.butson import ButsonMatrix, fourier, permute_columns, read_matrix, write_matrix
-from bhmat.cli import _parse_permutation, build_parser, exit_status, main
+from bhmat.cli import build_parser, decimal_ints, exit_status, main
 from bhmat.errors import FormatError, PlanError, VerificationError
 from bhmat.latin import LatinSquare, classical_lsesc_set, dump_latin_set, read_latin_set
 
@@ -291,11 +291,25 @@ class TestConstructCommand:
         assert run("construct", "phi", src, "-o", tmp_path / "x.json") == 2
 
     def test_pre_permute_short_of_the_order(self, tmp_path, capsys):
+        # an empty list is refused like any other, never skipped
         src, out = tmp_path / "f6.json", tmp_path / "out.json"
         run("fourier", 6, src)
         capsys.readouterr()
-        assert run("construct", "phi", src, "-o", out, "--pre-permute-cols", "1,2") == 2
-        assert capsys.readouterr() == ("", "error: not a permutation of 1..6: [1, 2]\n")
+        for text, listed in (("1,2", "[1, 2]"), ("", "[]"), (" , ", "[]")):
+            assert run("construct", "phi", src, "-o", out, "--pre-permute-cols", text) == 2
+            assert capsys.readouterr() == ("", f"error: not a permutation of 1..6: {listed}\n")
+            assert not out.exists()
+
+    def test_pre_permute_bad_token_before_any_input_is_read(self, tmp_path):
+        out = tmp_path / "out.json"
+        code, stdout, stderr = run_until_exit(
+            "construct", "psi", tmp_path / "missing.json", "-o", out, "--pre-permute-cols", "1,x"
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("usage: bhmat construct psi")
+        assert stderr.endswith(
+            "error: argument --pre-permute-cols: not an ASCII decimal integer: 'x'\n"
+        )
         assert not out.exists()
 
     def test_pre_permute_restores_c1(self, tmp_path):
@@ -700,6 +714,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ("-m bhmat verify {d}/bad.txt", 3, "error: bad matrix body"),
         ("{scripts}/reproduce_examples.py", 0, "psi(F_6): BH(6,12), verified=True"),
         ("{scripts}/scan_fourier_conditions.py", 0, "6    3          1         yes  (1,4)"),
+        ("{scripts}/scan_fourier_conditions.py --max-order 130", 0,
+         " 130   65          1          no  (1,66)"),
         ("{scripts}/build_family.py", 0, "r=3: BH(18,144)"),
         ("{scripts}/build_family.py --max-r +1", 2, "not an ASCII decimal integer: '+1'"),
         ("{scripts}/build_family.py --max-r 1_0", 2, "not an ASCII decimal integer: '1_0'"),
@@ -707,8 +723,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
          "not an ASCII decimal integer: '\u0663\u0662'"),
     ],
     ids=["exit-0", "exit-1", "exit-2", "exit-3", "reproduce-examples",
-         "scan-fourier-conditions", "build-family", "build-family-plus",
-         "build-family-underscore", "scan-fourier-conditions-arabic-indic"],
+         "scan-fourier-conditions", "scan-fourier-conditions-past-the-cap", "build-family",
+         "build-family-plus", "build-family-underscore", "scan-fourier-conditions-arabic-indic"],
 )
 def test_separate_process(tmp_path, argv, code, line):
     assert run("fourier", 6, tmp_path / "f6.json") == 0
@@ -887,12 +903,13 @@ def test_exit_status_passes_other_exceptions():
 
 
 def test_parse_permutation_is_strict():
-    # it only parses: butson.permute_columns checks the order
-    assert _parse_permutation("1, 3 2") == [1, 3, 2]
-    assert _parse_permutation("2,2") == [2, 2]
-    for text in ("+1, 0_2, \u0663", "1 2 -3", "1,,2,3x", ""):
-        with pytest.raises(PlanError, match="bad permutation"):
-            _parse_permutation(text)
+    # --pre-permute-cols only parses: butson.permute_columns checks the order
+    assert decimal_ints("1, 3 2") == [1, 3, 2]
+    assert decimal_ints("2,2") == [2, 2]
+    assert decimal_ints("") == []
+    for text in ("+1, 0_2, \u0663", "1 2 -3", "1,,2,3x"):
+        with pytest.raises(argparse.ArgumentTypeError, match="not an ASCII decimal integer"):
+            decimal_ints(text)
 
 
 def test_output_order_cap(tmp_path, capsys, monkeypatch):
@@ -903,6 +920,27 @@ def test_output_order_cap(tmp_path, capsys, monkeypatch):
     assert run("construct", "phi", src, "-o", out) == 2
     assert "phi output of order 6 has 36 cells" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_output_order_cap_before_the_family(tmp_path, capsys, monkeypatch):
+    # the cap is family_shape's, so construct refuses before it builds or
+    # reads a family, and before the input is verified
+    src, out = tmp_path / "f6.json", tmp_path / "out.json"
+    run("fourier", 6, src)
+    capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("built a family past the cap")
+
+    monkeypatch.setattr(scarpis, "OUTPUT_ORDER_CAP", 11)
+    monkeypatch.setattr(latin, "classical_lsesc_set", refuse)
+    monkeypatch.setattr(butson, "verify", refuse)
+    monkeypatch.setattr(scarpis, "verify", refuse)
+    message = "error: psi output of order 12 has 144 cells; the output order cap is 11\n"
+    for lsesc in ("classical", tmp_path / "missing.txt"):
+        assert run("construct", "psi", src, "-o", out, "--lsesc", lsesc) == 2
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
 
 
 def run_captured(*argv):

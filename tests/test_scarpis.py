@@ -23,7 +23,7 @@ from bhmat.scarpis import (
     count_psi_outputs,
     phi,
     psi,
-    resolve_psi,
+    psi_with_plan,
 )
 
 from golden import EXAMPLE1_DEPHASED, EXAMPLE1_RAW, EXAMPLE2_PSI_F6
@@ -124,9 +124,14 @@ class TestPsi:
         assert out.exponents == EXAMPLE2_PSI_F6
 
     def test_resolve_fills_first_choices(self):
-        resolved = resolve_psi(PsiPlan(h=fourier(6), tensors=classical_lsesc_set(2)))
-        assert resolved.c1_pair == (1, 4)
-        assert resolved.c2_cell == (4, 4)
+        # the first C1 pair is the x-source's, the first C2 cell H's; G is
+        # F_6 with rows 1 and 2 swapped, whose first C1 pair is (1, 5)
+        h, family = fourier(6), classical_lsesc_set(2)
+        g = ButsonMatrix(6, 6, (h.exponents[1], h.exponents[0], *h.exponents[2:]))
+        for x_source, pair in ((None, (1, 4)), (g, (1, 5))):
+            out, used = psi_with_plan(PsiPlan(h=h, tensors=family, g=x_source))
+            assert used == PsiPlan(h=h, tensors=family, g=x_source, c1_pair=pair, c2_cell=(4, 4))
+            assert out == psi(used)
 
     @pytest.mark.parametrize("pair", [(1, 4), (2, 5), (3, 6)])
     def test_every_c1_pair_of_f6(self, pair):
