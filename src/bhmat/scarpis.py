@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .butson import (
     ButsonMatrix,
@@ -281,9 +281,10 @@ def halving_family(r: int) -> ButsonMatrix:
     order 2(2^r+1) with the classical LSESC family over GF(2^r)."""
     if type(r) is not int or r < 1:
         raise ValueError(f"r must be a positive int, got {r!r}")
-    q = 2**r
-    squares = tuple(classical_lsesc_set(q))  # PlanError past the order cap
-    return psi(PsiPlan(h=fourier(2 * (q + 1)), tensors=squares))
+    n = 2 * (2**r + 1)
+    order, _ = family_shape("psi", n)  # PlanError past the output order cap
+    squares = classical_lsesc_set(order)  # its cap is checked before F_n is built
+    return psi(PsiPlan(h=fourier(n), tensors=squares))
 
 
 def count_phi_outputs(mols_count: int, bh_count: int, n: int) -> int:
@@ -294,12 +295,13 @@ def count_phi_outputs(mols_count: int, bh_count: int, n: int) -> int:
 
 
 def count_psi_outputs(
-    mols_count: int, a2_count: int, dh_values: Sequence[int]
+    mols_count: int, a2_count: int, dh_values: Iterable[int]
 ) -> int:
     """Number of psi outputs: sum over x-sources of |MOLS(n/2-1)| * |A2| * d_H,
     where each d_H is that source's count of unordered C1 pairs."""
-    _check_counts(mols_count, a2_count, *dh_values)
-    return sum(mols_count * a2_count * dh for dh in dh_values)
+    dh = tuple(dh_values)
+    _check_counts(mols_count, a2_count, *dh)
+    return mols_count * a2_count * sum(dh)
 
 
 def _check_counts(*counts: int) -> None:

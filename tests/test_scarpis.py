@@ -253,6 +253,16 @@ class TestHalvingFamily:
         with pytest.raises(ValueError, match="r must be a positive int"):
             halving_family(r)
 
+    @pytest.mark.parametrize("r", [6, 7, 8, 9])
+    def test_output_cap_before_any_input_is_built(self, monkeypatch, r):
+        def refuse(*args):
+            raise AssertionError("built past the output order cap")
+
+        for name in ("classical_lsesc_set", "fourier", "verify"):
+            monkeypatch.setattr(scarpis, name, refuse)
+        with pytest.raises(PlanError, match="output order cap"):
+            halving_family(r)
+
 
 class TestAssemblyDigests:
     """Outputs pinned by digest, beyond the two worked examples: a permuted
@@ -385,6 +395,7 @@ class TestCounts:
         assert count_psi_outputs(1, 1, [3]) == 3
         assert count_psi_outputs(1, 1, []) == 0
         assert count_psi_outputs(2, 3, [1, 2]) == 18
+        assert count_psi_outputs(2, 3, (d for d in [3, 2])) == 30
 
     def test_psi_formula_with_f6_dh(self):
         d_h = len(find_c1_pairs(fourier(6)))
