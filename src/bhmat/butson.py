@@ -39,7 +39,8 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import (
-    FormatError, PlanError, parse_decimals, parse_rows, read_text, text_lines, tile_units, write_text
+    FormatError, PlanError, parse_decimals, parse_rows, read_text, size_text, text_lines,
+    tile_units, write_text,
 )
 
 
@@ -139,7 +140,7 @@ def fourier(n: int) -> ButsonMatrix:
         raise ValueError(f"order must be positive, got {n}")
     if n > FOURIER_ORDER_CAP:
         raise PlanError(
-            f"Fourier matrix of order {n} has {n * n} cells; "
+            f"Fourier matrix of order {size_text(n)} has {size_text(n * n)} cells; "
             f"the order cap is {FOURIER_ORDER_CAP}"
         )
     rows = tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
@@ -154,7 +155,7 @@ def verify(b: ButsonMatrix) -> VerifyReport:
     """
     if b.m > ROOT_ORDER_CAP:
         raise PlanError(
-            f"root order {b.m} is past the root order cap {ROOT_ORDER_CAP}"
+            f"root order {size_text(b.m)} is past the root order cap {ROOT_ORDER_CAP}"
         )
     bad_rows = _first_non_orthogonal(b.exponents, b.m)
     if bad_rows is None:

@@ -1,6 +1,7 @@
-"""Exception types shared across the library and the CLI, the line split,
-strict integer token check and symbol-table reader of the text parsers,
-the one file reader and writer, and the tile rule of the two packed passes.
+"""Exception types shared across the library and the CLI, the size text of
+the cap messages, the line split, strict integer token check and
+symbol-table reader of the text parsers, the one file reader and writer,
+and the tile rule of the two packed passes.
 
 The text parsers read a block of rows through a table of the legal values
 (parse_rows): a token is looked up as the string str(v) of a legal v.  A
@@ -24,6 +25,12 @@ class PlanError(ValueError):
 
 class VerificationError(RuntimeError):
     """A matrix that was required to be orthogonal is not."""
+
+
+def size_text(size: int) -> str:
+    """A size for a cap message: in decimal up to 64 bits, else by its bit
+    length, since str() refuses ints past 4300 digits."""
+    return str(size) if size.bit_length() <= 64 else f"<{size.bit_length()}-bit int>"
 
 
 def text_lines(text: str) -> list[str]:

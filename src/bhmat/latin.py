@@ -8,15 +8,18 @@ into mutually orthogonal Latin squares and back, so both notions are
 decided by one test: two squares are MOLS when the n^2 cell pairs are
 distinct, and LSESC when their conjugates are MOLS.  Each square keeps its
 conjugate, built once on first use (LatinSquare._conjugate), and every
-predicate below reads that one form.
+predicate below reads that form and the cells.
 
-A whole family is decided in one packed pass (first_non_lsesc_pair,
-first_non_mols_pair): row r of A meets every row of B exactly once iff
-sum_k 2^(row of B holding A[r][k] in column k) = 2^n - 1, and those rows
-are cells of B's conjugate; the MOLS pass swaps the roles of a square and
-its conjugate.  Every square B of a tile gets its own byte-aligned slot
-of n + n.bit_length() bits, which holds the largest such sum, n 2^(n-1),
-so one integer sum per row of A tests it against the whole tile.
+Every predicate is one power-sum test: row r of A meets every row of B
+exactly once iff sum_k 2^(row of B holding A[r][k] in column k) = 2^n - 1,
+and those rows are cells of B's conjugate; the MOLS test swaps the roles
+of a square and its conjugate.  A pair (are_lsesc, are_mols) sums the
+powers out of B's cached column table (LatinSquare._column_powers).  A
+whole family is decided in one packed pass (first_non_lsesc_pair,
+first_non_mols_pair): every square B of a tile gets its own byte-aligned
+slot of n + n.bit_length() bits, which holds the largest such sum,
+n 2^(n-1), so one integer sum per row of A tests it against the whole
+tile.
 
 Squares always use the symbol set {1..n}.  The classical complete families
 come from GF(q): the square for a nonzero element b has cell (i, j) equal
@@ -32,25 +35,27 @@ make_field's tuple field is a view of f; the tuple arithmetic that checks
 the tables lives with the tests.
 
 A square is validated once, where it enters: LatinSquare(...) checks its
-cells, and so parse_latin_set, read_latin_set and reconstruct do.  Only
-the squares of classical_lsesc_set and the cached conjugates are built
-without a check, by LatinSquare._unchecked, since they are Latin by
-construction.  Text is written and read through symbol tables: the
-strings of 1..n, and errors.parse_rows for the cells of a block.
+cells, and so parse_latin_set and read_latin_set do.  The squares of
+classical_lsesc_set, the cached conjugates, the squares reconstruct
+recovers from a checked tensor and the tensors inflate blows up are built
+without a check (LatinSquare._unchecked, LatinTensor._unchecked), since
+they are Latin by construction.  Text is written and read through symbol
+tables: the strings of 1..n, and errors.parse_rows for the cells of a
+block.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, groupby, product
-from operator import add, getitem
+from operator import getitem
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
-    FormatError, PlanError, parse_decimals, parse_rows, read_text, text_lines, tile_units, write_text
+    FormatError, PlanError, parse_decimals, parse_rows, read_text, size_text, text_lines,
+    tile_units, write_text,
 )
 
 # Largest classical family order, checked before any field table is built:
@@ -104,10 +109,12 @@ class LatinSquare:
         return LatinSquare._unchecked(self.n, tuple(zip(*inverses))[1:])
 
     @cached_property
-    def _cells_times_n(self) -> array:
-        """The cells row by row, each multiplied by n, 4 bytes each: most of
-        these ints are past the small-int cache."""
-        return array("I", map(self.n.__mul__, chain.from_iterable(self.cells)))
+    def _column_powers(self) -> tuple[tuple[int, ...], ...]:
+        """Column k's table: entry v is 2^(cell (v, k) - 1), for rows v in
+        1..n, and entry 0 is 0.  Built on first use and kept; its entries
+        are the shared ints of _powers(n)."""
+        powers = _powers(self.n)
+        return tuple((0, *map(powers.__getitem__, column)) for column in zip(*self.cells))
 
     @cached_property
     def slices(self) -> tuple[tuple[int, ...], ...]:
@@ -154,19 +161,20 @@ def are_lsesc(first: LatinSquare, second: LatinSquare) -> bool:
     Row i of A and row i' of B agree in column k exactly when both hold
     some symbol s there, i.e. when the conjugates hold (i, i') in cell
     (s, k); so the squares are LSESC iff their conjugates are MOLS.  A
-    square paired with itself always fails: identical rows agree in every
-    column.
+    square of order n > 1 paired with itself fails: identical rows agree in
+    every column.  The test is first_non_lsesc_pair's, on one pair.
     """
-    _common_order((first, second))
-    return are_mols(first._conjugate, second._conjugate)
+    n = _common_order((first, second))
+    return _meets(first.cells, second._conjugate._column_powers, n)
 
 
 def are_mols(first: LatinSquare, second: LatinSquare) -> bool:
     """True iff superimposing the squares yields all n^2 ordered symbol
-    pairs (x, y), that is n^2 distinct codes x*n + y: x and y each run over
-    n consecutive ints, so the codes are distinct exactly when the pairs are."""
+    pairs: the cells of A holding symbol x, one per column, hold distinct
+    symbols in B, for every x.  The test is first_non_mols_pair's, on one
+    pair."""
     n = _common_order((first, second))
-    return len(set(map(add, first._cells_times_n, chain.from_iterable(second.cells)))) == n * n
+    return _meets(first._conjugate.cells, second._column_powers, n)
 
 
 def first_non_lsesc_pair(squares: Sequence[LatinSquare]) -> tuple[int, int] | None:
@@ -197,6 +205,19 @@ def _common_order(squares: Sequence[LatinSquare]) -> int:
         if square.n != n:
             raise ValueError(f"squares of orders {n} and {square.n} in one family")
     return n
+
+
+@cache
+def _powers(n: int) -> tuple[int, ...]:
+    """0, then 2^(s - 1) for s = 1..n: the ints all order-n column tables share."""
+    return (0, *(1 << e for e in range(n)))
+
+
+def _meets(keys: Sequence[Sequence[int]], columns: Sequence[Sequence[int]], n: int) -> bool:
+    """_first_unmet_pair's test on a tile of one square, given by its column
+    tables: True iff each row of keys picks n powers that sum to 2^n - 1."""
+    full = (1 << n) - 1
+    return all(sum(map(getitem, columns, row)) == full for row in keys)
 
 
 def _first_unmet_pair(
@@ -288,15 +309,16 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 
 def classical_lsesc_set(q: int) -> list[LatinSquare]:
-    """The q-1 squares with cells x_i + b*x_j over GF(q), one per nonzero b."""
+    """The q-1 squares with cells x_i + b*x_j over GF(q), one per nonzero b;
+    an int past CLASSICAL_ORDER_CAP is refused before it is trial-divided."""
+    if type(q) is int and q > CLASSICAL_ORDER_CAP:
+        raise PlanError(
+            f"LSESC family of order {size_text(q)} has {size_text((q - 1) * q * q)} cells; "
+            f"the order cap is {CLASSICAL_ORDER_CAP}"
+        )
     decomposition = prime_power(q)
     if decomposition is None:
         raise ValueError(f"{q} is not a prime power")
-    if q > CLASSICAL_ORDER_CAP:
-        raise PlanError(
-            f"LSESC family of order {q} has {(q - 1) * q * q} cells; "
-            f"the order cap is {CLASSICAL_ORDER_CAP}"
-        )
     _, plus, products = _field_tables(*decomposition)
     # sums[i][k] is the symbol of x_i + x_k
     sums = [[v + 1 for v in row] for row in plus]
@@ -441,6 +463,14 @@ class LatinTensor:
         if any(len(set(images)) != self.n for images in zip(*slices)):
             raise ValueError("frontal slices must be pairwise disjoint")
 
+    @classmethod
+    def _unchecked(cls, n: int, slices: tuple[tuple[int, ...], ...]) -> LatinTensor:
+        """As LatinSquare._unchecked, for slices that are disjoint permutations
+        by construction."""
+        tensor = object.__new__(cls)
+        tensor.__dict__.update(n=n, slices=slices)
+        return tensor
+
     @property
     def size(self) -> int:
         return len(self.slices[0])
@@ -455,13 +485,15 @@ def encode(square: LatinSquare) -> LatinSquare:
 
 
 def inflate(tensor: LatinSquare | LatinTensor, m: int) -> LatinTensor:
-    """Blow each frontal slice X_k up to the block diagonal I_m (x) X_k."""
+    """Blow each frontal slice X_k up to the block diagonal I_m (x) X_k; the
+    blocks of a checked tensor's slices stay disjoint permutations, so the
+    output is built unchecked."""
     if type(m) is not int:
         raise ValueError(f"inflation factor must be an int, got {m!r}")
     if m < 1:
         raise ValueError(f"inflation factor must be positive, got {m}")
     size = tensor.size
-    return LatinTensor(
+    return LatinTensor._unchecked(
         tensor.n,
         tuple(
             tuple(block * size + j for block in range(m) for j in sl)
@@ -471,10 +503,12 @@ def inflate(tensor: LatinSquare | LatinTensor, m: int) -> LatinTensor:
 
 
 def reconstruct(tensor: LatinSquare | LatinTensor) -> LatinSquare:
-    """Recover the square from a cubic tensor: cell (i, k) is the symbol slice k maps row i to."""
+    """Recover the square from a cubic tensor: cell (i, k) is the symbol slice k maps row i to.
+    A checked tensor's slices are disjoint permutations, so the square is
+    Latin and built unchecked."""
     if tensor.size != tensor.n:
         raise ValueError("only cubic (non-inflated) tensors encode a Latin square")
-    return LatinSquare(
+    return LatinSquare._unchecked(
         tensor.n, tuple(tuple(j + 1 for j in row) for row in zip(*tensor.slices))
     )
 
@@ -498,12 +532,12 @@ class GaloisField:
 def make_field(p: int, r: int) -> GaloisField:
     """GF(p^r) with the modulus of _field_tables: GF(4) gets x^2 + x + 1, and
     GF(8) gets x^3 + x + 1, whose index is below that of x^3 + x^2 + 1.
-    Orders past CLASSICAL_ORDER_CAP are refused before p^r is computed or p
-    is tested.
+    Orders past CLASSICAL_ORDER_CAP are refused, by PlanError, before p^r
+    is computed or p is tested.
     """
     cap = CLASSICAL_ORDER_CAP
     if type(p) is type(r) is int and p > 1 and (p > cap or r >= cap.bit_length() or p**r > cap):
-        raise ValueError(f"field order {p}^{r} exceeds cap {cap}")
+        raise PlanError(f"field order {size_text(p)}^{size_text(r)} exceeds cap {cap}")
     if prime_power(p) != (p, 1):
         raise ValueError(f"{p!r} is not prime")
     if type(r) is not int or r < 1:

@@ -38,7 +38,7 @@ from .butson import (
     fourier,
     verify,
 )
-from .errors import PlanError, VerificationError
+from .errors import PlanError, VerificationError, size_text
 from .latin import LatinSquare, classical_lsesc_set, first_non_lsesc_pair
 
 # Largest phi or psi output order, checked by family_shape, so before any
@@ -92,7 +92,8 @@ def family_shape(kind: str, n: int) -> tuple[int, int]:
     order = n - 1 if kind == "phi" else n // 2 - 1
     if n * order > OUTPUT_ORDER_CAP:
         raise PlanError(
-            f"{kind} output of order {n * order} has {(n * order) ** 2} cells; "
+            f"{kind} output of order {size_text(n * order)} has "
+            f"{size_text((n * order) ** 2)} cells; "
             f"the output order cap is {OUTPUT_ORDER_CAP}"
         )
     return order, order - 1

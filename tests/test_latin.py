@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from bhmat import latin
 from bhmat.errors import FormatError
 from bhmat.latin import (
     LatinSquare,
@@ -386,6 +387,38 @@ class TestReconstruct:
             LatinTensor(2, ((0, 1), (1.0, 0)))  # float image in a later slice
         with pytest.raises(ValueError, match="permute 0..1"):
             LatinTensor(2, ((1, 0), ("0", 1)))  # not comparable with an int
+
+
+class TestUncheckedOutputs:
+    """inflate and reconstruct build their outputs unchecked, from tensors
+    checked where they entered; every output equals the one the checked
+    constructors build from the same slices or cells."""
+
+    def test_outputs_equal_the_checked_constructions(self, monkeypatch):
+        tensors = [encode(s) for n in range(1, 5) for s in all_latin_squares(n)]
+        tensors += [encode(s) for q in (5, 7, 8, 9, 16) for s in classical_lsesc_set(q)]
+        cyclic = encode(CYCLIC3)
+        tensors += [
+            LatinTensor(2, ((0, 1), (1, 0))),
+            LatinTensor(3, (cyclic.slices[2], cyclic.slices[0], cyclic.slices[1])),
+        ]
+
+        def forbidden(*args):
+            raise AssertionError("output validated again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(latin, "is_latin", forbidden)
+            patch.setattr(LatinTensor, "__post_init__", forbidden)
+            squares = [reconstruct(t) for t in tensors]
+            inflated = [(t, m, inflate(t, m)) for t in tensors for m in (1, 2, 3)]
+            twice = [(t, inflate(t, 2)) for _, _, t in inflated[1::3]]  # inflated twice
+        for tensor, square in zip(tensors, squares):
+            assert type(square) is LatinSquare
+            assert square == LatinSquare(tensor.n, square.cells)
+            assert square.slices == tensor.slices
+        for tensor, m, big in inflated + [(t, 2, big) for t, big in twice]:
+            assert type(big) is LatinTensor and big.size == m * tensor.size
+            assert big == LatinTensor(tensor.n, big.slices)
 
 
 class TestFiles:

@@ -1,13 +1,15 @@
-"""The LSESC and MOLS checks (one distinct-pairs test on the cells, which
-are_lsesc runs on the cached conjugates, and one packed power-sum pass per
-family on the cells and the conjugates' cells) against the row-pair and
-symbol-pair oracles, the cached conjugate itself, the table-built
-classical families against their pinned texts, and the family order cap.
+"""The LSESC and MOLS checks (one power-sum test, which the pair
+predicates run on a cached column table per square and the family passes
+pack a tile at a time, on the cells and the conjugates' cells) against the
+row-pair and symbol-pair oracles, the cached conjugate itself, the
+table-built classical families against their pinned texts, the family
+order cap and the cap messages at sizes str() refuses.
 """
 
 import gc
 import hashlib
 import itertools
+import random
 import weakref
 from functools import lru_cache
 from unittest import mock
@@ -33,7 +35,7 @@ from oracles import (
 from tiles import FLOOR, PackedTiles, count_conjugates
 
 # The lazily built caches a LatinSquare keeps beside its fields.
-CACHES = ("_conjugate", "_cells_times_n")
+CACHES = ("_conjugate", "_column_powers")
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
 
@@ -140,7 +142,7 @@ def assert_agree(a, b):
             assert are_lsesc(squares[x], squares[y]) == lsesc[x, y]
             assert are_mols(squares[x], squares[y]) == mols[x, y]
     assert all(cached(square) == list(CACHES) for square in squares)
-    assert all(cached(square._conjugate) == ["_cells_times_n"] for square in squares)
+    assert all(cached(square._conjugate) == ["_column_powers"] for square in squares)
     assert family_check_passes([a, b]) == lsesc[0, 1]
     assert family_check_passes([b, a]) == lsesc[1, 0]
     return lsesc[0, 1]
@@ -187,6 +189,43 @@ class TestAgainstOracle:
         assert_agree(bad, bad)
 
 
+def cyclic(n, step):
+    """The square (i + step j) mod n + 1, Latin when step is a unit mod n."""
+    return LatinSquare(n, tuple(tuple((i + step * j) % n + 1 for j in range(n)) for i in range(n)))
+
+
+class TestPastTheClassicalOrders:
+    """The pair predicates against their oracles on squares that no
+    classical family holds, at order 1, at 17, past the classical orders
+    the other tests use, and at 65, whose sums 2^65 - 1 are past a machine
+    word.  i + j and i + 2j mod an odd n are MOLS, and so are their
+    isotopes under shared row and column moves; their conjugates are
+    LSESC."""
+
+    @pytest.mark.parametrize("n", [1, 17, 65])
+    def test_cyclic_isotopes(self, n):
+        rng = random.Random(n)
+
+        def perm():
+            return rng.sample(range(n), n)
+
+        for _ in range(2):
+            rows, cols = perm(), perm()
+            a = isotope(cyclic(n, 1), rows, cols, perm())
+            b = isotope(cyclic(n, 2), rows, cols, perm())
+            assert are_mols(a, b) and are_mols(b, a)
+            pairs = [(a, b), (a._conjugate, b._conjugate)]
+            assert assert_agree(*pairs[1])
+            assert_agree(a, b)
+            for square in (a, a._conjugate):
+                assert assert_agree(square, square) == (n == 1)
+            if n > 1:  # a single exchange of two columns in one square
+                j, j2 = rng.sample(range(n), 2)
+                for first, second in pairs:
+                    assert_agree(first, exchange_columns(second, j, j2))
+                    assert_agree(exchange_columns(first, j, j2)._conjugate, second._conjugate)
+
+
 class TestIndexCache:
     """The conjugate is built once per square, on first use, holds no
     reference back to it, and is invisible to == and hash."""
@@ -200,7 +239,10 @@ class TestIndexCache:
                     assert conjugate.cells[s - 1][k] == i + 1
             assert conjugate_lsesc_mols(square) is conjugate
             assert conjugate == LatinSquare(q, conjugate.cells)
-            assert list(conjugate._cells_times_n) == [q * v for row in conjugate.cells for v in row]
+            # column k's table: 2^(cell (v, k) - 1) at row v, and 0 at 0
+            assert conjugate._column_powers == tuple(
+                (0, *(2 ** (v - 1) for v in column)) for column in zip(*conjugate.cells)
+            )
 
     def test_filled_cache_keeps_eq_and_hash(self):
         a, b = family(7)[:2]
@@ -479,8 +521,8 @@ def count_is_latin(monkeypatch):
 
 class TestValidatedOnce:
     """A square is validated where it enters: once per square read or
-    built from cells, never for the library's own classical squares and
-    conjugates, which are Latin by construction."""
+    built from cells, never for the library's own classical squares,
+    conjugates and reconstructed squares, which are Latin by construction."""
 
     @pytest.mark.parametrize("q", [2, 7, 9, 16])
     def test_library_squares_are_not_validated(self, q, monkeypatch):
@@ -495,8 +537,8 @@ class TestValidatedOnce:
         squares = latin.parse_latin_set(text)
         assert calls == [9] * 8
         LatinSquare(9, squares[0].cells)
-        latin.reconstruct(squares[0])
-        assert calls == [9] * 10
+        assert latin.reconstruct(squares[0]) == squares[0]
+        assert calls == [9] * 9
 
     def test_cli(self, monkeypatch, tmp_path):
         calls = count_is_latin(monkeypatch)
@@ -592,11 +634,33 @@ class TestOrderCap:
         monkeypatch.setattr(latin, "CLASSICAL_ORDER_CAP", 4)
         assert len(classical_lsesc_set(4)) == 3
 
-    def test_not_a_prime_power_is_checked_first(self, monkeypatch):
-        monkeypatch.setattr(latin, "CLASSICAL_ORDER_CAP", 4)
-        with pytest.raises(ValueError, match="not a prime power") as info:
-            classical_lsesc_set(6)
-        assert not isinstance(info.value, PlanError)
+    def test_cap_is_checked_before_the_prime_power_test(self, monkeypatch):
+        # an under-cap int, a bool or a float that is not a prime power
+        for q in (6, 1, True, 300.0):
+            with pytest.raises(ValueError, match="not a prime power") as info:
+                classical_lsesc_set(q)
+            assert not isinstance(info.value, PlanError)
+
+        def forbidden(q):
+            raise AssertionError("trial division past the cap")
+
+        # 2^61 - 1 is prime, and trial division up to its root took minutes
+        monkeypatch.setattr(latin, "prime_power", forbidden)
+        for q in (2**61 - 1, 10**14 + 31, 300, 257):
+            with pytest.raises(PlanError, match=f"order {q} has .* cells; the order cap is 256$"):
+                classical_lsesc_set(q)
+
+    def test_cli_refuses_a_large_prime_before_trial_division(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        def forbidden(q):
+            raise AssertionError("trial division past the cap")
+
+        monkeypatch.setattr(latin, "prime_power", forbidden)
+        out = tmp_path / "family.txt"
+        assert cli.main(["lsesc", "classical", str(2**61 - 1), str(out)]) == 2
+        assert "LSESC family of order 2305843009213693951 has" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_halving_family_fails_before_its_input(self, monkeypatch):
         def forbidden(*args):

@@ -13,7 +13,7 @@ from bhmat.butson import (
     verify,
 )
 from bhmat import latin, scarpis
-from bhmat.errors import PlanError, VerificationError
+from bhmat.errors import PlanError, VerificationError, size_text
 from bhmat.latin import classical_lsesc_set, inflate
 from bhmat.scarpis import (
     PhiPlan,
@@ -262,6 +262,34 @@ class TestHalvingFamily:
             monkeypatch.setattr(scarpis, name, refuse)
         with pytest.raises(PlanError, match="output order cap"):
             halving_family(r)
+
+
+# Each cap refused at a size whose decimal str() refuses (past 4300
+# digits), and the cap messages' size text on both sides of its width.
+HUGE_SIZE_CALLS = [
+    (halving_family, (10000,), "the output order cap is 4096"),
+    (classical_lsesc_set, (2**20000,), "the order cap is 256"),
+    (fourier, (10**5000,), "the order cap is 2048"),
+    (scarpis.family_shape, ("phi", 10**3000), "the output order cap is 4096"),
+    (scarpis.family_shape, ("psi", 2 * 10**3000), "the output order cap is 4096"),
+    (latin.make_field, (10**5000, 10**5000), "exceeds cap 256"),
+    (verify, (ButsonMatrix(m=10**5000, n=1, exponents=((0,),)),), "root order cap 4096"),
+]
+
+
+class TestCapMessagesAtHugeSizes:
+    @pytest.mark.parametrize("call, args, cap", HUGE_SIZE_CALLS)
+    def test_refused_by_bit_length(self, call, args, cap):
+        with pytest.raises(PlanError, match=cap) as info:
+            call(*args)
+        assert "-bit int>" in str(info.value)
+
+    def test_size_text_width(self):
+        assert size_text(2**64 - 1) == "18446744073709551615"
+        assert size_text(2**64) == "<65-bit int>"
+        assert size_text(10**5000) == "<16610-bit int>"
+        with pytest.raises(PlanError, match="order 2049 has 4198401 cells;"):
+            fourier(2049)
 
 
 class TestAssemblyDigests:
