@@ -429,8 +429,8 @@ def parse_latin_set(text: str) -> list[LatinSquare]:
 
 # ---------------------------------------------------------------------------
 # Names only perfbench and their own tests use; they move to tests/oracles.py
-# once perfbench reads the library's stages (ROADMAP items 4 and 5).  No
-# family is built from the tuple field.
+# once perfbench stops importing them (ROADMAP item 3).  No family is built
+# from the tuple field.
 
 
 @dataclass(frozen=True)

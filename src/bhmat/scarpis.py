@@ -282,6 +282,13 @@ def halving_family(r: int) -> ButsonMatrix:
     order 2(2^r+1) with the classical LSESC family over GF(2^r)."""
     if type(r) is not int or r < 1:
         raise ValueError(f"r must be a positive int, got {r!r}")
+    if r > 64:
+        # refused before 2**r is built: the output order 2^(2r+1) + 2^(r+1)
+        # and its square have 2r + 2 and 4r + 3 bits
+        raise PlanError(
+            f"halving_family r = {r}: psi output of order <{2 * r + 2}-bit int> has "
+            f"<{4 * r + 3}-bit int> cells; the output order cap is {OUTPUT_ORDER_CAP}"
+        )
     n = 2 * (2**r + 1)
     order, _ = family_shape("psi", n)  # PlanError past the output order cap
     squares = classical_lsesc_set(order)  # its cap is checked before F_n is built

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -13,67 +14,98 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cli_corpus
 from bhmat import butson, latin, scarpis
-from bhmat.butson import ButsonMatrix, fourier, permute_columns, read_matrix, write_matrix
+from bhmat.butson import ButsonMatrix, fourier, read_matrix, write_matrix
 from bhmat.cli import build_parser, decimal_ints, exit_status, main
 from bhmat.errors import FormatError, PlanError, VerificationError
 from bhmat.latin import LatinSquare, classical_lsesc_set, dump_latin_set, read_latin_set
 
-from golden import EXAMPLE1_DEPHASED, EXAMPLE2_PSI_F6
-from oracles import (
-    are_lsesc_oracle,
-    reference_latin_set,
-    reference_matrix,
-    verify_oracle,
-)
+from oracles import are_lsesc_oracle, reference_latin_set, reference_matrix, verify_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+RECORD = cli_corpus.recorded()
 
 
 def run(*argv):
     return main([str(a) for a in argv])
 
 
-def _count_verify(monkeypatch):
-    """Record (m, n) of every matrix verify is called on."""
+@pytest.fixture(scope="session")
+def corpus_inputs(tmp_path_factory):
+    inputs = tmp_path_factory.mktemp("corpus-inputs")
+    cli_corpus.build_inputs(inputs)
+    return inputs
+
+
+@pytest.fixture
+def corpus(corpus_inputs, tmp_path_factory):
+    """Check corpus rows: each outcome is the recorded one, and a row of
+    cli_corpus.SAME writes the bytes of its input file or of its row."""
+
+    def check(*rows):
+        for row in rows:
+            d = tmp_path_factory.mktemp(row)
+            assert cli_corpus.run_row(cli_corpus.ROWS[row], corpus_inputs, d) == RECORD[row]
+            if row in cli_corpus.SAME:
+                (written,) = RECORD[row]["files"].values()
+                source = cli_corpus.SAME[row]
+                if source in RECORD:
+                    assert list(RECORD[source]["files"].values()) == [written]
+                else:
+                    assert hashlib.sha256((corpus_inputs / source).read_bytes()).hexdigest() == written
+
+    return check
+
+
+@pytest.mark.parametrize("row", cli_corpus.ROWS)
+def test_corpus_row(corpus, row):
+    corpus(row)
+
+
+def test_corpus_record_is_of_these_rows():
+    assert list(RECORD) == list(cli_corpus.ROWS)
+
+
+def test_readme_commands_are_rows():
+    # each line of the block under "## Command line", less its comment, is
+    # the argv of a row that exits 0
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n")[1].split("```")[0]
+    argvs = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert argvs and all(argv[0] == "bhmat" for argv in argvs)
+    for argv in argvs:
+        codes = [outcome["code"] for outcome in RECORD.values() if outcome["argv"] == argv[1:]]
+        assert codes and set(codes) == {0}, argv
+
+
+def _spy(monkeypatch, *names):
+    """Record (name, m, n) of each call of the butson functions names on a
+    matrix, made through butson or scarpis."""
     calls = []
-    real = butson.verify
-
-    def counting(b):
-        calls.append((b.m, b.n))
-        return real(b)
-
-    monkeypatch.setattr(butson, "verify", counting)
-    monkeypatch.setattr(scarpis, "verify", counting)
-    return calls
-
-
-def _count_scans(monkeypatch):
-    """Record "C1" or "C2" for every find_c1_pairs or find_c2_cells call."""
-    calls = []
-    for name, kind in (("find_c1_pairs", "C1"), ("find_c2_cells", "C2")):
+    for name in names:
         real = getattr(butson, name)
 
-        def counting(b, real=real, kind=kind):
-            calls.append(kind)
+        def spying(b, real=real, name=name):
+            calls.append((name, b.m, b.n))
             return real(b)
 
-        monkeypatch.setattr(butson, name, counting)
-        monkeypatch.setattr(scarpis, name, counting)
+        monkeypatch.setattr(butson, name, spying)
+        monkeypatch.setattr(scarpis, name, spying)
     return calls
 
 
+# The tests named after one command keep their names as one-liners: each
+# checks the corpus rows that hold its commands.
 class TestFourierCommand:
-    def test_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "f3.json"
-        assert run("fourier", 3, out) == 0
-        matrix, provenance = read_matrix(out)
-        assert matrix.exponents == ((0, 0, 0), (0, 1, 2), (0, 2, 1))
-        assert provenance["construction"] == "fourier"
-        assert "wrote BH(3,3)" in capsys.readouterr().out
+    def test_writes_json(self, corpus): corpus("fourier-3")
+    def test_writes_text(self, corpus): corpus("fourier-1-text")
 
-    def test_writes_text(self, tmp_path):
-        out = tmp_path / "f1.txt"
-        assert run("fourier", 1, out, "--format", "text") == 0
-        assert out.read_text() == "BH 1 1\n0\n"
+    @pytest.mark.parametrize("name", ["missing/x.json", "directory"])
+    def test_failed_write_names_target(self, corpus, name):
+        missing = name != "directory"
+        corpus("fourier-into-a-missing-directory" if missing else "fourier-onto-a-directory")
 
     def test_order_above_cap_is_plan_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(butson, "FOURIER_ORDER_CAP", 4)
@@ -82,16 +114,6 @@ class TestFourierCommand:
         assert not out.exists()
         assert "order 5 has 25 cells" in capsys.readouterr().err
         assert run("fourier", 4, out) == 0
-
-    @pytest.mark.parametrize("name", ["missing/x.json", "directory"])
-    def test_failed_write_names_target(self, tmp_path, capsys, name):
-        (tmp_path / "directory").mkdir()
-        out = tmp_path / name
-        assert run("fourier", 4, out) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"'{out}'" in captured.err and ".tmp" not in captured.err
-        assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
 
     def test_round_trip_bit_exact(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -102,290 +124,58 @@ class TestFourierCommand:
 
 
 class TestVerifyCommand:
-    def test_fourier12_passes(self, tmp_path):
-        path = tmp_path / "f12.json"
-        run("fourier", 12, path)
-        assert run("verify", path) == 0
+    def test_fourier12_passes(self, corpus): corpus("verify-f12")
+    def test_corrupted_file_fails_with_pair(self, corpus): corpus("verify-corrupted-f3")
+    def test_analyze_f6(self, corpus): corpus("verify-f6-analyze")
+    def test_parse_failure_exit_code(self, corpus): corpus("verify-garbage")
+    def test_repeated_json_key_exit_code(self, corpus): corpus("verify-repeated-key")
+    def test_missing_file_exit_code(self, corpus): corpus("verify-missing-file")
+    def test_root_order_past_cap_exit_code(self, corpus): corpus("verify-root-order-past-the-cap")
 
-    def test_corrupted_file_fails_with_pair(self, tmp_path, capsys):
-        rows = [list(r) for r in fourier(3).exponents]
-        rows[1][2] = (rows[1][2] + 1) % 3
-        path = tmp_path / "bad.txt"
-        path.write_text("BH 3 3\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
-        assert run("verify", path) == 1
-        out = capsys.readouterr().out
-        assert "rows (1, 2)" in out
-
-    def test_analyze_f6(self, tmp_path, capsys):
-        path = tmp_path / "f6.json"
-        run("fourier", 6, path)
-        assert run("verify", path, "--analyze") == 0
-        out = capsys.readouterr().out
-        assert "C1 pairs: (1,4) (2,5) (3,6)" in out
-        assert "C2 cells: (4,4)" in out
-        assert "d_H = 3" in out
-
-    def test_parse_failure_exit_code(self, tmp_path):
-        path = tmp_path / "garbage.txt"
-        path.write_text("not a matrix\n")
-        assert run("verify", path) == 3
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"m": 2, "n": 2, "exponents": [[0, 0], [0, 1.0]]},
-            {"m": 2, "n": 2, "exponents": [[0, 0], [0, 1.5]]},
-            {"m": 2, "n": 2, "exponents": [[0, 0], [False, True]]},
-            {"m": 2, "n": 2, "exponents": [[0, 0], [0, "1"]]},
-            {"m": 2.0, "n": 2, "exponents": [[0, 0], [0, 1]]},
-            {"m": 2, "n": True, "exponents": [[0]]},
-            {"m": "2", "n": 2, "exponents": [[0, 0], [0, 1]]},
-        ],
-        ids=["float-int", "float", "bool", "string", "float-m", "bool-n", "string-m"],
-    )
-    def test_non_int_json_fields_exit_code(self, tmp_path, doc):
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
-        assert run("verify", path) == 3
-
-    def test_repeated_json_key_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "doc.json"
-        path.write_text('{"m": 4, "n": 2, "exponents": [[0, 0], [0, 2]], "m": 8}')
-        assert run("verify", path) == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and "repeated key 'm'" in captured.err
-
-    def test_missing_file_exit_code(self, tmp_path):
-        assert run("verify", tmp_path / "absent.json") == 3
-
-    def test_root_order_past_cap_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "big.txt"
-        path.write_text("BH 1000000 2\n0 0\n0 1\n")
-        assert run("verify", path) == 2
-        assert "root order 1000000 is past" in capsys.readouterr().err
+    @pytest.mark.parametrize("doc", cli_corpus.NON_INT_DOCS)
+    def test_non_int_json_fields_exit_code(self, corpus, doc): corpus(f"verify-json-{doc}")
 
 
 class TestConstructCommand:
-    def test_phi_example1(self, tmp_path):
-        src = tmp_path / "f3.json"
-        out = tmp_path / "ex1.json"
-        run("fourier", 3, src)
-        assert run("construct", "phi", src, "-o", out, "--dephase") == 0
-        matrix, provenance = read_matrix(out)
-        assert matrix.exponents == EXAMPLE1_DEPHASED
-        assert provenance["construction"] == "phi"
-        assert provenance["dephased"] is True
-        assert run("verify", out) == 0
+    def test_psi_without_c2_is_plan_error(self, corpus): corpus("construct-psi-f8-no-c2")
+    def test_deterministic_bytes(self, corpus): corpus("construct-psi-f6")
+    def test_two_input_phi(self, corpus): corpus("construct-phi-two-inputs")
+    def test_lsesc_from_file(self, corpus): corpus("construct-phi-f5-family-file")
+    def test_lsesc_file_wrong_order(self, corpus): corpus("construct-phi-family-of-wrong-order")
+    def test_unavailable_classical_family(self, corpus): corpus("construct-phi-no-classical-family")
+    def test_unverified_input_exit_code(self, corpus): corpus("construct-phi-unverified")
+    def test_text_output_format(self, corpus): corpus("construct-phi-f3-text")
+    def test_t_check_failure_is_plan_error(self, corpus): corpus("construct-psi-t-check-fails")
 
-    def test_psi_example2(self, tmp_path):
-        src = tmp_path / "f6.json"
-        out = tmp_path / "ex2.json"
-        run("fourier", 6, src)
-        assert run("construct", "psi", src, "-o", out) == 0
-        matrix, provenance = read_matrix(out)
-        assert matrix.exponents == EXAMPLE2_PSI_F6
-        assert provenance["plan"]["c1_pair"] == [1, 4]
-        assert provenance["plan"]["c2_cell"] == [4, 4]
+    def test_pre_permute_bad_token_before_any_input_is_read(self, corpus):
+        corpus("construct-psi-pre-permute-bad-token")
 
-    def test_psi_without_c2_is_plan_error(self, tmp_path, capsys):
-        src = tmp_path / "f8.json"
-        run("fourier", 8, src)
-        assert run("construct", "psi", src, "-o", tmp_path / "x.json") == 2
-        assert "C2" in capsys.readouterr().err
+    def test_corrupted_input_without_c2_exits_1(self, corpus):
+        corpus("construct-psi-unverified-without-c2")
 
-    def test_deterministic_bytes(self, tmp_path):
-        src = tmp_path / "f6.json"
-        run("fourier", 6, src)
-        first, second = tmp_path / "a.json", tmp_path / "b.json"
-        assert run("construct", "psi", src, "-o", first) == 0
-        assert run("construct", "psi", src, "-o", second) == 0
-        assert first.read_bytes() == second.read_bytes()
+    def test_phi_example1(self, corpus):
+        corpus("construct-phi-f3-dephase", "construct-phi-f3-dephase-text")
 
-    def test_two_input_phi(self, tmp_path):
-        g_path, h_path = tmp_path / "g.json", tmp_path / "h.json"
-        run("fourier", 4, h_path)
-        g = permute_columns(fourier(4), [1, 3, 2, 4])
-        write_matrix(g, g_path)
-        out = tmp_path / "out.json"
-        assert run("construct", "phi", g_path, h_path, "-o", out) == 0
-        assert run("verify", out) == 0
+    def test_psi_example2(self, corpus):
+        corpus("construct-psi-f6", "construct-psi-f6-text")
 
-    def test_lsesc_from_file(self, tmp_path):
-        family = tmp_path / "family.txt"
-        assert run("lsesc", "classical", 4, family) == 0
-        src = tmp_path / "f5.json"
-        run("fourier", 5, src)
-        out = tmp_path / "bh20.json"
-        assert run("construct", "phi", src, "-o", out, "--lsesc", family) == 0
-        assert run("verify", out) == 0
+    def test_lsesc_file_mixed_orders_exit_3(self, corpus):
+        corpus("construct-phi-mixed-family", "lsesc-check-mixed-3-2")
 
-    def test_lsesc_file_builds_no_tensor(self, tmp_path, monkeypatch):
-        family, src = tmp_path / "family.txt", tmp_path / "f5.json"
-        run("lsesc", "classical", 4, family)
-        run("fourier", 5, src)
+    def test_pre_permute_short_of_the_order(self, corpus):
+        corpus(*(f"construct-phi-pre-permute-{case}" for case in ("short", "empty", "blank")))
 
-        def forbidden(self):
-            raise AssertionError("LatinTensor built")
-
-        monkeypatch.setattr(latin.LatinTensor, "__post_init__", forbidden)
-        out = tmp_path / "bh20.json"
-        assert run("construct", "phi", src, "-o", out, "--lsesc", family) == 0
-        assert run("construct", "phi", src, "-o", tmp_path / "c.json") == 0
-        assert read_matrix(out)[0] == read_matrix(tmp_path / "c.json")[0]
+    def test_pre_permute_restores_c1(self, corpus):
+        corpus("construct-psi-shuffled", "construct-psi-shuffled-pre-permute",
+               "construct-psi-shuffled-pre-permute-text")
 
     @pytest.mark.parametrize(
-        "kind, option",
-        [
-            ("phi", ["--c1-pair", "1", "2"]),
-            ("phi", ["--c2-cell", "3", "3"]),
-            ("psi", ["--delete-row", "9"]),
-            ("psi", ["--delete-row", "1"]),
-            ("psi", ["--d"]),
-            ("psi", ["--de"]),
-            ("phi", ["--c", "1", "2"]),
-            ("phi", ["--del", "2"]),
-        ],
-        ids=[
-            "phi-c1-pair", "phi-c2-cell", "psi-delete-row", "psi-delete-row-1",
-            "psi-d", "psi-de", "phi-c", "phi-del",
-        ],
+        "option",
+        ["phi-c1-pair", "phi-c2-cell", "psi-delete-row", "psi-delete-row-1", "psi-d", "psi-de",
+         "phi-c", "phi-del"],
     )
-    def test_option_of_the_other_construction(self, tmp_path, kind, option):
-        # each kind's parser knows only its own options, and whole names
-        # only, so argparse refuses the other kind's and every prefix, with
-        # the top-level usage line
-        src, out = tmp_path / "f.json", tmp_path / "o.json"
-        run("fourier", 5 if kind == "phi" else 6, src)
-        code, stdout, stderr = run_until_exit("construct", kind, src, "-o", out, *option)
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("usage: bhmat [-h]")
-        assert stderr.endswith(f"bhmat: error: unrecognized arguments: {' '.join(option)}\n")
-        assert not out.exists()
-
-    def test_lsesc_file_wrong_order(self, tmp_path):
-        family = tmp_path / "family.txt"
-        run("lsesc", "classical", 3, family)
-        src = tmp_path / "f5.json"
-        run("fourier", 5, src)
-        assert run("construct", "phi", src, "-o", tmp_path / "x.json", "--lsesc", family) == 2
-
-    def test_lsesc_file_mixed_orders_exit_3(self, tmp_path, capsys):
-        # the order-3 square fits phi on F_4; the order-2 one makes the
-        # file malformed, as `lsesc check` says too
-        mixed = tmp_path / "m.txt"
-        mixed.write_text("L 3\n1 2 3\n2 3 1\n3 1 2\n\nL 2\n1 2\n2 1\n")
-        src, out = tmp_path / "f4.json", tmp_path / "o.json"
-        run("fourier", 4, src)
-        capsys.readouterr()
-        message = "error: squares of orders 3 and 2 in one family\n"
-        assert run("construct", "phi", src, "-o", out, "--lsesc", mixed) == 3
-        assert capsys.readouterr() == ("", message)
-        assert not out.exists()
-        assert run("lsesc", "check", mixed) == 3
-        assert capsys.readouterr() == ("", message)
-
-    def test_unavailable_classical_family(self, tmp_path):
-        src = tmp_path / "f7.json"
-        run("fourier", 7, src)
-        # order 6 is not a prime power, so no classical family exists
-        assert run("construct", "phi", src, "-o", tmp_path / "x.json") == 2
-
-    def test_pre_permute_short_of_the_order(self, tmp_path, capsys):
-        # an empty list is refused like any other, never skipped
-        src, out = tmp_path / "f6.json", tmp_path / "out.json"
-        run("fourier", 6, src)
-        capsys.readouterr()
-        for text, listed in (("1,2", "[1, 2]"), ("", "[]"), (" , ", "[]")):
-            assert run("construct", "phi", src, "-o", out, "--pre-permute-cols", text) == 2
-            assert capsys.readouterr() == ("", f"error: not a permutation of 1..6: {listed}\n")
-            assert not out.exists()
-
-    def test_pre_permute_bad_token_before_any_input_is_read(self, tmp_path):
-        out = tmp_path / "out.json"
-        code, stdout, stderr = run_until_exit(
-            "construct", "psi", tmp_path / "missing.json", "-o", out, "--pre-permute-cols", "1,x"
-        )
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("usage: bhmat construct psi")
-        assert stderr.endswith(
-            "error: argument --pre-permute-cols: not an ASCII decimal integer: 'x'\n"
-        )
-        assert not out.exists()
-
-    def test_pre_permute_restores_c1(self, tmp_path):
-        # swapping columns 2 and 3 of F_6 kills C1 but keeps C2;
-        # the explicit permutation flag restores it before planning
-        shuffled = permute_columns(fourier(6), [1, 3, 2, 4, 5, 6])
-        src = tmp_path / "shuffled.json"
-        write_matrix(shuffled, src)
-        out = tmp_path / "out.json"
-        assert run("construct", "psi", src, "-o", out) == 2
-        assert run("construct", "psi", src, "-o", out, "--pre-permute-cols", "1,3,2,4,5,6") == 0
-        matrix, provenance = read_matrix(out)
-        assert matrix.exponents == EXAMPLE2_PSI_F6
-        assert provenance["plan"]["pre_permuted_cols"] == [1, 3, 2, 4, 5, 6]
-
-    def test_unverified_input_exit_code(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("BH 3 3\n0 0 0\n0 1 1\n0 2 1\n")
-        assert run("construct", "phi", path, "-o", tmp_path / "x.json") == 1
-
-    def test_corrupted_input_without_c2_exits_1(self, tmp_path, capsys):
-        # entry (4,4) is F_6's only C2 witness; zeroing it also breaks
-        # orthogonality, and the verification failure must win
-        rows = [list(r) for r in fourier(6).exponents]
-        rows[3][3] = 0
-        bad = ButsonMatrix(6, 6, tuple(tuple(r) for r in rows))
-        assert not butson.find_c2_cells(bad)
-        path = tmp_path / "bad.json"
-        write_matrix(bad, path)
-        assert run("construct", "psi", path, "-o", tmp_path / "x.json") == 1
-        captured = capsys.readouterr()
-        assert "input H failed exact verification" in captured.err
-        assert "FAIL" not in captured.out
-
-    def test_each_matrix_verified_once(self, tmp_path, monkeypatch):
-        calls = _count_verify(monkeypatch)
-        src = tmp_path / "f5.json"
-        run("fourier", 5, src)
-        assert run("construct", "phi", src, "-o", tmp_path / "out.json") == 0
-        assert calls == [(5, 5), (5, 20)]
-
-    def test_equal_inputs_verified_once(self, tmp_path, monkeypatch):
-        # the two inputs are loaded separately, so they are equal, not identical
-        calls = _count_verify(monkeypatch)
-        src = tmp_path / "f6.json"
-        run("fourier", 6, src)
-        assert run("construct", "psi", src, src, "-o", tmp_path / "out.json") == 0
-        assert calls == [(6, 6), (6, 12)]
-
-    @pytest.mark.parametrize(
-        "choice, digest",
-        [
-            ((), "89c1684cdcb2e79b3c2392b0ffbaeca97ddaf50920ba2c40357583717ac8a75c"),
-            (
-                ("--c1-pair", 2, 5, "--c2-cell", 4, 4),
-                "74d9a6fe5112f378c413272317f73c7ae8d2bb799431045e338493ac86f6b06f",
-            ),
-        ],
-        ids=["first", "chosen"],
-    )
-    def test_c1_and_c2_scanned_once(self, tmp_path, monkeypatch, choice, digest):
-        # the provenance names the pair and cell from that one scan
-        calls = _count_scans(monkeypatch)
-        src, out = tmp_path / "f6.json", tmp_path / "out.json"
-        run("fourier", 6, src)
-        assert run("construct", "psi", src, *choice, "-o", out) == 0
-        assert sorted(calls) == ["C1", "C2"]
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-    def test_text_output_format(self, tmp_path):
-        src = tmp_path / "f3.json"
-        run("fourier", 3, src)
-        out = tmp_path / "ex1.txt"
-        assert run("construct", "phi", src, "-o", out, "--format", "text") == 0
-        matrix, provenance = read_matrix(out)
-        assert provenance is None and matrix.n == 6
+    def test_option_of_the_other_construction(self, corpus, option):
+        corpus(f"construct-{option}")
 
     @pytest.mark.parametrize(
         "kind, n, message",
@@ -395,24 +185,35 @@ class TestConstructCommand:
             ("psi", 2, "psi needs order >= 6"),
         ],
     )
-    def test_small_order_names_the_order(self, tmp_path, capsys, kind, n, message):
-        src = tmp_path / "small.json"
-        run("fourier", n, src)
-        assert run("construct", kind, src, "-o", tmp_path / "x.json") == 2
-        assert message in capsys.readouterr().err
+    def test_small_order_names_the_order(self, corpus, kind, n, message):
+        corpus(f"construct-{kind}-f{n}")
 
-    def test_t_check_failure_is_plan_error(self, tmp_path, capsys):
-        # F_6 with rows 2 and 3 negated verifies and has the C2 cell (4, 4),
-        # but the T behind that cell fails the check
-        rows = [list(r) for r in fourier(6).exponents]
-        for i in (1, 2):
-            rows[i] = [(v + 3) % 6 for v in rows[i]]
-        src = tmp_path / "negated.json"
-        write_matrix(ButsonMatrix(6, 6, tuple(tuple(r) for r in rows)), src)
-        out = tmp_path / "x.json"
-        assert run("construct", "psi", src, "-o", out) == 2
-        assert "of C" in capsys.readouterr().err
-        assert not out.exists()
+    def test_lsesc_file_builds_no_tensor(self, corpus, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("LatinTensor built")
+
+        monkeypatch.setattr(latin.LatinTensor, "__post_init__", forbidden)
+        corpus("construct-phi-f5-family-file", "construct-phi-f5-text",
+               "construct-phi-f5-family-file-text")
+
+    def test_each_matrix_verified_once(self, corpus, monkeypatch):
+        calls = _spy(monkeypatch, "verify")
+        corpus("construct-phi-f5")
+        assert calls == [("verify", 5, 5), ("verify", 5, 20)]
+
+    def test_equal_inputs_verified_once(self, corpus, monkeypatch):
+        # the two inputs are loaded separately, so they are equal, not identical
+        calls = _spy(monkeypatch, "verify")
+        corpus("construct-psi-f6-twice")
+        assert calls == [("verify", 6, 6), ("verify", 6, 12)]
+
+    @pytest.mark.parametrize("row", ["construct-psi-f6", "construct-psi-f6-chosen"],
+                             ids=["first", "chosen"])
+    def test_c1_and_c2_scanned_once(self, corpus, monkeypatch, row):
+        # the provenance names the pair and cell from that one scan
+        calls = _spy(monkeypatch, "find_c1_pairs", "find_c2_cells")
+        corpus(row)
+        assert sorted(name for name, _, _ in calls) == ["find_c1_pairs", "find_c2_cells"]
 
     def test_failed_write_keeps_old_output(self, tmp_path, monkeypatch):
         src = tmp_path / "f3.json"
@@ -430,278 +231,71 @@ class TestConstructCommand:
 
 
 class TestCountCommand:
-    def test_phi(self, capsys):
-        # mols * card^2 * n; for (1, 1, 4) that is 4
-        assert run("count", "phi", "--mols", 1, "--card", 1, "--n", 4) == 0
-        assert capsys.readouterr().out.strip() == "4"
+    def test_phi(self, corpus): corpus("count-phi")
+    def test_psi(self, corpus): corpus("count-psi")
+    def test_psi_multiple_dh(self, corpus): corpus("count-psi-two-dh")
+    def test_zero_mols(self, corpus): corpus("count-phi-zero-mols")
 
-    def test_psi(self, capsys):
-        assert run("count", "psi", "--mols", 1, "--card2", 1, "--dh", 3) == 0
-        assert capsys.readouterr().out.strip() == "3"
-
-    def test_psi_multiple_dh(self, capsys):
-        assert run("count", "psi", "--mols", 2, "--card2", 3, "--dh", 1, 2) == 0
-        assert capsys.readouterr().out.strip() == "18"
-
-    def test_zero_mols(self, capsys):
-        assert run("count", "phi", "--mols", 0, "--card", 9, "--n", 5) == 0
-        assert capsys.readouterr().out.strip() == "0"
-
-    def test_missing_arguments(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        for argv, missing in [
-            (("count", "phi", "--mols", 1), "--card, --n"),
-            (("count", "psi", "--mols", 1, "--card2", 2), "--dh"),
-            # a prefix is not the option it begins
-            (("count", "phi", "--mols", 1, "--car", 2, "--n", 3), "--card"),
-            (("count", "psi", "--mo", 1, "--card2", 1, "--dh", 3), "--mols"),
-        ]:
-            code, stdout, stderr = run_until_exit(*argv)
-            assert (code, stdout) == (2, "")
-            assert stderr.startswith(f"usage: bhmat count {argv[1]} [-h]")
-            assert stderr.endswith(f"error: the following arguments are required: {missing}\n")
-        assert not any(tmp_path.iterdir())
+    def test_missing_arguments(self, corpus):
+        corpus("count-phi-without-card-and-n", "count-psi-without-dh",
+               "count-phi-prefix-car-for-card", "count-psi-prefix-mo-for-mols")
 
     @pytest.mark.parametrize(
-        "kind, given, option",
-        [
-            ("phi", ["--card", "1", "--n", "3"], ["--card2", "5"]),
-            ("phi", ["--card", "1", "--n", "3"], ["--dh", "2"]),
-            ("psi", ["--card2", "1", "--dh", "3"], ["--card", "1"]),
-            ("psi", ["--card2", "1", "--dh", "3"], ["--n", "4"]),
-            ("phi", ["--card", "1", "--n", "3"], ["--car", "2"]),
-            ("phi", ["--card", "1", "--n", "3"], ["--c", "2"]),
-        ],
-        ids=["phi-card2", "phi-dh", "psi-card", "psi-n", "phi-car", "phi-c"],
+        "option", ["phi-card2", "phi-dh", "psi-card", "psi-n", "phi-car", "phi-c"]
     )
-    def test_option_of_the_other_kind(self, tmp_path, monkeypatch, kind, given, option):
-        # psi's --card is not read as an abbreviation of --card2, nor phi's
-        # --car as one of --card
-        monkeypatch.chdir(tmp_path)
-        code, stdout, stderr = run_until_exit("count", kind, "--mols", 1, *given, *option)
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("usage: bhmat [-h]")
-        assert stderr.endswith(f"bhmat: error: unrecognized arguments: {' '.join(option)}\n")
-        assert not any(tmp_path.iterdir())
+    def test_option_of_the_other_kind(self, corpus, option): corpus(f"count-{option}")
 
 
 class TestLsescCommand:
-    def test_classical_q2(self, tmp_path):
-        out = tmp_path / "q2.txt"
-        assert run("lsesc", "classical", 2, out) == 0
-        assert out.read_text() == "L 2\n1 2\n2 1\n"
+    def test_classical_q2(self, corpus): corpus("lsesc-classical-2")
+    def test_check_classical4(self, corpus): corpus("lsesc-check-family")
+    def test_check_failing_family(self, corpus): corpus("lsesc-check-not-lsesc")
+    def test_not_prime_power(self, corpus): corpus("lsesc-classical-6")
+    def test_float_cell_exit_code(self, corpus): corpus("lsesc-check-float-cell")
+    def test_order_zero_exit_code(self, corpus): corpus("lsesc-check-order-0")
 
-    def test_check_classical4(self, tmp_path, capsys):
-        out = tmp_path / "q4.txt"
-        run("lsesc", "classical", 4, out)
-        assert run("lsesc", "check", out) == 0
-        stdout = capsys.readouterr().out
-        assert "pairwise LSESC: yes" in stdout
+    def test_conjugate_mixed_orders_exit_3_and_write_nothing(self, corpus):
+        corpus("lsesc-conjugate-mixed")
 
-    def test_check_mixed_orders_exit_3_before_any_pair(self, tmp_path, capsys, monkeypatch):
+    def test_conjugate_involution_bytes(self, corpus):
+        corpus("lsesc-conjugate-q5", "lsesc-conjugate-conj5")
+
+    def test_check_mixed_orders_exit_3_before_any_pair(self, corpus, monkeypatch):
         def refuse(*args):
             raise AssertionError("pair tested")
 
         for name in ("are_lsesc", "are_mols", "first_non_lsesc_pair", "first_non_mols_pair"):
             monkeypatch.setattr(latin, name, refuse)
         # the first pair is not LSESC: a pair-by-pair check would exit 1
-        path = tmp_path / "mixed.txt"
-        path.write_text("L 2\n1 2\n2 1\n\nL 2\n1 2\n2 1\n\nL 1\n1\n")
-        assert run("lsesc", "check", path) == 3
-        out, err = capsys.readouterr()
-        assert out == "" and "in one family" in err
-
-    def test_check_failing_family(self, tmp_path, capsys):
-        path = tmp_path / "bad.txt"
-        path.write_text("L 2\n1 2\n2 1\n\nL 2\n2 1\n1 2\n")
-        assert run("lsesc", "check", path) == 1
-        assert "pairwise LSESC: no" in capsys.readouterr().out
-
-    def test_conjugate_mixed_orders_exit_3_and_write_nothing(self, tmp_path, capsys):
-        path, out = tmp_path / "mixed.txt", tmp_path / "conjugated.txt"
-        path.write_text("L 2\n1 2\n2 1\n\nL 3\n1 2 3\n2 3 1\n3 1 2\n")
-        assert run("lsesc", "conjugate", path, out) == 3
-        assert capsys.readouterr() == ("", "error: squares of orders 2 and 3 in one family\n")
-        assert not out.exists()
-
-    def test_conjugate_involution_bytes(self, tmp_path):
-        q5, once, twice = tmp_path / "q5.txt", tmp_path / "c1.txt", tmp_path / "c2.txt"
-        run("lsesc", "classical", 5, q5)
-        assert run("lsesc", "conjugate", q5, once) == 0
-        assert run("lsesc", "conjugate", once, twice) == 0
-        assert q5.read_bytes() == twice.read_bytes()
-
-    def test_not_prime_power(self, tmp_path):
-        assert run("lsesc", "classical", 6, tmp_path / "x.txt") == 2
-
-    def test_float_cell_exit_code(self, tmp_path):
-        path = tmp_path / "float.txt"
-        path.write_text("L 2\n1 2\n2 1.0\n")
-        assert run("lsesc", "check", path) == 3
-
-    def test_order_zero_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "empty-square.txt"
-        path.write_text("L 0\n")
-        assert run("lsesc", "check", path) == 3
-        assert "pairwise LSESC" not in capsys.readouterr().out
+        corpus("lsesc-check-mixed-2-2-1")
 
 
-def crlf_blank_lines(d):
-    """bad.txt: family.txt with CRLF line ends and whitespace-only separator lines."""
-    text = (d / "family.txt").read_text().replace("\n\n", "\n \t\n")
-    (d / "bad.txt").write_bytes(text.replace("\n", "\r\n").encode())
+def cases(prefix):
+    """The names of the corpus rows that begin with prefix, less prefix."""
+    return [row.removeprefix(prefix) for row in cli_corpus.ROWS if row.startswith(prefix)]
 
 
-def swap_last_intercalate(d):
-    """bad.txt: family.txt with an intercalate (2 x 2 subsquare) of its last
-    square swapped: still Latin, no longer LSESC with the others."""
-    *squares, last = read_latin_set(d / "family.txt")
-    c = [list(row) for row in last.cells]
-    pairs = list(itertools.combinations(range(last.n), 2))
-    i, i2, j, j2 = next((i, i2, j, j2) for i, i2 in pairs for j, j2 in pairs
-                        if c[i][j] == c[i2][j2] and c[i][j2] == c[i2][j])
-    c[i][j], c[i][j2], c[i2][j], c[i2][j2] = c[i][j2], c[i][j], c[i2][j2], c[i2][j]
-    latin.write_latin_set([*squares, LatinSquare(last.n, c)], d / "bad.txt")
+@pytest.mark.parametrize("case", cases("made-"))
+def test_command_on_made_input(corpus, case): corpus(f"made-{case}")
 
 
-def shift_entry(d, i, j):
-    """bad.json: bh.json with its 1-based entry (i, j) moved to the next root."""
-    doc = json.loads((d / "bh.json").read_text())
-    doc["exponents"][i - 1][j - 1] = (doc["exponents"][i - 1][j - 1] + 1) % doc["m"]
-    (d / "bad.json").write_text(json.dumps(doc))
+@pytest.mark.parametrize("case", cases("undecodable-"))
+def test_undecodable_file_exit_code(corpus, case): corpus(f"undecodable-{case}")
 
 
-def copy_row(d, source, target):
-    """bad.json: bh.json with its 1-based row target overwritten by row source."""
-    doc = json.loads((d / "bh.json").read_text())
-    doc["exponents"][target - 1] = doc["exponents"][source - 1]
-    (d / "bad.json").write_text(json.dumps(doc))
+@pytest.mark.parametrize("form", cli_corpus.COERCIBLE_TOKENS)
+@pytest.mark.parametrize("case", cli_corpus.COERCED_TEXTS)
+def test_coercible_token_exit_code(corpus, form, case): corpus(f"coerced-{case}-{form}")
 
 
-Q4 = "lsesc classical 4 {d}/family.txt"
-Q64 = "lsesc classical 64 {d}/family.txt"
-PSI18 = ["fourier 18 {d}/f.json", "construct psi {d}/f.json -o {d}/bh.json"]
-
-# Each case: the steps that make its input (commands that exit 0, or a
-# function (d, *args) that writes a file in d), the command under test, its
-# exit code, lines its stdout holds, and files in d that then hold the same
-# bytes.
-MADE_INPUT_CASES = {
-    "conjugate-in-place": (
-        [Q4, "lsesc conjugate {d}/family.txt {d}/mols.txt"],
-        "lsesc conjugate {d}/mols.txt {d}/mols.txt", 0, [], ["family.txt", "mols.txt"],
-    ),
-    "crlf-blank-separators": (
-        [Q4, (crlf_blank_lines,)], "lsesc check {d}/bad.txt", 0, ["pairwise LSESC: yes"], [],
-    ),
-    "classical-25": (
-        ["lsesc classical 25 {d}/family.txt"], "lsesc check {d}/family.txt", 0,
-        ["squares: 24, order 25", "pairwise LSESC: yes"], [],
-    ),
-    "classical-64": (
-        [Q64], "lsesc check {d}/family.txt", 0,
-        ["squares: 63, order 64", "pairwise LSESC: yes"], [],
-    ),
-    "classical-64-last-square-swapped": (
-        [Q64, (swap_last_intercalate,)], "lsesc check {d}/bad.txt", 1,
-        ["pairwise LSESC: no"], [],
-    ),
-    "psi-f10-family-file": (
-        [Q4, "fourier 10 {d}/f.json", "construct psi {d}/f.json -o {d}/c.txt --format text"],
-        "construct psi {d}/f.json -o {d}/out.txt --format text --lsesc {d}/family.txt", 0, [],
-        ["c.txt", "out.txt"],
-    ),
-    "bh18-entry-71-91": (
-        [*PSI18, (shift_entry, 71, 91)], "verify {d}/bad.json", 1, ["rows (1, 71)"], [],
-    ),
-    "bh18-row-100-is-row-60": (
-        [*PSI18, (copy_row, 60, 100)], "verify {d}/bad.json", 1, ["rows (60, 100)"], [],
-    ),
-    "bh18-entry-1-1": (
-        [*PSI18, (shift_entry, 1, 1)], "verify {d}/bad.json", 1,
-        ["rows (1, 2)", "columns (1, 2)"], [],
-    ),
-    "bh17-row-200-is-row-150": (
-        ["fourier 17 {d}/f.json", "construct phi {d}/f.json -o {d}/bh.json", (copy_row, 150, 200)],
-        "verify {d}/bad.json", 1, ["rows (150, 200)"], [],
-    ),
-}
+@pytest.mark.parametrize("form", cli_corpus.COERCIBLE_TOKENS)
+@pytest.mark.parametrize("argument", cli_corpus.COERCED_ARGUMENTS)
+def test_coercible_argument_exit_code(corpus, form, argument):
+    corpus(f"argument-{argument}", f"argument-{argument}-{form}")
 
 
-@pytest.mark.parametrize("case", MADE_INPUT_CASES)
-def test_command_on_made_input(tmp_path, capsys, case):
-    steps, command, code, lines, same = MADE_INPUT_CASES[case]
-
-    def argv(text):
-        return [arg.format(d=tmp_path) for arg in text.split()]
-
-    for step in steps:
-        if isinstance(step, str):
-            assert run(*argv(step)) == 0
-        else:
-            step[0](tmp_path, *step[1:])
-    capsys.readouterr()
-    assert run(*argv(command)) == code
-    out = capsys.readouterr().out
-    assert all(line in out for line in lines)
-    assert len({(tmp_path / name).read_bytes() for name in same}) <= 1
-
-
-# Tokens that int() would coerce to the digit d: an underscore, a sign and
-# an Arabic-Indic digit.
-COERCIBLE_TOKENS = {
-    "underscore": lambda d: f"0_{d}",
-    "plus": lambda d: f"+{d}",
-    "arabic-indic": lambda d: chr(0x660 + d),
-}
-
-
-@pytest.mark.parametrize("form", COERCIBLE_TOKENS)
-@pytest.mark.parametrize(
-    "command, text",
-    [
-        ("verify", "BH {2} 2\n0 0\n0 1\n"),
-        ("verify", "BH 2 2\n0 {0}\n0 1\n"),
-        ("lsesc check", "L {2}\n1 2\n2 1\n"),
-        ("lsesc check", "L 2\n1 2\n2 {1}\n"),
-    ],
-    ids=["bh-header", "bh-exponent", "l-header", "l-cell"],
-)
-def test_coercible_token_exit_code(tmp_path, capsys, form, command, text):
-    token = COERCIBLE_TOKENS[form]
-    assert [int(token(d)) for d in range(3)] == [0, 1, 2]
-    path = tmp_path / "coerced.txt"
-    path.write_text(text.format(*map(token, range(3))), encoding="utf-8")
-    assert run(*command.split(), path) == 3
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify", "{bad}"),
-        ("construct", "psi", "{bad}", "-o", "{out}"),
-        ("construct", "phi", "{f5}", "-o", "{out}", "--lsesc", "{bad}"),
-        ("lsesc", "check", "{bad}"),
-        ("lsesc", "conjugate", "{bad}", "{out}"),
-    ],
-    ids=["verify", "construct", "construct-lsesc", "lsesc-check", "lsesc-conjugate"],
-)
-def test_undecodable_file_exit_code(tmp_path, capsys, argv):
-    bad = tmp_path / "bad.json"
-    bad.write_bytes(b"\xff\xfe{")
-    f5 = tmp_path / "f5.json"
-    run("fourier", 5, f5)
-    out = tmp_path / "out.json"
-    paths = {"bad": bad, "f5": f5, "out": out}
-    assert run(*(arg.format(**paths) for arg in argv)) == 3
-    assert "UTF-8" in capsys.readouterr().err
-    assert not out.exists()
-
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+def test_provenance_records_reproducible_plan(corpus):
+    corpus("construct-psi-f6", "construct-psi-f6-recorded-plan")
 
 
 # python -m bhmat once for each exit code, then each example script.
@@ -794,62 +388,6 @@ def written(path):
     return path.read_bytes() if path.exists() else None
 
 
-def test_provenance_records_reproducible_plan(tmp_path):
-    src = tmp_path / "f6.json"
-    out = tmp_path / "out.json"
-    run("fourier", 6, src)
-    run("construct", "psi", src, "-o", out)
-    doc = json.loads(out.read_text())
-    plan = doc["provenance"]["plan"]
-    # re-running the recorded plan reproduces the same bytes
-    again = tmp_path / "again.json"
-    assert (
-        run(
-            "construct", "psi", src, "-o", again,
-            "--c1-pair", *plan["c1_pair"], "--c2-cell", *plan["c2_cell"],
-        )
-        == 0
-    )
-    assert out.read_bytes() == again.read_bytes()
-
-
-# Each argv succeeds when every {dN} is the plain digit N.
-@pytest.mark.parametrize("form", COERCIBLE_TOKENS)
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("fourier", "{d6}", "{out}"),
-        ("lsesc", "classical", "{d4}", "{out}"),
-        ("construct", "phi", "{f3}", "-o", "{out}", "--delete-row", "{d2}"),
-        ("construct", "psi", "{f6}", "-o", "{out}", "--c1-pair", "1", "{d4}"),
-        ("construct", "psi", "{f6}", "-o", "{out}", "--c2-cell", "{d4}", "4"),
-        ("construct", "psi", "{f6}", "-o", "{out}", "--pre-permute-cols", "1,2,3,4,5,{d6}"),
-        ("count", "phi", "--mols", "{d1}", "--card", "1", "--n", "4"),
-        ("count", "psi", "--mols", "1", "--card2", "1", "--dh", "3", "{d2}"),
-    ],
-    ids=["fourier", "lsesc-classical", "delete-row", "c1-pair", "c2-cell",
-         "pre-permute-cols", "count-phi", "count-psi"],
-)
-def test_coercible_argument_exit_code(tmp_path, capsys, form, argv):
-    paths = {"f3": tmp_path / "f3.json", "f6": tmp_path / "f6.json"}
-    run("fourier", 3, paths["f3"])
-    run("fourier", 6, paths["f6"])
-    out = tmp_path / "out.json"
-    digits = {f"d{d}": str(d) for d in range(10)}
-    assert run(*(arg.format(out=out, **paths, **digits) for arg in argv)) == 0
-    out.unlink(missing_ok=True)
-    capsys.readouterr()
-    digits = {f"d{d}": COERCIBLE_TOKENS[form](d) for d in range(10)}
-    try:
-        code = run(*(arg.format(out=out, **paths, **digits) for arg in argv))
-    except SystemExit as exc:  # argparse's exit on a bad argument
-        code = exc.code
-    assert code == 2
-    assert not out.exists()
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-
-
 def raising(exc):
     def program():
         raise exc
@@ -902,7 +440,7 @@ def test_exit_status_passes_other_exceptions():
             exit_status(raising(exc))
 
 
-def test_parse_permutation_is_strict():
+def test_decimal_ints_is_strict():
     # --pre-permute-cols only parses: butson.permute_columns checks the order
     assert decimal_ints("1, 3 2") == [1, 3, 2]
     assert decimal_ints("2,2") == [2, 2]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -262,6 +263,36 @@ class TestHalvingFamily:
             monkeypatch.setattr(scarpis, name, refuse)
         with pytest.raises(PlanError, match="output order cap"):
             halving_family(r)
+
+    @pytest.mark.parametrize(
+        "r, message",
+        [
+            (6, "psi output of order 8320 has 69222400 cells"),
+            (7, "psi output of order 33024 has 1090584576 cells"),
+            (64, "psi output of order <130-bit int> has <259-bit int> cells"),
+            (65, "halving_family r = 65: "
+                 "psi output of order <132-bit int> has <263-bit int> cells"),
+        ],
+    )
+    def test_output_cap_message(self, r, message):
+        # past r = 64 the message names r; its sizes are family_shape's
+        with pytest.raises(PlanError) as info:
+            halving_family(r)
+        assert str(info.value) == f"{message}; the output order cap is 4096"
+        if r > 64:
+            with pytest.raises(PlanError) as shape:
+                scarpis.family_shape("psi", 2 * (2**r + 1))
+            assert str(info.value) == f"halving_family r = {r}: {shape.value}"
+
+    def test_huge_r_refused_before_2_to_the_r(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PlanError, match="the output order cap is 4096"):
+                halving_family(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 # Each cap refused at a size whose decimal str() refuses (past 4300
