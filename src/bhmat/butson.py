@@ -549,6 +549,9 @@ def parse_matrix(text: str) -> tuple[ButsonMatrix, dict[str, Any] | None]:
         raise FormatError(f"expected 'BH m n' header, got {lines[0]!r}")
     try:
         m, n = parse_decimals(header[1:])
+    except ValueError as exc:
+        raise FormatError(f"bad m or n in header {lines[0]!r}") from exc
+    try:
         # exponents past the root order cap are read by parse_decimals
         rows = parse_rows(lines[1:], range(min(m, ROOT_ORDER_CAP)))
         return ButsonMatrix(m, n, rows), None

@@ -28,7 +28,7 @@ from bhmat.latin import (
 )
 from bhmat.scarpis import PhiPlan, PsiPlan, halving_family, phi, psi
 
-from golden import EXAMPLE1_DEPHASED, EXAMPLE2_PSI_F6, EXAMPLE2_T
+from golden import EXAMPLE1_DEPHASED, EXAMPLE2_PSI_F6, EXAMPLE2_T, sylvester
 from oracles import (
     ExponentCountVector,
     IntPolynomial,
@@ -86,24 +86,15 @@ def test_criterion_4_halving_family():
             assert verify(out).ok
 
 
-def _sylvester(k):
-    h = ((0,),)
-    for _ in range(k):
-        top = tuple(row + row for row in h)
-        bottom = tuple(row + tuple((v + 1) % 2 for v in row) for row in h)
-        h = top + bottom
-    return ButsonMatrix(2, 2**k, h)
-
-
 def test_criterion_5_hadamard_specialisations():
     with criterion(5, "order-4 pair -> order-12 Hadamard; order-8 inputs -> order-24", budget=5.0):
-        g4 = _sylvester(2)
+        g4 = sylvester(2)
         h4 = ButsonMatrix(2, 4, tuple(g4.exponents[i] for i in (0, 2, 3, 1)))
         assert g4 != h4
         h12 = phi(PhiPlan(h=h4, tensors=classical_lsesc_set(3), g=g4))
         assert (h12.m, h12.n) == (2, 12) and verify(h12).ok
 
-        g8 = _sylvester(3)
+        g8 = sylvester(3)
         h8 = ButsonMatrix(2, 8, tuple(g8.exponents[i] for i in (0, 4, 1, 5, 2, 6, 3, 7)))
         h24 = psi(PsiPlan(h=h8, tensors=classical_lsesc_set(3), g=g8))
         assert (h24.m, h24.n) == (2, 24) and verify(h24).ok

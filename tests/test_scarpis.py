@@ -27,7 +27,7 @@ from bhmat.scarpis import (
     psi_with_plan,
 )
 
-from golden import EXAMPLE1_DEPHASED, EXAMPLE1_RAW, EXAMPLE2_PSI_F6
+from golden import EXAMPLE1_DEPHASED, EXAMPLE1_RAW, EXAMPLE2_PSI_F6, sylvester
 from oracles import exhaustive_complete_lsesc
 from tiles import count_conjugates
 
@@ -365,17 +365,8 @@ class TestAssemblyDigests:
 
 
 class TestHadamardSpecialisations:
-    def sylvester(self, k):
-        # doubling in exponent form: H_{2n} = [[H, H], [H, -H]]
-        h = ((0,),)
-        for _ in range(k):
-            top = tuple(row + row for row in h)
-            bottom = tuple(row + tuple((v + 1) % 2 for v in row) for row in h)
-            h = top + bottom
-        return ButsonMatrix(2, 2**k, h)
-
     def test_phi_on_order4_pair_gives_order12_hadamard(self):
-        g = self.sylvester(2)
+        g = sylvester(2)
         h = ButsonMatrix(2, 4, tuple(g.exponents[i] for i in (0, 2, 3, 1)))
         assert g != h and verify(h).ok
         out = phi(PhiPlan(h=h, tensors=classical_lsesc_set(3), g=g))
@@ -383,7 +374,7 @@ class TestHadamardSpecialisations:
         assert all(v in (0, 1) for row in out.exponents for v in row)
 
     def test_psi_on_order8_gives_order24_hadamard(self):
-        h8 = self.sylvester(3)
+        h8 = sylvester(3)
         out = psi(PsiPlan(h=h8, tensors=classical_lsesc_set(3)))
         assert (out.m, out.n) == (2, 24)
         assert all(v in (0, 1) for row in out.exponents for v in row)

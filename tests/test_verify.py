@@ -3,20 +3,33 @@
 verify decides from rows packed into big integers and tested modulo
 Phi_m(2^W); verify_oracle tests every row and column pair with the
 polynomial zero test.  Their reports must agree field by field.
+
+Beside hypothesis's, the differential tests draw from one table, SWEEPS:
+for each test, its cases (a matrix of MATRICES and a tile) under the
+test's ids, its trim rules (see PackedTiles) and its edits (entry shifts
+and row replacements, from edits).  run checks each draw (matrix, tile,
+trim rule, edit) the same way: the edited matrix fails, with the report
+of the kernel that never trims, at the replaced pair for a row
+replacement, and with verify_oracle's report where the oracle's cost is
+within the sweep's budget.
 """
 
+import math
+from functools import cache
+from typing import Callable, NamedTuple
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bhmat import butson, errors
-from bhmat.butson import ButsonMatrix, fourier, verify
+from bhmat.butson import ButsonMatrix, VerifyReport, fourier, verify
 from bhmat.latin import classical_lsesc_set
 from bhmat.scarpis import PhiPlan, halving_family, phi
 
+from golden import sylvester
 from oracles import ExponentCountVector, cyclotomic_poly, sum_equals, verify_oracle
-from tiles import FLOOR, PackedTiles
+from tiles import FLOOR, NEVER, NO_BYTE_FLOOR, PackedTiles
 
 # 1, 2, primes, prime powers and 30, then anything up to 40
 ROOT_ORDERS = st.one_of(
@@ -26,14 +39,212 @@ ROOT_ORDERS = st.one_of(
 
 
 def _slot_bytes(m, n):
-    """Bytes per packed row in butson._first_non_orthogonal."""
+    """Bytes per slot of butson._first_packed_failure: one row's share of
+    each packed int of a tile."""
     return butson._layout(m, n)[2]
 
 
-def _with_entry(b, i, j, e):
-    rows = [list(row) for row in b.exponents]
-    rows[i][j] = e
-    return ButsonMatrix(b.m, b.n, tuple(tuple(row) for row in rows))
+def _kronecker(a, b):
+    """The Kronecker product of two BH(m, .)."""
+    rows = tuple(
+        tuple((x + y) % a.m for x in row_a for y in row_b)
+        for row_a in a.exponents
+        for row_b in b.exponents
+    )
+    return ButsonMatrix(a.m, a.n * b.n, rows)
+
+
+# The matrices of the draws, each built once by matrix(): BH(m, n) all but
+# J12, the 12 x 12 matrix of ones at m = 1.
+MATRICES = {
+    "F13": lambda: fourier(13),
+    "F17": lambda: fourier(17),
+    "F34": lambda: fourier(34),
+    "F66": lambda: fourier(66),
+    "F4^3": lambda: _kronecker(fourier(4), _kronecker(fourier(4), fourier(4))),
+    "F6^2": lambda: _kronecker(fourier(6), fourier(6)),
+    "H8": lambda: sylvester(3),
+    "H64": lambda: sylvester(6),
+    "BH(5,20)": lambda: phi(PhiPlan(h=fourier(5), tensors=classical_lsesc_set(4))),
+    "BH(9,72)": lambda: phi(PhiPlan(h=fourier(9), tensors=classical_lsesc_set(8))),
+    "BH(17,272)": lambda: phi(PhiPlan(h=fourier(17), tensors=classical_lsesc_set(16))),
+    "BH(10,40)": lambda: halving_family(2),
+    "BH(18,144)": lambda: halving_family(3),
+    "BH(34,544)": lambda: halving_family(4),
+    "J12": lambda: ButsonMatrix(1, 12, ((0,) * 12,) * 12),
+}
+
+
+@cache
+def matrix(name):
+    return MATRICES[name]()
+
+
+class Edit(NamedTuple):
+    """Entry (i, j) times zeta^k or, if row, row j replaced by row i times
+    zeta^k, which leaves row j orthogonal to every row but i (0-based)."""
+
+    i: int
+    j: int
+    k: int
+    row: bool = False
+
+    def apply(self, b):
+        rows = [list(row) for row in b.exponents]
+        if self.row:
+            rows[self.j] = [v + self.k for v in rows[self.i]]
+        else:
+            rows[self.i][self.j] += self.k
+        return ButsonMatrix(b.m, b.n, tuple(tuple(v % b.m for v in row) for row in rows))
+
+
+def edits(b, unit, where, by):
+    """The edits of b, cut into tiles of unit rows, at where, each by every
+    k in by.  Entry shifts at "cells": row 1, the last row, column 1 and
+    both sides of the first tile boundary; at "rims": every cell of row 1,
+    the last row and column 1.  Row replacements (src, dst) at "rows": dst
+    on both sides of the first two tile boundaries, src on both sides of
+    the first; at "trims": those, and for src at the start, middle and end
+    of the first, second and last tiles, dst = src + 1 (the first slot left
+    after a trim at row src) and the last slot of src's tile; or at a list
+    of (src, dst)."""
+    n, t = b.n, unit
+    if where == "cells":
+        cells = [(0, n // 2), (n - 1, 1), (n // 3, 0), (t - 1, t), (t, t - 1), (t - 1, n - 1), (t, 0)]
+    if where == "rims":
+        cells = [(i, j) for i in (0, n - 1) for j in range(n)] + [(i, 0) for i in range(1, n - 1)]
+    if where in ("cells", "rims"):
+        return [Edit(i, j, k) for i, j in cells for k in by]
+    moves = where
+    if where in ("rows", "trims"):
+        moves = [(1, t - 1), (1, t), (1, min(2 * t - 1, n - 1)), (1, min(2 * t, n - 1))]
+        moves += [(t - 1, t), (t, min(t + 1, n - 1)), (n - 2, n - 1)]
+    if where == "trims":
+        for j0 in {0, t, (n - 1) // t * t}:
+            end = min(j0 + t, n) - 1
+            moves += [(s, d) for s in {j0 + 1, (j0 + end) // 2, end - 1} if 1 <= s < end for d in (s + 1, end)]
+        moves = sorted({(src, dst) for src, dst in moves if 1 <= src < dst < n})
+    return [Edit(src, dst, k, row=True) for src, dst in moves for k in by]
+
+
+class Sweep(NamedTuple):
+    """The draws of one test.  cases: (matrix, tile) by test id.  edits:
+    the edits of a matrix in tiles of unit rows.  trims: each trim rule of
+    PackedTiles, and the step at which it takes those edits.  oracle: the
+    most row pairs, i * n for edited or source row i, of a draw that
+    verify_oracle checks.  clean: the unedited matrix is checked too."""
+
+    cases: dict
+    edits: Callable = lambda b, unit: []
+    trims: dict = {None: 1}
+    oracle: float = math.inf
+    clean: bool = True
+
+
+# The cases that two sweeps share, and the matrices of two more, by the
+# names in their test ids.
+KINDS = [("fourier", "F13"), ("phi", "BH(5,20)"), ("psi", "BH(10,40)")]
+SMALL = {f"{t}-{kind}": (name, t) for t in (3, 7) for kind, name in KINDS}
+EVEN = [(4, "F4^3"), (6, "F6^2"), (34, "F34"), (66, "F66")]
+TRIMMED = [(9, "BH(9,72)"), (17, "F17"), (10, "BH(10,40)"), (18, "BH(18,144)"), (34, "F34"), (2, "H64")]
+
+# phi and halving_family verify what they build at the default tile and
+# trim rule, so the sweeps of their large outputs there are not clean.
+SWEEPS = {
+    # psi's BH(10,40) is the one construction with rows past the floor
+    "corruptions": Sweep(
+        SMALL | {"floor-psi": ("BH(10,40)", FLOOR)}, lambda b, t: edits(b, t, "cells", (1, b.m // 2))
+    ),
+    "corruptions, default tile": Sweep({None: ("BH(17,272)", None)}, lambda b, t: edits(b, t, "cells", (1,))),
+    # dst on both sides of the boundaries at rows 96 and 192 (0-based);
+    # src = 95 would make the oracle test 26000 pairs, so sources at a
+    # boundary are left to the small tiles
+    "rows of BH(17,272)": Sweep(
+        {None: ("BH(17,272)", None)},
+        lambda b, t: edits(b, t, [(1, 95), (1, 96), (1, 191), (1, 192), (149, 199), (2, 271)], (5,)),
+        clean=False,
+    ),
+    "sylvester": Sweep(
+        {str(t): ("H64", t) for t in (3, 7, FLOOR)},
+        lambda b, t: edits(b, t, "rows", (0, 1)) + edits(b, t, "cells", (1,)),
+    ),
+    "cyclic rows": Sweep(SMALL, lambda b, t: edits(b, t, "rows", (1,))),
+    "rims": Sweep({str(t): ("BH(5,20)", t) for t in (1, 3, 7, None)}, lambda b, t: edits(b, t, "rims", (1,))),
+    "even orders": Sweep(
+        {f"{t}-{m}": (name, t) for t in (3, 7, FLOOR) for m, name in EVEN},
+        lambda b, t: edits(b, t, "rows", (b.m // 2 + 1,)),
+    ),
+    # sources past row 2 would make the oracle test thousands of pairs
+    "rows of BH(34,544)": Sweep(
+        {None: ("BH(34,544)", None)},
+        lambda b, t: edits(b, t, [(1, 40), (1, 41), (1, 81), (1, 82)], (3,)),
+        clean=False,
+    ),
+    "short last tile": Sweep({None: ("F34", 5)}, lambda b, t: edits(b, t, [(29, 33), (30, 33), (31, 33)], (0,))),
+    "m = 2": Sweep({None: ("H8", None)}, lambda b, t: [Edit(5, 6, 1), Edit(2, 6, 1, True), Edit(1, 2, 0, True)]),
+    # trims every row on every edit, the other rules on every third, each
+    # where it is most likely to leave a trim just below a failure;
+    # BH(18,144) in small tiles is slow, and the other orders cover them
+    "forced trims": Sweep(
+        {f"{m}-{t}": (name, t) for m, name in TRIMMED for t in (1, 3, 7, None) if m != 18 or t is None},
+        lambda b, t: edits(b, t, "trims", (b.m // 2 + 1,)),
+        {1: 1, 2: 3, 4: 3, NO_BYTE_FLOOR: 3},
+        oracle=4000,
+    ),
+    "m = 1": Sweep({str(t): ("J12", t) for t in (1, 3, 7, None)}, trims={1: 1, 2: 1, 4: 1, NO_BYTE_FLOOR: 1}),
+    # the first slot left after each trim of the default rule, and the last
+    "trims of BH(18,144)": Sweep(
+        {None: ("BH(18,144)", None)},
+        lambda b, t: edits(b, t, [(s - 1, d) for s in range(24, 144, 24) for d in (s, 143)], (10,)),
+        oracle=4000,
+        clean=False,
+    ),
+    # the first slot after the first trim of each tile, its tile's last
+    # slot, and both sides of the first boundary
+    "trims of BH(17,272)": Sweep(
+        {None: ("BH(17,272)", None)},
+        lambda b, t: edits(
+            b, t, [(94, 95), (95, 96), (12, 13), (12, 95), (108, 109), (108, 191), (204, 205), (204, 271)], (9,)
+        ),
+        oracle=4000,
+        clean=False,
+    ),
+}
+
+
+def run(sweep, case=None):
+    """Every draw of one case of SWEEPS[sweep] (its only case by default);
+    returns the PackedTiles of its last trim rule."""
+    sweep = SWEEPS[sweep]
+    ((name, tile),) = [case] if case else sweep.cases.values()
+    b = matrix(name)
+    seen = {}
+    for trim, step in sweep.trims.items():
+        with PackedTiles(butson, tile, trim) as packed:
+            unit = butson.tile_units(b.n * _slot_bytes(b.m, b.n))
+            assert tile is None or unit < b.n
+            if sweep.clean:
+                assert verify(b) == (VerifyReport(True) if b.m > 1 else verify_oracle(b)), trim
+                # every pair fails at m = 1; the packed pass starts at row 2
+                assert b.m > 1 or butson._first_packed_failure(b.exponents, 1) == (2, 3), trim
+                assert packed.tiles
+            for edit in sweep.edits(b, unit)[::step]:
+                bad, reports = seen.setdefault(edit, (edit.apply(b), set()))
+                reports.add(verify(bad))
+    with PackedTiles(butson, tile, NEVER):
+        for edit, (bad, reports) in seen.items():
+            report = verify(bad)
+            assert reports == {report} and not report.ok, edit
+            assert not edit.row or report.bad_row_pair == (edit.i + 1, edit.j + 1), edit
+            if edit.i * b.n <= sweep.oracle:
+                assert report == verify_oracle(bad), edit
+    return packed
+
+
+def cases(sweep):
+    """Parametrize a test by the cases of SWEEPS[sweep], under their test ids."""
+    cases = SWEEPS[sweep].cases
+    return pytest.mark.parametrize("case", list(cases.values()), ids=list(cases))
 
 
 @st.composite
@@ -85,83 +296,13 @@ class TestAgainstOracle:
         assert verify(fourier(n)) == verify_oracle(fourier(n))
 
 
-@pytest.fixture(scope="module")
-def constructions():
-    return {
-        "fourier": fourier(13),
-        "phi": phi(PhiPlan(h=fourier(5), tensors=classical_lsesc_set(4))),
-        "psi": halving_family(2),
-    }
-
-
-def _corruption_cells(n, tile):
-    """Row 1, the last row, column 1, and both sides of the first tile boundary."""
-    return [
-        (0, n // 2),
-        (n - 1, 1),
-        (n // 3, 0),
-        (tile - 1, tile),
-        (tile, tile - 1),
-        (tile - 1, n - 1),
-        (tile, 0),
-    ]
-
-
 class TestCorruptions:
-    # psi's BH(10,40) is the one construction with rows past the floor
-    @pytest.mark.parametrize(
-        "tile, kind",
-        [(tile, kind) for tile in (3, 7) for kind in ("fourier", "phi", "psi")] + [(FLOOR, "psi")],
-    )
-    def test_small_tiles(self, constructions, kind, tile):
-        b = constructions[kind]
-        with PackedTiles(butson, tile) as packed:
-            assert verify(b).ok
-            assert packed.unit < b.n
-            for i, j in _corruption_cells(b.n, packed.unit):
-                for shift in (1, b.m // 2):
-                    bad = _with_entry(b, i, j, (b.exponents[i][j] + shift) % b.m)
-                    report = verify(bad)
-                    assert not report.ok
-                    assert report == verify_oracle(bad), (kind, i, j, shift)
+    @cases("corruptions")
+    def test_small_tiles(self, case):
+        run("corruptions", case)
 
     def test_default_tiles(self):
-        b = phi(PhiPlan(h=fourier(17), tensors=classical_lsesc_set(16)))
-        with PackedTiles(butson) as packed:
-            assert verify(b).ok
-        assert 1 < packed.unit < b.n - 1
-        for i, j in _corruption_cells(b.n, packed.unit):
-            bad = _with_entry(b, i, j, (b.exponents[i][j] + 1) % b.m)
-            assert verify(bad) == verify_oracle(bad), (i, j)
-
-
-def _sylvester(k):
-    """The Sylvester Hadamard matrix of order 2^k, as a BH(2, 2^k)."""
-    n = 1 << k
-    return ButsonMatrix(2, n, tuple(tuple(bin(i & j).count("1") % 2 for j in range(n)) for i in range(n)))
-
-
-def _with_row(b, src, dst, phase):
-    """Row dst replaced by row src times zeta^phase: still orthogonal to
-    every other row but src, so with src > 0 the row-1 pass passes it on
-    to the packed pass, which must report (src + 1, dst + 1)."""
-    rows = list(b.exponents)
-    rows[dst] = tuple((v + phase) % b.m for v in rows[src])
-    return ButsonMatrix(b.m, b.n, tuple(rows))
-
-
-def _row_moves(n, tile):
-    """(src, dst) with dst on both sides of the first two tile boundaries,
-    and src on both sides of the first."""
-    return [
-        (1, tile - 1),
-        (1, tile),
-        (1, min(2 * tile - 1, n - 1)),
-        (1, min(2 * tile, n - 1)),
-        (tile - 1, tile),
-        (tile, min(tile + 1, n - 1)),
-        (n - 2, n - 1),
-    ]
+        assert 1 < run("corruptions, default tile").unit < matrix("BH(17,272)").n - 1
 
 
 class TestCyclicLayout:
@@ -176,51 +317,26 @@ class TestCyclicLayout:
         assert butson._layout(2, 64)[2:4] == (2, 1)
 
     def test_bh_17_272_default_tiles(self):
-        b = phi(PhiPlan(h=fourier(17), tensors=classical_lsesc_set(16)))
-        # dst on both sides of the boundaries at rows 96 and 192 (0-based);
-        # src = 95 would make the oracle test 26000 pairs, so sources at a
-        # boundary are left to the small tiles below
-        for src, dst in [(1, 95), (1, 96), (1, 191), (1, 192), (149, 199), (2, b.n - 1)]:
-            bad = _with_row(b, src, dst, 5)
-            report = verify(bad)
-            assert report.bad_row_pair == (src + 1, dst + 1)
-            assert report == verify_oracle(bad), (src, dst)
+        run("rows of BH(17,272)")
         # row 200 a copy of row 150 passes the row-1 scan and is met in
         # the third tile
-        bad = _with_row(b, 149, 199, 0)
+        bad = Edit(149, 199, 0, row=True).apply(matrix("BH(17,272)"))
         with PackedTiles(butson) as packed:
-            assert butson._first_non_orthogonal(bad.exponents, b.m) == (150, 200)
+            assert butson._first_non_orthogonal(bad.exponents, bad.m) == (150, 200)
         assert packed.tiles == [(0, 96), (96, 192), (192, 272)]
 
-    @pytest.mark.parametrize("tile", [3, 7, FLOOR])
-    def test_sylvester_small_tiles(self, tile):
-        b = _sylvester(6)
-        with PackedTiles(butson, tile) as packed:
-            assert verify(b).ok
-            assert packed.unit < b.n
-            tile = packed.unit
-            for src, dst in _row_moves(b.n, tile):
-                for phase in (0, 1):
-                    bad = _with_row(b, src, dst, phase)
-                    report = verify(bad)
-                    assert report.bad_row_pair == (src + 1, dst + 1)
-                    assert report == verify_oracle(bad), (src, dst, phase)
-            for i, j in _corruption_cells(b.n, tile):
-                bad = _with_entry(b, i, j, 1 - b.exponents[i][j])
-                assert verify(bad) == verify_oracle(bad), (i, j)
+    @cases("sylvester")
+    def test_sylvester_small_tiles(self, case):
+        run("sylvester", case)
 
-    @pytest.mark.parametrize("kind", ["fourier", "phi", "psi"])
-    @pytest.mark.parametrize("tile", [3, 7])
-    def test_rows_moved_across_small_tiles(self, constructions, kind, tile):
+    @cases("cyclic rows")
+    def test_rows_moved_across_small_tiles(self, case):
         # fourier(13) and phi's BH(5,20) pack cyclic slots of m digits,
         # psi's BH(10,40) negacyclic slots of m/2
-        b = constructions[kind]
-        assert butson._layout(b.m, b.n)[3] == (b.m // 2 if kind == "psi" else b.m)
-        with PackedTiles(butson, tile) as packed:
-            for src, dst in _row_moves(b.n, tile):
-                bad = _with_row(b, src, dst, 1)
-                assert verify(bad) == verify_oracle(bad), (src, dst)
-        assert (0, tile) in packed.tiles
+        name, tile = case
+        b = matrix(name)
+        assert butson._layout(b.m, b.n)[3] == (b.m // 2 if name == "BH(10,40)" else b.m)
+        assert (0, tile) in run("cyclic rows", case).tiles
 
 
 class TestRowOnePass:
@@ -235,26 +351,26 @@ class TestRowOnePass:
 
     def test_broken_row_1_packs_no_tile(self):
         # the packed pass is never reached, whatever its tile
-        for b in (halving_family(2), halving_family(3)):
-            bad = _with_entry(b, 0, 0, (b.exponents[0][0] + 1) % b.m)
+        for b in (matrix("BH(10,40)"), matrix("BH(18,144)")):
+            bad = Edit(0, 0, 1).apply(b)
             assert self._tiles(bad.exponents, b.m) == ((1, 2), [])
             assert self._tiles(tuple(zip(*bad.exponents)), b.m) == ((1, 2), [])
 
     def test_tile_sizes(self):
-        b = halving_family(3)
+        b = matrix("BH(18,144)")
         tile = 18
         tiles = [(j, min(j + tile, b.n)) for j in range(0, b.n, tile)]
         assert self._tiles(b.exponents, b.m, tile) == (None, tiles)
         # a broken column 20 is found by the scan of column 1
-        bad = _with_entry(b, 5, 19, (b.exponents[5][19] + 1) % b.m)
+        bad = Edit(5, 19, 1).apply(b)
         assert self._tiles(tuple(zip(*bad.exponents)), b.m, tile) == ((1, 20), [])
 
     def test_one_tile_is_not_split(self):
-        b = halving_family(2)
+        b = matrix("BH(10,40)")
         assert self._tiles(b.exponents, b.m) == (None, [(0, b.n)])
 
     def test_failure_after_row_1_stops_in_its_tile(self):
-        b = halving_family(3)
+        b = matrix("BH(18,144)")
         tile = 18
         tiles = [(j, min(j + tile, b.n)) for j in range(0, b.n, tile)]
         # row 40 copied from row 2 stays orthogonal to row 1
@@ -266,18 +382,10 @@ class TestRowOnePass:
         rows[39] = rows[4]
         assert self._tiles(rows, b.m, tile) == ((5, 40), tiles)
 
-    @pytest.mark.parametrize("tile", [1, 3, 7, None])
-    def test_every_cell_of_first_and_last_row(self, constructions, tile):
+    @cases("rims")
+    def test_every_cell_of_first_and_last_row(self, case):
         # and of column 1, so each input of the column-1 scan is corrupted once
-        b = constructions["phi"]
-        cells = [(i, j) for i in (0, b.n - 1) for j in range(b.n)]
-        cells += [(i, 0) for i in range(1, b.n - 1)]
-        with PackedTiles(butson, tile) as packed:
-            assert verify(b).ok
-            assert packed.tiles  # each one tile units long, or the last
-            for i, j in cells:
-                bad = _with_entry(b, i, j, (b.exponents[i][j] + 1) % b.m)
-                assert verify(bad) == verify_oracle(bad), (i, j)
+        run("rims", case)
 
 
 class TestRowsDecide:
@@ -292,7 +400,7 @@ class TestRowsDecide:
         monkeypatch.setattr(butson, "_first_non_orthogonal", counting)
         assert verify(fourier(12)).ok
         assert calls == [12]
-        report = verify(_with_entry(fourier(12), 5, 7, 0))
+        report = verify(Edit(5, 7, 1).apply(fourier(12)))
         assert calls == [12, 12, 12]
         assert (report.bad_row_pair, report.bad_col_pair) == ((1, 6), (1, 8))
 
@@ -541,69 +649,29 @@ class TestWholeRowTest:
                 assert not butson._slots_divisible(tail, modulus, over), (q, j)
 
 
-def _kronecker(a, b):
-    """The Kronecker product of two BH(m, .)."""
-    rows = tuple(
-        tuple((x + y) % a.m for x in row_a for y in row_b)
-        for row_a in a.exponents
-        for row_b in b.exponents
-    )
-    return ButsonMatrix(a.m, a.n * b.n, rows)
-
-
 class TestEvenOrders:
     """Negacyclic slots at even m: a row replaced by a phase of another row
     passes the row-1 scan, so the packed pass must name the pair, on both
     sides of the first two tile boundaries, in verify_oracle's report
     (m = 2 in TestCyclicLayout::test_sylvester_small_tiles)."""
 
-    MATRICES = {
-        4: lambda: _kronecker(fourier(4), _kronecker(fourier(4), fourier(4))),
-        6: lambda: _kronecker(fourier(6), fourier(6)),
-        34: lambda: fourier(34),
-        66: lambda: fourier(66),
-    }
-
-    @pytest.mark.parametrize("m", sorted(MATRICES))
-    @pytest.mark.parametrize("tile", [3, 7, FLOOR])
-    def test_rows_moved_across_small_tiles(self, m, tile):
-        b = self.MATRICES[m]()
-        assert butson._layout(b.m, b.n)[3] == m // 2
-        with PackedTiles(butson, tile) as packed:
-            assert verify(b).ok
-            assert packed.unit < b.n
-            for src, dst in _row_moves(b.n, packed.unit):
-                bad = _with_row(b, src, dst, m // 2 + 1)
-                report = verify(bad)
-                assert report.bad_row_pair == (src + 1, dst + 1)
-                assert report == verify_oracle(bad), (src, dst)
+    @cases("even orders")
+    def test_rows_moved_across_small_tiles(self, case):
+        b = matrix(case[0])
+        assert butson._layout(b.m, b.n)[3] == b.m // 2
+        run("even orders", case)
 
     def test_bh_34_544_default_tiles(self):
-        # halving_family(4), the r = 4 output, packs 41-row tiles; sources
-        # past row 2 would make the oracle test thousands of pairs
-        b = halving_family(4)
-        assert butson.matrix_digest(b) == (
+        # halving_family(4), the r = 4 output, packs 41-row tiles
+        assert butson.matrix_digest(matrix("BH(34,544)")) == (
             "sha256:8db6ec00d3dc09e7cb8d26740437dfe116f3e731b3071a1f1272450789e37834"
         )
-        tile = 41
-        for dst in (tile - 1, tile, 2 * tile - 1, 2 * tile):
-            bad = _with_row(b, 1, dst, 3)
-            with PackedTiles(butson) as packed:
-                report = verify(bad)
-            assert packed.unit == tile
-            assert report.bad_row_pair == (2, dst + 1)
-            assert report == verify_oracle(bad), dst
+        assert run("rows of BH(34,544)").unit == 41
 
     def test_short_last_tile(self):
         # 34 rows in tiles of 5: the last tile holds 4, and row 34 a copy
         # of row 30 is met there
-        b = fourier(34)
-        with PackedTiles(butson, 5) as packed:
-            assert verify(b).ok
-            assert packed.tiles[-1] == (30, 34)
-            for src in (29, 30, 31):
-                bad = _with_row(b, src, 33, 0)
-                assert verify(bad) == verify_oracle(bad), src
+        assert run("short last tile").tiles[-1] == (30, 34)
 
 
 class TestSmallRootOrders:
@@ -617,54 +685,12 @@ class TestSmallRootOrders:
         assert butson._first_packed_failure(b.exponents, 1) == (2, 3)
 
     def test_m2_accept(self):
-        for b in (fourier(2), _sylvester(2), _sylvester(6)):
+        for b in (fourier(2), sylvester(2), matrix("H64")):
             assert verify(b).ok
             assert butson._first_packed_failure(b.exponents, 2) is None
 
     def test_m2_reject(self):
-        b = _sylvester(3)
-        for bad in (
-            _with_entry(b, 5, 6, 1 - b.exponents[5][6]),
-            _with_row(b, 2, 6, 1),
-            _with_row(b, 1, 2, 0),
-        ):
-            report = verify(bad)
-            assert not report.ok
-            assert report == verify_oracle(bad)
-        assert verify(_with_row(b, 2, 6, 1)).bad_row_pair == (3, 7)
-
-
-def _never(dead, live, slot):
-    return False
-
-
-def _every(rows):
-    """A trim rule that shifts out the dead slots once there are rows of them."""
-    return lambda dead, live, slot: dead >= rows
-
-
-# Trim rules the kernel must agree under: every row, every 2nd and 4th row,
-# and the default rule without its byte floor (the 1/8 share alone).
-TRIM_RULES = {
-    "every row": {"_trim_pays": _every(1)},
-    "every 2nd row": {"_trim_pays": _every(2)},
-    "every 4th row": {"_trim_pays": _every(4)},
-    "no byte floor": {"_TRIM_BYTES": 0},
-}
-DEFAULT_RULE = {"_TRIM_BYTES": butson._TRIM_BYTES}
-
-
-def _trim_moves(n, tile):
-    """(src, dst) for a row dst replaced by a phase of row src: dst = src + 1,
-    the first slot left after a trim at row src; dst the last slot of src's
-    tile; and dst on both sides of the first two tile boundaries."""
-    moves = set(_row_moves(n, tile))
-    for j0 in sorted({0, tile, (n - 1) // tile * tile}):
-        end = min(j0 + tile, n) - 1
-        for src in {j0 + 1, (j0 + end) // 2, end - 1}:
-            if 1 <= src < end:
-                moves |= {(src, src + 1), (src, end)}
-    return sorted((src, dst) for src, dst in moves if 1 <= src < dst < n)
+        run("m = 2")
 
 
 def _trims(b):
@@ -689,94 +715,44 @@ class TestTrimmedTiles:
     another must give the pair, and the report of the kernel that never
     trims and of verify_oracle."""
 
-    MATRICES = {
-        9: lambda: phi(PhiPlan(h=fourier(9), tensors=classical_lsesc_set(8))),
-        17: lambda: fourier(17),
-        10: lambda: halving_family(2),
-        18: lambda: halving_family(3),
-        34: lambda: fourier(34),
-        2: lambda: _sylvester(6),
-    }
+    @cases("forced trims")
+    def test_forced_trims(self, case):
+        run("forced trims", case)
 
-    @staticmethod
-    def _agrees(b, moves, patches):
-        for src, dst in moves:
-            bad = _with_row(b, src, dst, b.m // 2 + 1)
-            with mock.patch.object(butson, "_trim_pays", _never):
-                untrimmed = verify(bad)
-            with mock.patch.multiple(butson, **patches):
-                report = verify(bad)
-            assert report.bad_row_pair == (src + 1, dst + 1), (src, dst)
-            assert report == untrimmed, (src, dst)
-            if src * b.n <= 4000:  # the oracle tests about src * n row pairs
-                assert report == verify_oracle(bad), (src, dst)
-
-    # BH(18,144) in small tiles is slow, and the other orders cover them
-    @pytest.mark.parametrize(
-        "m, tile",
-        [(m, tile) for m in sorted(MATRICES) for tile in (1, 3, 7, None) if m != 18 or tile is None],
-    )
-    def test_forced_trims(self, m, tile):
-        b = self.MATRICES[m]()
-        with PackedTiles(butson, tile) as packed:
-            for name, patches in TRIM_RULES.items():
-                with mock.patch.multiple(butson, **patches):
-                    assert verify(b).ok, name
-                    assert butson._first_packed_failure(b.exponents, b.m) is None, name
-            rows = packed.unit
-            # forced trims every row everywhere; the other rules where each
-            # is most likely to leave a trim just below a failure
-            self._agrees(b, _trim_moves(b.n, rows), TRIM_RULES["every row"])
-            for name in ("every 2nd row", "every 4th row", "no byte floor"):
-                self._agrees(b, _trim_moves(b.n, rows)[::3], TRIM_RULES[name])
-
-    @pytest.mark.parametrize("tile", [1, 3, 7, None])
-    def test_m1(self, tile):
-        # every pair fails at m = 1; under most rules row 2 sheds slots 1
-        # and 2 before its first slot, 3, is searched
-        b = ButsonMatrix(1, 12, ((0,) * 12,) * 12)
-        with PackedTiles(butson, tile) as packed:
-            for patches in TRIM_RULES.values():
-                with mock.patch.multiple(butson, **patches):
-                    assert butson._first_packed_failure(b.exponents, 1) == (2, 3)
-                    assert verify(b) == verify_oracle(b)
-        # a one-row tile is packed only once rows 2.. lie before it
-        assert packed.tiles[0] == ((2, 3) if tile == 1 else (0, min(tile or b.n, b.n)))
+    @cases("m = 1")
+    def test_m1(self, case):
+        # under most rules row 2 sheds slots 1 and 2 before its first slot,
+        # 3, is searched; a one-row tile is packed only once rows 2.. lie
+        # before it
+        tile = case[1]
+        assert run("m = 1", case).tiles[0] == ((2, 3) if tile == 1 else (0, min(tile or 12, 12)))
 
     def test_default_rule_trims_bh_18_144(self):
         # one tile of 144 rows and 11-byte slots: a trim each 24 rows, 264
         # bytes, from row 24 on
-        b = halving_family(3)
+        b = matrix("BH(18,144)")
         assert _slot_bytes(b.m, b.n) == 11
         with PackedTiles(butson) as packed:
             trims = _trims(b)
         assert packed.tiles == [(0, b.n)]
         assert trims == [(24, 120), (24, 96), (24, 72), (24, 48), (24, 24)]
-        # failures at the first slot left after each trim and at the last slot
-        starts = [b.n - live for _, live in trims]
-        self._agrees(b, [(s - 1, t) for s in starts for t in (s, b.n - 1)], DEFAULT_RULE)
+        run("trims of BH(18,144)")
 
     def test_default_rule_never_trims_small_matrices(self):
-        small = [fourier(6), fourier(10), halving_family(1), halving_family(2)]
-        small.append(phi(PhiPlan(h=fourier(5), tensors=classical_lsesc_set(4))))
+        small = [fourier(6), fourier(10), halving_family(1), matrix("BH(10,40)"), matrix("BH(5,20)")]
         for b in small:
             assert _trims(b) == [], (b.m, b.n)
 
     def test_default_rule_across_tiles(self):
         # BH(17,272): tiles of 96, 96 and 80 rows, 20-byte slots; each tile
         # trims 13 rows (260 bytes) at a time along its diagonal
-        b = phi(PhiPlan(h=fourier(17), tensors=classical_lsesc_set(16)))
+        b = matrix("BH(17,272)")
         assert _slot_bytes(b.m, b.n) == 20
         with PackedTiles(butson) as packed:
             trims = _trims(b)
         assert packed.tiles == [(0, 96), (96, 192), (192, 272)]
         assert trims == [(13, live) for top in (83, 83, 67) for live in range(top, 0, -13)]
-        # the first slot after the first trim of each tile, its tile's last
-        # slot, and both sides of the first boundary
-        moves = [(94, 95), (95, 96)]
-        for start, end in [(13, 96), (109, 192), (205, 272)]:
-            moves += [(start - 1, start), (start - 1, end - 1)]
-        self._agrees(b, moves, DEFAULT_RULE)
+        run("trims of BH(17,272)")
 
 
 def test_tile_rule_at_the_caps_and_the_benchmark_sizes():

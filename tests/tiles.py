@@ -1,8 +1,9 @@
 """The spies of the packed-pass tests: PackedTiles records the tiles
 that butson._first_packed_failure or latin._first_unmet_pair slices, and
 the units bhmat.errors.tile_units gave it, and can force that rule, so a
-test that sets a tile also checks that the kernel used it.
-count_conjugates counts the conjugates that LatinSquare builds.
+test that sets a tile also checks that the kernel used it; it can also
+force butson's trim rule.  count_conjugates counts the conjugates that
+LatinSquare builds.
 """
 
 from contextlib import ExitStack
@@ -15,6 +16,11 @@ from bhmat.latin import LatinSquare
 # The tile of PackedTiles that keeps the rule under a one-byte budget, so
 # the floor decides every tile.
 FLOOR = "floor"
+
+# The trims of PackedTiles besides butson's own rule and an int k (trim
+# once k rows are dead): none at all, and the rule without its byte floor
+# (the 1/8 share alone).
+NEVER, NO_BYTE_FLOOR = "never", "no byte floor"
 
 # The packed kernel of each module, and the positional argument it slices.
 KERNELS = {"bhmat.butson": ("_first_packed_failure", 0), "bhmat.latin": ("_first_unmet_pair", 1)}
@@ -39,9 +45,10 @@ class PackedTiles(ExitStack):
     and FLOOR: the rule's own answer), and each call of its packed kernel
     must slice tiles that start at a multiple of the units it was given
     and hold that many, or end the sequence.  tiles and units list them
-    over every call."""
+    over every call.  trim (butson only; None: its own _trim_pays) sets
+    the rule by which the kernel shifts dead slots out of a tile."""
 
-    def __init__(self, module, tile=None):
+    def __init__(self, module, tile=None, trim=None):
         super().__init__()
         name, arg = KERNELS[module.__name__]
         kernel, rule = getattr(module, name), module.tile_units
@@ -65,6 +72,13 @@ class PackedTiles(ExitStack):
         self.enter_context(mock.patch.multiple(module, **{name: spy, "tile_units": forced}))
         if tile == FLOOR:
             self.enter_context(mock.patch.object(errors, "_TILE_BYTES", 1))
+        if trim == NO_BYTE_FLOOR:
+            self.enter_context(mock.patch.object(module, "_TRIM_BYTES", 0))
+        elif trim is not None:
+            def pays(dead, live, slot):
+                return trim != NEVER and dead >= trim
+
+            self.enter_context(mock.patch.object(module, "_trim_pays", pays))
 
     @property
     def unit(self):
